@@ -1,6 +1,6 @@
 """Shared pieces of the benchmark: metric catalogue, statistics, the
-machine-speed reference, layer timers, memory readings and the
-cold-start set-up probe.
+machine-speed reference, layer timers, memory readings, process
+clean-up and the cold-start set-up probe.
 
 The benchmark imports the program from ``src/`` of the checkout it runs
 in; nothing here is imported by the program.
@@ -8,8 +8,10 @@ in; nothing here is imported by the program.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -134,11 +136,13 @@ def ratio(numerator: float, denominator: float) -> float:
 # QAOA solve's time to a reference task's, taken in the same windows,
 # spread 0.035 where the raw times spread 0.17-0.26. Timing the
 # reference right before and after each operation (never during it)
-# rescales the operation to the nominal speed. The HTTP workload's work
-# runs in other processes, so its reference is timed concurrently by a
-# helper process instead. The process pool keeps both CPUs busy, where a
-# concurrent reference would time contention, so that workload reports
-# raw times.
+# rescales the operation to the nominal speed. The HTTP and pipeline
+# workloads do their work in other processes, so a helper process times
+# the reference concurrently instead. The pipeline's pool keeps both CPUs
+# busy, so its helper counts CPU time, not wall time, and each batch is
+# rescaled by the readings taken while it ran: over six runs, raw
+# queries/s spread 0.085, with one median reading per run 0.040, per
+# batch 0.021.
 
 #: Seconds the reference task takes at the nominal machine speed (its
 #: typical time on a 2-vCPU Xeon at 2.1 GHz).
@@ -159,13 +163,16 @@ def reference_task() -> None:
         state = state.reshape(2, -1)[::-1].reshape(-1) * 0.999
 
 
-def reference_seconds(repeats: int = 1) -> float:
-    """Median wall clock of ``repeats`` runs of the reference task."""
+def reference_seconds(repeats: int = 1,
+                      clock: Callable[[], float] = time.perf_counter
+                      ) -> float:
+    """Median seconds, on ``clock``, of ``repeats`` runs of the
+    reference task."""
     times = []
     for _ in range(repeats):
-        started = time.perf_counter()
+        started = clock()
         reference_task()
-        times.append(time.perf_counter() - started)
+        times.append(clock() - started)
     return statistics.median(times)
 
 
@@ -175,26 +182,38 @@ def at_nominal_speed(seconds: float, before: float, after: float) -> float:
     return seconds * 2.0 * REFERENCE_SECONDS / (before + after)
 
 
-def _reference_loop(connection, interval: float) -> None:
+def _reference_loop(connection, interval: float,
+                    clock: Callable[[], float]) -> None:
     """Helper-process body: time the reference task every ``interval``
-    seconds until the parent asks for the readings."""
-    times = []
+    seconds until the parent asks for the ``(finished at, seconds)``
+    readings (``perf_counter`` is the system-wide monotonic clock)."""
+    readings = []
     while not connection.poll(interval):
-        times.append(reference_seconds())
+        seconds = reference_seconds(clock=clock)
+        readings.append((time.perf_counter(), seconds))
     connection.recv()
-    connection.send(times)
+    connection.send(readings)
 
 
 class ConcurrentReference:
     """Times the reference task in a helper process while a workload
     whose work runs in other processes is measured, so the reading
-    covers the same seconds as the operations."""
+    covers the same seconds as the operations.
 
-    def __init__(self, interval: float = 0.25) -> None:
+    ``clock=time.thread_time`` counts only the seconds the helper was on
+    a CPU: next to a pool that keeps every CPU busy, wall time would
+    mostly measure the helper's wait for its turn.
+    """
+
+    def __init__(self, interval: float = 0.25,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
+        #: ``(finished at, seconds)`` readings, filled in by ``stop``.
+        self.readings: List[tuple] = []
         context = multiprocessing.get_context("spawn")
         self._connection, child = context.Pipe()
         self._process = context.Process(target=_reference_loop,
-                                        args=(child, interval), daemon=True)
+                                        args=(child, interval, clock),
+                                        daemon=True)
         self._process.start()
         child.close()
 
@@ -202,14 +221,29 @@ class ConcurrentReference:
         """Stop the helper; the median reference seconds it measured."""
         try:
             self._connection.send("stop")
-            times = self._connection.recv()
+            self.readings = self._connection.recv()
         finally:
             self._process.join(30)
             if self._process.is_alive():
                 self._process.kill()
                 self._process.join()
             self._connection.close()
+        times = [seconds for _, seconds in self.readings]
         return statistics.median(times) if times else REFERENCE_SECONDS
+
+    def at_nominal_speed(self, started: float, finished: float) -> float:
+        """The ``perf_counter`` span ``started``-``finished`` rescaled to
+        the nominal speed by the mean speed the readings inside it show
+        (all readings if none falls inside). A mean of speeds, not a
+        median of times, so a speed switch inside the span counts for
+        the share of the span it lasted."""
+        speeds = [REFERENCE_SECONDS / seconds
+                  for at, seconds in self.readings
+                  if started <= at <= finished]
+        if not speeds:
+            speeds = [REFERENCE_SECONDS / seconds
+                      for _, seconds in self.readings] or [1.0]
+        return (finished - started) * statistics.mean(speeds)
 
 
 # -- layer timers ---------------------------------------------------------
@@ -311,6 +345,108 @@ def peak_rss_mb(pids: Iterable[int]) -> float:
         except OSError:
             continue
     return total_kb / 1024.0
+
+
+# -- process clean-up -------------------------------------------------------
+# Not every process the benchmark causes is one it starts itself: the
+# solve service's pool and the ``spawn`` helper start a multiprocessing
+# resource tracker, and a ``serve`` process starts its own workers and
+# tracker. A tracker ignores SIGTERM and exits only once every holder of
+# its pipe has closed it, a few milliseconds after its parent is gone, so
+# it outlives a runner that merely returns. The runner therefore adopts
+# orphans and, on every path out, stops its whole process tree and waits
+# until each process in it has ended.
+
+#: ``prctl`` option that makes orphaned descendants children of the caller.
+PR_SET_CHILD_SUBREAPER = 36
+
+
+def adopt_orphans() -> None:
+    """Make this process the parent of every orphan among the processes
+    it causes, so ``stop_descendants`` can wait for one whose own parent
+    has already exited (Linux; a no-op elsewhere)."""
+    try:
+        ctypes.CDLL(None, use_errno=True).prctl(
+            PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0)
+    except (OSError, AttributeError):
+        pass
+
+
+def _process_table() -> Dict[int, tuple]:
+    """``pid -> (parent pid, state letter)`` of every process (``/proc``)."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rpartition(")")[2].split()
+        except OSError:
+            continue
+        table[int(entry)] = (int(fields[1]), fields[0])
+    return table
+
+
+def running_descendants(pid: int) -> List[int]:
+    """Processes below ``pid`` in the process tree that have not ended
+    (zombies, which only wait to be collected, are left out)."""
+    children = defaultdict(list)
+    table = _process_table()
+    for child, (parent, _) in table.items():
+        children[parent].append(child)
+    found, frontier = [], [pid]
+    while frontier:
+        for child in children[frontier.pop()]:
+            frontier.append(child)
+            if table[child][1] not in ("Z", "X"):
+                found.append(child)
+    return found
+
+
+def _collect_children() -> None:
+    """Collect the exit status of every child of this process that ended."""
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+
+
+def stop_descendants(grace: float = 10.0) -> None:
+    """Stop every process this one caused and wait until each has ended:
+    SIGTERM, then SIGKILL to any still running after ``grace`` seconds.
+
+    This process's own resource tracker, if it started one, is released
+    by closing its pipe (a private of ``multiprocessing``; the standard
+    library has no public way before Python 3.12), so it exits, cleaning
+    up, once the other holders of the pipe are gone too.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    if getattr(tracker, "_fd", None) is not None:
+        os.close(tracker._fd)
+        tracker._fd = tracker._pid = None
+    deadline = time.monotonic() + grace
+    sent: Dict[int, int] = {}
+    while True:
+        _collect_children()
+        alive = running_descendants(os.getpid())
+        if not alive:
+            break
+        signum = (signal.SIGKILL if time.monotonic() > deadline
+                  else signal.SIGTERM)
+        for pid in alive:
+            if sent.get(pid) != signum:
+                sent[pid] = signum
+                try:
+                    os.kill(pid, signum)
+                except ProcessLookupError:
+                    pass
+        time.sleep(0.01)
+    _collect_children()
 
 
 def cold_start_seconds(workload: str, seed: int, smoke: bool,

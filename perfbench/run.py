@@ -12,7 +12,8 @@ time and the single-process workloads' times rescaled to the nominal
 machine speed, see ``common``); ``--trace 1`` runs the workload twice
 for half the time each, untraced then with layer timers, and reports
 the per-layer metrics plus the tracing overhead. ``--smoke`` shrinks
-every input for the self-test.
+every input for the self-test. On every way out, SIGTERM included, the
+runner stops every process it caused and waits until each has ended.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import importlib
 import json
 import math
 import os
+import signal
 import sys
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -31,10 +33,12 @@ from common import (  # noqa: E402 — needs the path above
     PER_LAYER,
     REFERENCE_SECONDS,
     SRC,
+    adopt_orphans,
     at_nominal_speed,
     cold_start_seconds,
     ratio,
     reference_seconds,
+    stop_descendants,
 )
 
 WORKLOADS = ("http_jobs", "pipeline_batch", "qaoa_solve", "qml_train")
@@ -77,10 +81,32 @@ def _print_named(title: str, outcome) -> None:
         print(f"perfbench: {title}: {failure}", file=sys.stderr)
 
 
+_RUNNER_PID = os.getpid()
+
+
+def _exit_on_signal(signum, frame) -> None:
+    """SIGTERM leaves the runner through its clean-up; a solve worker
+    forked from it keeps the default action."""
+    if os.getpid() != _RUNNER_PID:
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+        return
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     if not use_program():
         return 2
+    adopt_orphans()
+    signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        return measure(args)
+    finally:
+        stop_descendants()
+
+
+def measure(args) -> int:
     module = importlib.import_module(args.workload)
     if args.setup_probe:
         cleanup = module.setup_probe(args.seed, args.smoke)
