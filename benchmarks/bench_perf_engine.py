@@ -40,11 +40,9 @@ reference workloads:
   concurrent stdlib clients: a mixed cache-miss/cache-hit soak with
   request-latency quantiles and SSE stream-row lag, a backpressure
   phase against a tiny job queue (the 429 + ``Retry-After`` path must
-  shed load without hanging while every accepted job completes), and
-  a service-level cache-hit throughput pairing of the sharded result
-  cache against the single-lock baseline (declared parity gate:
-  ``gate_min_speedup`` 1.0 with tolerance). Results coming back over
-  HTTP must match a direct in-process solve bit for bit.
+  shed load without hanging while every accepted job completes).
+  Results coming back over HTTP must match a direct in-process solve
+  bit for bit.
 
 Timings come from telemetry spans (``perf.<workload>.<impl>``). Run as
 a script to write the committed perf trajectory::
@@ -113,8 +111,7 @@ FULL_SCALE = {
             "num_reads": 30, "workers": 2, "repeats": 3,
             "gate_max_overhead": 0.05},
     "server": {"num_jobs": 8, "num_clients": 4, "num_sweeps": 300,
-               "num_reads": 10, "queue_capacity": 2,
-               "cache_rounds": 40, "gate_speedup_tolerance": 0.20},
+               "num_reads": 10, "queue_capacity": 2},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -135,8 +132,7 @@ SMOKE_SCALE = {
             "num_reads": 10, "workers": 2, "repeats": 2,
             "gate_max_overhead": 0.5},
     "server": {"num_jobs": 4, "num_clients": 2, "num_sweeps": 150,
-               "num_reads": 5, "queue_capacity": 2,
-               "cache_rounds": 10, "gate_speedup_tolerance": 0.5},
+               "num_reads": 5, "queue_capacity": 2},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -360,9 +356,9 @@ def run_service_workload(collector, num_jobs, num_relations,
 
     The main batch is ``num_jobs`` *independent* seeded join-order SA
     solves — the service's bread-and-butter shape, executed on the
-    persistent warm pool (models via shared memory, workers spawned
-    once). Correctness is bit-for-bit: the concurrent results must
-    equal the sequential dispatch results sample-for-sample
+    persistent warm pool (models pickled to a worker once, workers
+    spawned once). Correctness is bit-for-bit: the concurrent results
+    must equal the sequential dispatch results sample-for-sample
     (``matches_direct``), and a second service run must reproduce them
     (``deterministic``). The speedup gate is CPU-aware: with >= 2 CPUs
     the workload declares the real-parallelism floor (1.5x); on a
@@ -374,8 +370,8 @@ def run_service_workload(collector, num_jobs, num_relations,
     A second measurement covers **cross-job batch folding**: the same
     number of jobs on *one shared model* (distinct seeds), which the
     pool folds into a few worker round trips. Its timings and parity
-    land in the ``batch_*`` keys; the pool/shm counters of the main
-    run land in ``pool``.
+    land in the ``batch_*`` keys; the pool counters of the main run
+    land in ``pool``.
     """
     from repro.service import SolveService
     from repro.service.bench import build_jobs, results_match
@@ -391,7 +387,6 @@ def run_service_workload(collector, num_jobs, num_relations,
         with collector.span("perf.service.concurrent"):
             concurrent = service.solve_many(specs)
         pool_stats = service.stats()["pool"]
-        shm_stats = service.stats()["shm"]
     # A fresh service (empty cache, new workers) must reproduce the
     # batch exactly.
     with SolveService(max_workers=workers) as service:
@@ -449,8 +444,6 @@ def run_service_workload(collector, num_jobs, num_relations,
             "dispatches_warm": pool_stats["dispatches_warm"],
             "dispatches_cold": pool_stats["dispatches_cold"],
             "jobs_run": pool_stats["jobs_run"],
-            "shm_bytes": shm_stats["bytes_shared"],
-            "shm_segments_created": shm_stats["segments_created"],
         },
         "batch_sequential_seconds": batch_sequential,
         "batch_service_seconds": batch_service,
@@ -932,55 +925,9 @@ def _strip_provenance(document):
             if key != "provenance"}
 
 
-def _cache_hit_seconds(shards, num_clients, cache_rounds, repeats=3):
-    """Wall clock for ``num_clients`` threads hammering the service's
-    cache-hit path, min over ``repeats``; the sharded-vs-single pairing
-    both sides of the ``speedup`` gate run through."""
-    import threading
-
-    from repro.service import SolveService
-
-    problems = [JoinOrderQUBO(random_join_graph(4, "chain",
-                                                seed=index)).compile()
-                for index in range(8)]
-    config = SolverConfig(num_sweeps=100, num_reads=2, seed=3,
-                          convergence=False)
-    times = []
-    with SolveService(max_workers=1, mode="thread",
-                      cache_shards=shards,
-                      cache_entries=256) as service:
-        for problem in problems:
-            service.solve(problem, "sa", config)  # prime the cache
-        for _ in range(repeats):
-            barrier = threading.Barrier(num_clients + 1)
-
-            def hammer():
-                barrier.wait()
-                for _ in range(cache_rounds):
-                    for problem in problems:
-                        service.solve(problem, "sa", config)
-
-            threads = [threading.Thread(target=hammer)
-                       for _ in range(num_clients)]
-            for thread in threads:
-                thread.start()
-            barrier.wait()
-            started = time.perf_counter()
-            for thread in threads:
-                thread.join()
-            times.append(time.perf_counter() - started)
-        hits = service.stats()["cache"]["hits"]
-    expected = repeats * num_clients * cache_rounds * len(problems)
-    if hits < expected:
-        raise AssertionError(
-            f"cache-hit pairing missed the cache: {hits} < {expected}")
-    return min(times)
-
-
 def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
-                        num_reads, queue_capacity, cache_rounds,
-                        gate_speedup_tolerance, seed=31):
-    """HTTP front-end soak, backpressure and sharded-cache pairing.
+                        num_reads, queue_capacity, seed=31):
+    """HTTP front-end soak and backpressure.
 
     **Soak** — ``num_clients`` stdlib clients drive a thread-mode
     server (HTTP-layer cost, not process-pool cost) through a mixed
@@ -999,12 +946,6 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
     job queue takes a burst of distinct submissions: the record must
     show non-zero ``rejected_429`` (each with a usable ``Retry-After``)
     while every accepted job still completes.
-
-    **Cache pairing** — the service-level cache-hit path with the
-    sharded result cache vs the single-lock baseline under the same
-    client threads; the declared gate is parity (``gate_min_speedup``
-    1.0) with a tolerance absorbing the one-extra-indirection cost the
-    GIL cannot hide on a single-CPU box.
     """
     import threading
 
@@ -1131,9 +1072,6 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
                 accepted_all_completed = (accepted_all_completed
                                           and status == 200)
 
-    single_seconds = _cache_hit_seconds(1, num_clients, cache_rounds)
-    sharded_seconds = _cache_hit_seconds(8, num_clients, cache_rounds)
-
     return {
         "name": "server_throughput",
         "params": {
@@ -1142,7 +1080,6 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
             "num_sweeps": num_sweeps,
             "num_reads": num_reads,
             "queue_capacity": queue_capacity,
-            "cache_rounds": cache_rounds,
             "workers": 0,
             "seed": seed,
             "cpu_count": os.cpu_count() or 1,
@@ -1158,13 +1095,8 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
         "rejected_429": rejected_429,
         "retry_after_ok": retry_after_ok,
         "accepted_all_completed": accepted_all_completed,
-        "single_cache_seconds": single_seconds,
-        "sharded_cache_seconds": sharded_seconds,
-        "speedup": single_seconds / sharded_seconds,
         "matches_direct": matches_direct,
         "deterministic": deterministic,
-        "gate_min_speedup": 1.0,
-        "gate_speedup_tolerance": gate_speedup_tolerance,
     }
 
 
@@ -1265,8 +1197,7 @@ def test_perf_server_soak_backpressure_and_cache(bench_telemetry):
     print("\nserver soak {requests_total} req in {soak_seconds:.3f}s "
           "(p50 {request_p50_seconds:.4f}s, p95 "
           "{request_p95_seconds:.4f}s), {stream_rows} stream rows, "
-          "{rejected_429} rejected, cache pairing {speedup:.2f}x"
-          .format(**record))
+          "{rejected_429} rejected".format(**record))
     assert record["matches_direct"]
     assert record["deterministic"]
     # The burst against a 2-deep queue must shed load with usable
@@ -1275,7 +1206,6 @@ def test_perf_server_soak_backpressure_and_cache(bench_telemetry):
     assert record["retry_after_ok"]
     assert record["accepted_all_completed"]
     assert record["stream_rows"] > 0
-    assert record["speedup"] >= effective_speedup_floor(record)
 
 
 def test_perf_obs_stack_is_cheap_when_on(bench_telemetry):
@@ -1350,8 +1280,7 @@ def main():
         elif record["name"] == "server_throughput":
             print("{name}: {requests_total} req in {soak_seconds:.3f}s "
                   "(p95 {request_p95_seconds:.4f}s), {rejected_429} "
-                  "shed, cache pairing {speedup:.2f}x"
-                  .format(**record))
+                  "shed".format(**record))
         else:
             print("{name}: direct {direct_seconds:.3f}s, dispatch "
                   "{dispatch_seconds:.3f}s -> {overhead_fraction:+.2%} "

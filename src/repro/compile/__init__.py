@@ -26,7 +26,6 @@ Typical use::
     result.solution.order, result.feasible
 """
 
-from .buffers import pack_model, packed_nbytes, unpack_model, write_packed
 from .constraints import (
     ProblemBuilder,
     analytic_penalty_weight,
@@ -67,8 +66,4 @@ __all__ = [
     "CompiledProblem",
     "VariableRegistry",
     "check_bits",
-    "pack_model",
-    "packed_nbytes",
-    "unpack_model",
-    "write_packed",
 ]

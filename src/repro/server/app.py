@@ -1,7 +1,7 @@
 """The asyncio HTTP front end over :class:`~repro.service.SolveService`.
 
-One :class:`ReproServer` owns one solve service (sharded result cache,
-warm worker pool), an :class:`~repro.server.admission.AdmissionController`,
+One :class:`ReproServer` owns one solve service (result cache, warm
+worker pool), an :class:`~repro.server.admission.AdmissionController`,
 and a :class:`~repro.server.jobs.JobRegistry`. The event loop only
 parses requests, runs admission, and enqueues — solves execute on the
 service's dispatcher threads / worker processes, and completion comes
@@ -123,9 +123,6 @@ class ReproServer:
         :class:`~repro.server.admission.AdmissionController`).
     queue_capacity:
         Bound on the service's job queue — the backpressure horizon.
-    cache_shards:
-        Result-cache shards (concurrent HTTP readers shouldn't
-        serialize on one cache lock).
     drain_timeout:
         Longest a graceful drain waits for inflight jobs.
     """
@@ -133,7 +130,6 @@ class ReproServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  workers: int = 2, mode: Optional[str] = None,
                  queue_capacity: int = 64, cache_entries: int = 256,
-                 cache_shards: int = 8,
                  default_deadline: Optional[float] = None,
                  quota_rate: float = 20.0, quota_burst: float = 40.0,
                  max_inflight: int = 16, max_jobs: int = 4096,
@@ -151,7 +147,7 @@ class ReproServer:
         self.service = SolveService(
             max_workers=max_workers, mode=resolved_mode,
             queue_capacity=queue_capacity, cache_entries=cache_entries,
-            cache_shards=cache_shards, default_deadline=default_deadline,
+            default_deadline=default_deadline,
             start_method=start_method, batch_limit=batch_limit,
         )
         self.admission = AdmissionController(

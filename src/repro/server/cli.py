@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "when --workers > 0)")
     parser.add_argument("--queue-capacity", type=int, default=64)
     parser.add_argument("--cache-entries", type=int, default=256)
-    parser.add_argument("--cache-shards", type=int, default=8)
     parser.add_argument("--default-deadline", type=float, default=None,
                         help="per-job wall-clock budget in seconds")
     parser.add_argument("--quota-rate", type=float, default=20.0,
@@ -72,7 +71,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         host=args.host, port=args.port, workers=args.workers,
         mode=args.mode, queue_capacity=args.queue_capacity,
         cache_entries=args.cache_entries,
-        cache_shards=args.cache_shards,
         default_deadline=args.default_deadline,
         quota_rate=args.quota_rate, quota_burst=args.quota_burst,
         max_inflight=args.max_inflight,

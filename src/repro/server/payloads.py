@@ -75,9 +75,8 @@ def idempotency_key(body: Any) -> str:
 
 
 # -- picklable problem hooks ----------------------------------------------
-# Process-mode workers and the shared-memory model store require
-# picklable problems, so the hooks are classes/functions at module
-# scope, never closures.
+# Process-mode workers require picklable problems, so the hooks are
+# classes/functions at module scope, never closures.
 
 def decode_bits(bits: Any) -> Tuple[int, ...]:
     """The generic decoder: the raw assignment as a bit tuple."""

@@ -8,7 +8,7 @@ at once under latency budgets:
 
 * :class:`SolveService` — bounded priority job queue feeding a
   *persistent warm worker pool* (solver registry imported once per
-  worker, models shipped via shared memory, hard deadline reaping
+  worker, each model pickled to a worker once, hard deadline reaping
   with respawn) or threads, with :class:`JobHandle` futures,
   cancellation, cross-job batching of same-model submissions and
   batch :meth:`~SolveService.solve_many`.
@@ -38,8 +38,8 @@ and verifies service results are bit-for-bit identical to sequential
 :func:`repro.compile.solve` calls.
 """
 
-from .cache import ResultCache, ShardedResultCache, cache_key
-from .pool import SharedModelStore, WarmWorkerPool
+from .cache import ResultCache, cache_key
+from .pool import WarmWorkerPool
 from .portfolio import PortfolioError, race
 from .queue import Job, JobQueue, JobStatus, QueueFullError
 from .service import (
@@ -66,8 +66,6 @@ __all__ = [
     "QueueFullError",
     "ResultCache",
     "ServiceError",
-    "ShardedResultCache",
-    "SharedModelStore",
     "SolveService",
     "WarmWorkerPool",
     "WorkerCancelled",

@@ -359,14 +359,11 @@ def main(argv) -> int:
         stats = service.stats()
         if stats.get("pool") is not None:
             pool = stats["pool"]
-            shm = stats["shm"]
             print(f"pool: {pool['size']} warm workers, "
                   f"{pool['jobs_run']} jobs, "
                   f"{pool['dispatches_warm']} warm / "
                   f"{pool['dispatches_cold']} cold dispatches, "
-                  f"{pool['respawns']} respawns; "
-                  f"shm {shm['segments_created']} segment(s), "
-                  f"{shm['bytes_shared']} bytes")
+                  f"{pool['respawns']} respawns")
 
     if collector is not None:
         print()

@@ -10,17 +10,9 @@ configs are *uncacheable* by construction — two runs would legally
 return different samples — and are counted as skips rather than
 cached.
 
-Two implementations share one interface:
-
-* :class:`ResultCache` — a single lock over one LRU ``OrderedDict``;
-  the right shape for the in-process service, where the dispatcher
-  count bounds concurrency.
-* :class:`ShardedResultCache` — N independently locked
-  :class:`ResultCache` shards selected by key prefix. The HTTP front
-  end (:mod:`repro.server`) reads the cache from many concurrent
-  request handlers at once; sharding keeps hot hit-path lookups from
-  serializing on a single lock. Per-shard statistics merge into one
-  :meth:`~ShardedResultCache.stats` view.
+The cache is one LRU ``OrderedDict`` under a single lock. The solve
+service looks entries up under its own submission lock, so splitting
+this lock could not remove contention on the hit path.
 
 Hits and misses are mirrored onto telemetry counters
 (``service.cache.hits`` / ``.misses`` / ``.evictions`` / ``.skips``)
@@ -33,20 +25,15 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from .. import telemetry
 from ..telemetry import metrics as _metrics
 from ..compile.dispatch import SolverConfig
 from ..compile.ir import CompiledProblem
 
-#: Sentinel distinguishing "caller did not pre-fetch the registry"
-#: from "caller fetched it and it was None (metrics off)".
-_UNSET = object()
 
-
-def _count_event(event: str, value: int = 1,
-                 registry: Any = _UNSET) -> None:
+def _count_event(event: str, value: int = 1, *, registry: Any) -> None:
     """Mirror one cache event onto both telemetry layers.
 
     The collector keeps its historical flat counters
@@ -56,12 +43,9 @@ def _count_event(event: str, value: int = 1,
 
     Cache methods fetch the registry guard **once per operation**
     (outside their lock) and pass it in, matching the cheap-when-off
-    pattern of the service and solver layers — the previous shape
-    re-fetched the registry on every event, inside the hot hit path.
+    pattern of the service and solver layers.
     """
     telemetry.count(f"service.cache.{event}s", value)
-    if registry is _UNSET:
-        registry = _metrics.get_registry()
     if registry is not None:
         registry.counter(
             "service_cache_events_total",
@@ -82,8 +66,8 @@ def cache_key(problem: CompiledProblem, solver: str,
     ``repair``, which changes the returned best solution.
     ``problem_key`` lets a caller that already holds
     ``problem.content_key()`` (the service computes it once per
-    submission for batching and the shared-memory store) pass it in
-    instead of re-deriving it.
+    submission for batching and model dispatch) pass it in instead of
+    re-deriving it.
     """
     if config.seed is None:
         return None
@@ -205,129 +189,3 @@ class ResultCache:
                 "skips": self.skips,
                 "hit_rate": (self.hits / total) if total else 0.0,
             }
-
-    #: ``stats()`` is the merged-view name the sharded cache
-    #: introduced; both classes answer it so callers need not care
-    #: which implementation they hold.
-    stats = snapshot
-
-
-class ShardedResultCache:
-    """N independently locked :class:`ResultCache` shards.
-
-    The shard is picked from the leading hex of the (sha256) cache
-    key, so well-distributed keys spread uniformly. Each shard runs
-    its own LRU over ``ceil(max_entries / shards)`` slots — global
-    capacity is preserved while evictions become shard-local, the
-    standard trade of sharded LRUs.
-
-    The interface is a drop-in for :class:`ResultCache` (``get`` /
-    ``peek`` / ``note_hit`` / ``note_miss`` / ``put`` / ``clear`` /
-    ``len`` / ``snapshot``), which is what lets
-    :class:`~repro.service.SolveService` swap it in via its
-    ``cache_shards`` knob without touching the submission path.
-    """
-
-    def __init__(self, max_entries: int = 256, shards: int = 8):
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        if shards < 1:
-            raise ValueError("shards must be positive")
-        shards = min(shards, max_entries)
-        per_shard = -(-max_entries // shards)  # ceil division
-        self._shards: List[ResultCache] = [
-            ResultCache(per_shard) for _ in range(shards)
-        ]
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    @property
-    def max_entries(self) -> int:
-        return sum(shard.max_entries for shard in self._shards)
-
-    def _shard(self, key: str) -> ResultCache:
-        """Key-prefix shard selection (keys are sha256 hex digests)."""
-        try:
-            bucket = int(key[:8], 16)
-        except (ValueError, TypeError):
-            bucket = hash(key)
-        return self._shards[bucket % len(self._shards)]
-
-    def get(self, key: Optional[str]) -> Optional[Any]:
-        if key is None:
-            return self._shards[0].get(None)
-        return self._shard(key).get(key)
-
-    def peek(self, key: Optional[str]) -> Optional[Any]:
-        if key is None:
-            return None
-        return self._shard(key).peek(key)
-
-    def note_hit(self, key: str) -> None:
-        self._shard(key).note_hit(key)
-
-    def note_miss(self, key: Optional[str]) -> None:
-        if key is None:
-            self._shards[0].note_miss(None)
-            return
-        self._shard(key).note_miss(key)
-
-    def put(self, key: Optional[str], result: Any) -> None:
-        if key is None:
-            return
-        self._shard(key).put(key, result)
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
-
-    # -- merged statistics ---------------------------------------------
-    @property
-    def hits(self) -> int:
-        return sum(shard.hits for shard in self._shards)
-
-    @property
-    def misses(self) -> int:
-        return sum(shard.misses for shard in self._shards)
-
-    @property
-    def evictions(self) -> int:
-        return sum(shard.evictions for shard in self._shards)
-
-    @property
-    def skips(self) -> int:
-        return sum(shard.skips for shard in self._shards)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One merged stats view over every shard.
-
-        Same keys as :meth:`ResultCache.snapshot` (so service stats
-        and dashboards are implementation-agnostic) plus the shard
-        count and the per-shard occupancy spread.
-        """
-        shard_views = [shard.snapshot() for shard in self._shards]
-        hits = sum(view["hits"] for view in shard_views)
-        misses = sum(view["misses"] for view in shard_views)
-        total = hits + misses
-        return {
-            "entries": sum(view["entries"] for view in shard_views),
-            "max_entries": self.max_entries,
-            "hits": hits,
-            "misses": misses,
-            "evictions": sum(view["evictions"] for view in shard_views),
-            "skips": sum(view["skips"] for view in shard_views),
-            "hit_rate": (hits / total) if total else 0.0,
-            "shards": len(self._shards),
-            "shard_entries": [view["entries"] for view in shard_views],
-        }
-
-    stats = snapshot
-
-    def __repr__(self) -> str:
-        return (f"ShardedResultCache(shards={len(self._shards)}, "
-                f"entries={len(self)}/{self.max_entries})")

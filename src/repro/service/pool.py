@@ -1,39 +1,30 @@
-"""Persistent warm worker pool with shared-memory model dispatch.
-
-PR-5's process mode forked **one worker per job**: every dispatch paid
-a process spawn, an import-warm-up and a full pickle of the model in
-and the result out — which is why the committed ``service_throughput``
-benchmark ran *slower* than sequential (0.91x with 2 workers). This
-module replaces that with long-lived workers:
+"""Persistent warm worker pool with cross-job batching.
 
 * :class:`WarmWorkerPool` — spawns ``size`` worker processes once per
   :class:`~repro.service.SolveService`. Each worker holds the solver
   registry imported and warm, and loops on a duplex pipe pulling task
   batches until drained.
-* :class:`SharedModelStore` — parent-side registry of
-  ``multiprocessing.shared_memory`` segments, one per distinct model
-  (keyed by :meth:`CompiledProblem.content_key`). The packed term
-  arrays (:mod:`repro.compile.buffers`) are written into the segment
-  once; workers attach, rebuild the model, cache it by content key and
-  close the segment — so N jobs on the same model pay for **zero**
-  model transfers after the first, and even the first is a flat numpy
-  copy rather than a pickle.
+* **Model dispatch** — a task message pickles the model through the
+  worker pipe only when the slot's worker does not already hold it.
+  Workers keep an LRU of models keyed by
+  :meth:`CompiledProblem.content_key`, and the parent mirrors each
+  slot's keys in a per-slot record updated with the same calls in the
+  same order, so a *warm* dispatch sends the key alone and a *cold*
+  one ships the model. A respawned worker starts with an empty record.
 * **Cross-job batching** — one task message carries *several* jobs
   (same model, same registry solver, independent configs/seeds); the
   worker answers them in one round trip. Each job still runs its own
   seeded backend call, so results stay bit-for-bit identical to
   sequential ``solve()``.
-* **Reap + respawn** — the SIGTERM→SIGKILL deadline/cancel semantics
-  of PR-5 survive: a worker that blows a deadline, is cancelled
-  mid-flight or crashes is killed and **replaced**, so the pool never
-  shrinks and a wedged solver can never hang the service
-  (``service_worker_respawns_total`` counts replacements).
+* **Reap + respawn** — a worker that blows a deadline, is cancelled
+  mid-flight or crashes is killed (SIGTERM, then SIGKILL) and
+  **replaced**, so the pool never shrinks and a wedged solver can
+  never hang the service (``service_worker_respawns_total`` counts
+  replacements).
 * **Drain-time telemetry merge** — warm workers accumulate their
   collector/tracer/metrics state across *all* their jobs and ship one
-  cumulative snapshot when the pool drains at shutdown. Merging
-  cumulative snapshots per job (the PR-5 scheme, correct for
-  one-job-per-process workers) would double-count a warm worker's
-  totals; drain-time merging folds each worker exactly once.
+  cumulative snapshot when the pool drains at shutdown, so each
+  worker's totals fold into the parent exactly once.
 
 Compact results: a worker returns best-state bits as a ``uint8``
 matrix plus ``float64`` energies and ``int64`` occurrence counts —
@@ -56,12 +47,6 @@ import numpy as np
 
 from .. import telemetry
 from ..annealing.results import Sample, SampleSet
-from ..compile.buffers import (
-    pack_model,
-    packed_nbytes,
-    unpack_model,
-    write_packed,
-)
 from ..compile.dispatch import SolverConfig, run_registry_backend
 from ..telemetry import context as _tracectx
 from ..telemetry import metrics as _metrics
@@ -77,14 +62,7 @@ from .workers import (
     _reap,
 )
 
-try:  # pragma: no cover - exercised implicitly on every import
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platform without shm support
-    _shared_memory = None
-
 __all__ = [
-    "ModelRef",
-    "SharedModelStore",
     "WarmWorkerPool",
 ]
 
@@ -92,7 +70,8 @@ __all__ = [
 #: before the pool gives up and kills it.
 DRAIN_TIMEOUT_SECONDS = 10.0
 
-#: Worker-side LRU capacity of reconstructed models.
+#: Models each worker keeps, and content keys each parent-side slot
+#: record mirrors.
 WORKER_MODEL_CACHE = 64
 
 #: Most recent per-job attribution entries a worker ships at drain.
@@ -115,221 +94,23 @@ def _pool_dispatch_counter(registry: "_metrics.MetricsRegistry"):
     )
 
 
-# ----------------------------------------------------------------------
-# Shared-memory model store (parent side)
-# ----------------------------------------------------------------------
-@dataclass
-class ModelRef:
-    """Everything a worker needs to materialize one model.
+def _cache_model(cache: "OrderedDict[str, Any]", key: str,
+                 model: Any = None) -> None:
+    """Insert or refresh ``key`` in an LRU of ``WORKER_MODEL_CACHE``.
 
-    ``transport`` is ``"shm"`` (attach ``segment`` and unpack ``meta``)
-    or ``"inline"`` (the pickled ``model`` rides along in the pipe —
-    the fallback when shared memory is unavailable).
+    The worker caches models with it; the parent mirrors each slot's
+    keys with it, calling it once per ok reply in dispatch order, so
+    both sides evict the same key.
     """
-
-    content_key: str
-    transport: str
-    meta: Optional[Dict[str, Any]] = None
-    segment: Optional[str] = None
-    nbytes: int = 0
-    model: Any = None
-
-    def wire_form(self) -> Dict[str, Any]:
-        """The picklable payload actually sent over the worker pipe."""
-        return {
-            "content_key": self.content_key,
-            "transport": self.transport,
-            "meta": self.meta,
-            "segment": self.segment,
-            "model": self.model,
-        }
-
-
-@dataclass
-class _Segment:
-    shm: Any
-    ref: ModelRef
-    inflight: int = 0
-
-
-class SharedModelStore:
-    """Content-addressed shared-memory segments for compiled models.
-
-    ``publish`` creates (or reuses) the segment for a problem's model
-    and pins it while a dispatch referencing it is in flight;
-    ``release`` unpins. Eviction past ``capacity`` only touches
-    unpinned segments, and ``close`` unlinks everything — the solve
-    service calls it when the last dispatcher exits so no ``/dev/shm``
-    entry outlives the service.
-    """
-
-    def __init__(self, capacity: int = 256):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._segments: "OrderedDict[str, _Segment]" = OrderedDict()
-        self._closed = False
-        self.bytes_shared = 0
-        self.segments_created = 0
-
-    def publish(self, problem) -> ModelRef:
-        """Segment reference for a problem's model, created on demand."""
-        key = problem.content_key()
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("model store is closed")
-            entry = self._segments.get(key)
-            if entry is not None:
-                entry.inflight += 1
-                self._segments.move_to_end(key)
-                return entry.ref
-            ref = self._create(key, problem.model)
-            entry = _Segment(shm=getattr(ref, "_shm", None), ref=ref)
-            if ref.transport == "shm":
-                entry.shm = ref._shm  # type: ignore[attr-defined]
-                del ref._shm  # type: ignore[attr-defined]
-            entry.inflight = 1
-            self._segments[key] = entry
-            self._evict_unpinned()
-            return ref
-
-    def _create(self, key: str, model: Any) -> ModelRef:
-        meta, arrays = pack_model(model)
-        nbytes = packed_nbytes(meta)
-        if _shared_memory is not None:
-            try:
-                # SharedMemory rejects size 0 (a term-free model).
-                shm = _shared_memory.SharedMemory(
-                    create=True, size=max(nbytes, 1))
-            except (OSError, ValueError):
-                shm = None
-        else:  # pragma: no cover - platform without shm support
-            shm = None
-        if shm is None:
-            # Inline fallback: the model pickles through the pipe once
-            # per worker (the worker-side cache still amortizes it).
-            return ModelRef(content_key=key, transport="inline",
-                            model=model)
-        write_packed(meta, arrays, shm.buf)
-        self.bytes_shared += nbytes
-        self.segments_created += 1
-        registry = _metrics.get_registry()
-        if registry is not None:
-            registry.counter(
-                "service_shm_bytes_total",
-                "model bytes written into shared-memory segments",
-            ).inc(nbytes)
-            registry.gauge(
-                "service_shm_segments",
-                "live shared-memory model segments",
-            ).set(len(self._segments) + 1)
-        ref = ModelRef(content_key=key, transport="shm", meta=meta,
-                       segment=shm.name, nbytes=nbytes)
-        ref._shm = shm  # type: ignore[attr-defined]
-        return ref
-
-    def release(self, ref: ModelRef) -> None:
-        """Unpin a segment once its dispatch round trip finished."""
-        with self._lock:
-            entry = self._segments.get(ref.content_key)
-            if entry is not None and entry.inflight > 0:
-                entry.inflight -= 1
-
-    def _evict_unpinned(self) -> None:
-        # Caller holds the lock.
-        while len(self._segments) > self.capacity:
-            victim = next(
-                (key for key, entry in self._segments.items()
-                 if entry.inflight == 0), None)
-            if victim is None:
-                return
-            self._unlink(self._segments.pop(victim))
-
-    @staticmethod
-    def _unlink(entry: _Segment) -> None:
-        if entry.shm is None:
-            return
-        try:
-            entry.shm.close()
-            entry.shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-
-    def segment_names(self) -> List[str]:
-        """Names of live segments (test hook for leak checks)."""
-        with self._lock:
-            return [entry.ref.segment
-                    for entry in self._segments.values()
-                    if entry.ref.segment is not None]
-
-    def close(self) -> None:
-        """Unlink every segment; the store rejects further publishes."""
-        with self._lock:
-            self._closed = True
-            entries = list(self._segments.values())
-            self._segments.clear()
-        for entry in entries:
-            self._unlink(entry)
-        registry = _metrics.get_registry()
-        if registry is not None:
-            registry.gauge(
-                "service_shm_segments",
-                "live shared-memory model segments").set(0)
-
-    def snapshot(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                "segments": len(self._segments),
-                "capacity": self.capacity,
-                "bytes_shared": self.bytes_shared,
-                "segments_created": self.segments_created,
-            }
+    cache[key] = model
+    cache.move_to_end(key)
+    while len(cache) > WORKER_MODEL_CACHE:
+        cache.popitem(last=False)
 
 
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-def _attach_segment(name: str):
-    """Attach an existing segment without double-tracking it.
-
-    The creating (parent) process owns the unlink. Python 3.13 grew
-    ``track=False`` for exactly this. On older versions the attach
-    re-registers the name, but forked workers share the parent's
-    resource tracker and registration is set-idempotent there, so the
-    parent's single unregister-on-unlink still balances it; an explicit
-    worker-side unregister would instead strip the parent's entry and
-    make that unlink complain.
-    """
-    try:
-        return _shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # pre-3.13: no track parameter
-        return _shared_memory.SharedMemory(name=name)
-
-
-def _materialize_model(wire_ref: Dict[str, Any],
-                       cache: "OrderedDict[str, Any]"
-                       ) -> Tuple[Any, bool]:
-    """Model for a wire reference; returns ``(model, was_cached)``."""
-    key = wire_ref["content_key"]
-    model = cache.get(key)
-    if model is not None:
-        cache.move_to_end(key)
-        return model, True
-    if wire_ref["transport"] == "shm":
-        shm = _attach_segment(wire_ref["segment"])
-        try:
-            model = unpack_model(wire_ref["meta"], shm.buf)
-        finally:
-            shm.close()
-    else:
-        model = wire_ref["model"]
-    cache[key] = model
-    while len(cache) > WORKER_MODEL_CACHE:
-        cache.popitem(last=False)
-    return model, False
-
-
 def _compact_samples(samples: SampleSet) -> Dict[str, Any]:
     """Lower a SampleSet to flat arrays for the result pipe."""
     rows = samples.samples
@@ -465,16 +246,11 @@ def _warm_worker_main(connection, index: int,
                      _capture_payload(collector, tracer, registry,
                                       jobs=list(jobs_log))))
                 return
-            _, task_id, flags, wire_ref, members = message
+            _, task_id, flags, model_key, model, members = message
             ensure_capture(flags)
-            try:
-                model, was_cached = _materialize_model(wire_ref, models)
-            except BaseException:
-                failure = {"ok": False,
-                           "traceback": traceback.format_exc()}
-                connection.send(("ok", task_id, os.getpid(), False,
-                                 [failure for _ in members]))
-                continue
+            if model is None:  # warm dispatch: the parent sent the key
+                model = models[model_key]
+            _cache_model(models, model_key, model)
             results = []
             for member in members:
                 job_id, solver, config = member[0], member[1], member[2]
@@ -489,8 +265,7 @@ def _warm_worker_main(connection, index: int,
                     "duration": result.get("duration"),
                 })
                 results.append(result)
-            connection.send(("ok", task_id, os.getpid(), was_cached,
-                             results))
+            connection.send(("ok", task_id, os.getpid(), results))
     finally:
         try:
             connection.close()
@@ -508,7 +283,9 @@ class _WarmWorker:
     connection: Any
     task_counter: int = 0
     jobs_run: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    #: Content keys of the models this worker holds, mirrored from its
+    #: cache (values unused); a respawned worker starts with none.
+    models: "OrderedDict[str, None]" = field(default_factory=OrderedDict)
 
 
 @dataclass
@@ -544,17 +321,6 @@ class WarmWorkerPool:
             # Create the counter eagerly so a healthy run exports an
             # explicit zero rather than a missing series.
             _respawns_counter(registry).inc(0)
-        # Start the parent's shm resource tracker *before* forking so
-        # every worker inherits its fd: attach-side registrations then
-        # land in the shared tracker (set-idempotent with the parent's
-        # own entry) instead of a worker-private tracker that would try
-        # to re-unlink segments on worker exit.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - platform-specific
-            pass
         self._workers: List[_WarmWorker] = [
             self._spawn(index) for index in range(size)
         ]
@@ -608,7 +374,7 @@ class WarmWorkerPool:
     # -- execution -------------------------------------------------------
     def execute(self, index: int, leader,
                 members: List[Tuple[Any, ...]],
-                ref: ModelRef,
+                model_key: str, model: Any,
                 deadline: Optional[float] = None,
                 publish_process: bool = True) -> BatchOutcome:
         """Run one task batch on slot ``index``; reap+respawn on harm.
@@ -618,8 +384,12 @@ class WarmWorkerPool:
         singleton batches) so a concurrent ``cancel()`` can reap the
         worker, and its terminal status disambiguates a cancel-kill
         from a genuine crash. Raises :class:`WorkerTimeout`,
-        :class:`WorkerCancelled` or :class:`WorkerCrashed` exactly like
-        the PR-5 per-job executor did.
+        :class:`WorkerCancelled` or :class:`WorkerCrashed`.
+
+        ``model`` (whose content key is ``model_key``) is pickled into
+        the task only when the slot's record says the worker does not
+        hold it; otherwise the key alone rides the pipe (a *warm*
+        dispatch).
 
         Each member is ``(job_id, solver, config)`` with an optional
         fourth ``trace_id`` element; the id rides the pipe so the
@@ -640,10 +410,11 @@ class WarmWorkerPool:
         worker.task_counter += 1
         task_id = worker.task_counter
         wire_members = [tuple(member) for member in members]
+        warm = model_key in worker.models
         try:
             worker.connection.send(
-                ("run", task_id, self._capture_flags(),
-                 ref.wire_form(), wire_members))
+                ("run", task_id, self._capture_flags(), model_key,
+                 None if warm else model, wire_members))
             reply = self._await_reply(worker, leader, task_id, deadline)
         except (WorkerTimeout, WorkerCancelled, WorkerCrashed):
             self._respawn(worker)
@@ -658,18 +429,19 @@ class WarmWorkerPool:
             if publish_process:
                 with leader.lock:
                     leader.process = None
-        _status, _task, pid, was_cached, results = reply
+        _status, _task, pid, results = reply
+        _cache_model(worker.models, model_key)
         worker.jobs_run += len(members)
         with self._lock:
-            if was_cached:
+            if warm:
                 self.dispatches_warm += 1
             else:
                 self.dispatches_cold += 1
         registry = _metrics.get_registry()
         if registry is not None:
             _pool_dispatch_counter(registry).labels(
-                kind="warm" if was_cached else "cold").inc()
-        return BatchOutcome(pid=pid, model_was_cached=was_cached,
+                kind="warm" if warm else "cold").inc()
+        return BatchOutcome(pid=pid, model_was_cached=warm,
                             results=results)
 
     def _await_reply(self, worker: _WarmWorker, leader, task_id: int,

@@ -63,8 +63,8 @@ class Job:
     deadline: Optional[float] = None
     cache_key: Optional[str] = None
     #: ``problem.content_key()`` — the warm pool's batch folding and
-    #: shared-memory store both key on it, so it is computed once at
-    #: submit and carried on the job.
+    #: model dispatch both key on it, so it is computed once at submit
+    #: and carried on the job.
     model_key: Optional[str] = None
     #: Trace-context id correlating this job's events across layers
     #: (queue, dispatch, worker, cache); ``None`` when the context

@@ -11,9 +11,10 @@ call into a managed execution subsystem:
 * **warm worker pool** — N dispatcher threads execute jobs either
   inline (``mode="thread"``) or on *persistent* worker processes
   (``mode="process"``, the default): each dispatcher owns one
-  long-lived worker with the solver registry imported and warm, models
-  travel via shared memory (:mod:`repro.service.pool`), and hard
-  per-job deadlines still reap (and then respawn) a stuck worker.
+  long-lived worker with the solver registry imported and warm, a
+  model crosses the worker pipe only when that worker does not hold it
+  yet (:mod:`repro.service.pool`), and hard per-job deadlines still
+  reap (and then respawn) a stuck worker.
 * **cross-job batching** — deadline-free jobs on the *same model and
   solver* as a job being dispatched fold into its worker round trip,
   so N same-model jobs with different seeds/configs cost one dispatch.
@@ -51,8 +52,8 @@ from ..compile.dispatch import (
     decode_samples,
 )
 from ..compile.ir import CompiledProblem
-from .cache import ResultCache, ShardedResultCache, cache_key
-from .pool import SharedModelStore, WarmWorkerPool, expand_samples
+from .cache import ResultCache, cache_key
+from .pool import WarmWorkerPool, expand_samples
 from .queue import Job, JobQueue, JobStatus, QueueFullError
 from .workers import (
     WorkerCancelled,
@@ -192,8 +193,8 @@ class SolveService:
         concurrently.
     mode:
         ``"process"`` (default) runs jobs on persistent warm worker
-        processes — one per dispatcher, spawned once, fed through
-        shared memory, reaped *and respawned* on deadline/cancel;
+        processes — one per dispatcher, spawned once, fed models
+        through a pipe, reaped *and respawned* on deadline/cancel;
         ``"thread"`` runs jobs inline on dispatcher threads (lower
         latency, soft deadlines — best for many small jobs).
     queue_capacity:
@@ -202,14 +203,6 @@ class SolveService:
     cache_entries:
         LRU capacity of the result cache; ``0`` disables caching (and
         with it request coalescing).
-    cache_shards:
-        Number of independently locked result-cache shards. ``1``
-        (default) keeps the classic single-lock
-        :class:`~repro.service.cache.ResultCache`; values above one
-        swap in :class:`~repro.service.cache.ShardedResultCache`, which
-        spreads hit-path lookups across per-shard locks — the HTTP
-        front end (:mod:`repro.server`) services many concurrent
-        readers and uses 8.
     default_deadline:
         Per-job wall-clock budget in seconds applied when ``submit``
         gets no explicit ``deadline``; ``None`` means unbounded.
@@ -227,7 +220,7 @@ class SolveService:
                  queue_capacity: int = 128, cache_entries: int = 256,
                  default_deadline: Optional[float] = None,
                  start_method: Optional[str] = None,
-                 batch_limit: int = 8, cache_shards: int = 1):
+                 batch_limit: int = 8):
         if max_workers < 1:
             raise ValueError("max_workers must be positive")
         if mode not in ("process", "thread"):
@@ -236,8 +229,6 @@ class SolveService:
             )
         if cache_entries < 0:
             raise ValueError("cache_entries must be >= 0")
-        if cache_shards < 1:
-            raise ValueError("cache_shards must be positive")
         if batch_limit < 1:
             raise ValueError("batch_limit must be positive")
         self.max_workers = max_workers
@@ -247,13 +238,8 @@ class SolveService:
         self._context = (multiprocessing.get_context(start_method)
                          if mode == "process" else None)
         self._queue = JobQueue(queue_capacity)
-        if not cache_entries:
-            self._cache = None
-        elif cache_shards > 1:
-            self._cache = ShardedResultCache(cache_entries,
-                                             shards=cache_shards)
-        else:
-            self._cache = ResultCache(cache_entries)
+        self._cache = (ResultCache(cache_entries) if cache_entries
+                       else None)
         self._inflight: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._next_id = 0
@@ -266,9 +252,6 @@ class SolveService:
         self._drain_log: List[Dict[str, Any]] = []
         self._pool = (WarmWorkerPool(max_workers, self._context)
                       if mode == "process" else None)
-        self._store = (SharedModelStore()
-                       if mode == "process" else None)
-        self._active_dispatchers = max_workers
         self._dispatchers = [
             threading.Thread(target=self._dispatch_loop,
                              args=(index,),
@@ -337,8 +320,8 @@ class SolveService:
                         else context_state.new_trace_id())
 
         # Computed once per submission: the cache key, the coalescing
-        # map, the shared-memory model store and batch folding all key
-        # on it (and content_key memoizes on the problem anyway).
+        # map, warm model dispatch and batch folding all key on it
+        # (and content_key memoizes on the problem anyway).
         problem_key = (problem.content_key()
                        if (self._cache is not None
                            or self.mode == "process") else None)
@@ -609,17 +592,11 @@ class SolveService:
             self._retire_dispatcher(index)
 
     def _retire_dispatcher(self, index: int) -> None:
-        """Drain this dispatcher's warm worker; last one out closes
-        the shared-memory store (covers ``shutdown(wait=False)``)."""
+        """Drain this dispatcher's warm worker and merge its telemetry."""
         if self._pool is not None:
             payload = self._pool.drain(index)
             if payload is not None:
                 self._merge_drain_payload(payload)
-        with self._lock:
-            self._active_dispatchers -= 1
-            last = self._active_dispatchers == 0
-        if last and self._store is not None:
-            self._store.close()
 
     def _execute(self, job: Job, index: int) -> None:
         if self.mode == "process":
@@ -672,7 +649,6 @@ class SolveService:
         status = JobStatus.FAILED
         message: Optional[str] = None
         raised: Optional[BaseException] = None
-        ref = None
         _flight.flight_event("job", "dispatching",
                              trace_id=job.trace_id, job_id=job.job_id,
                              solver=job.solver, batched=len(members))
@@ -681,13 +657,13 @@ class SolveService:
                                    stage="dispatch"):
                 with telemetry.span(
                         f"service.execute.{job.problem.name}"):
-                    ref = self._store.publish(job.problem)
                     outcome = self._pool.execute(
                         index, job,
                         [(member.job_id, member.solver, member.config,
                           member.trace_id)
                          for member in members],
-                        ref, deadline=job.deadline,
+                        job.model_key, job.problem.model,
+                        deadline=job.deadline,
                         publish_process=(len(members) == 1),
                     )
         except WorkerTimeout as exc:
@@ -697,11 +673,8 @@ class SolveService:
             status = JobStatus.CANCELLED
         except WorkerCrashed as exc:
             message = str(exc)
-        except BaseException as exc:  # shm store / protocol failures
+        except BaseException as exc:  # pickling / protocol failures
             raised = exc
-        finally:
-            if ref is not None:
-                self._store.release(ref)
         elapsed = time.perf_counter() - execute_start
         if registry is not None:
             execute_hist = registry.histogram(
@@ -930,11 +903,10 @@ class SolveService:
         into the parent.
 
         Warm workers accumulate across every job they ran, so each
-        worker merges exactly once — at pool drain. (Per-job merging of
-        cumulative snapshots would double-count; that is why PR-5's
-        per-job merge went away with fork-per-job workers.) A worker
-        killed by a deadline or cancel reap never drains — its
-        telemetry dies with it.
+        worker merges exactly once — at pool drain (merging cumulative
+        snapshots per job would double-count). A worker killed by a
+        deadline or cancel reap never drains — its telemetry dies with
+        it.
 
         The payload's ``jobs`` attribution log (which job/trace each
         merged snapshot covers) is kept on the service and mirrored as
@@ -1003,8 +975,8 @@ class SolveService:
                       if self._cache is not None else None),
             "pool": (self._pool.snapshot()
                      if self._pool is not None else None),
-            "shm": (self._store.snapshot()
-                    if self._store is not None else None),
+            # Always zero; perfbench/pipeline_batch.py still reads it.
+            "shm": {"bytes_shared": 0},
         }
 
     def shutdown(self, wait: bool = True,

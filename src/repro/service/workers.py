@@ -10,14 +10,12 @@ service results bit-for-bit identical to sequential
 
 This module holds the pieces both execution modes share — the
 :class:`WorkerTimeout` / :class:`WorkerCancelled` /
-:class:`WorkerCrashed` exception vocabulary, the SIGTERM→SIGKILL
-:func:`_reap` escalation, :func:`run_backend_payload` and the
-``thread``-mode :func:`execute_inline` path (soft deadlines: a Python
-thread cannot be preempted, so an overdue job is detected after the
-fact and its result discarded). ``process`` mode — persistent warm
-workers with shared-memory model dispatch and hard deadline reaping —
-lives in :mod:`repro.service.pool`; PR-5's fork-per-job
-``execute_in_process`` was retired when the warm pool replaced it.
+:class:`WorkerCrashed` exception vocabulary and the SIGTERM→SIGKILL
+:func:`_reap` escalation — plus the ``thread``-mode
+:func:`execute_inline` path (soft deadlines: a Python thread cannot be
+preempted, so an overdue job is detected after the fact and its result
+discarded). ``process`` mode — persistent warm workers with hard
+deadline reaping — lives in :mod:`repro.service.pool`.
 """
 
 from __future__ import annotations
@@ -29,11 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from .. import telemetry
 from ..compile.dispatch import SolverConfig, run_registry_backend
-from ..telemetry import metrics as _metrics
-from ..telemetry.collector import Collector
-from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.progress import ProgressTrace
-from ..telemetry.trace import Tracer
 
 #: Seconds granted for a terminated worker to exit before escalating
 #: from SIGTERM to SIGKILL.
@@ -54,58 +48,12 @@ class WorkerCrashed(Exception):
 
 @dataclass
 class WorkerOutcome:
-    """Everything a worker ships back from one backend run."""
+    """What one inline backend run hands back to the dispatcher."""
 
     samples: Any
     convergence: Optional[List[Dict[str, Any]]]
     duration: float
     pid: int
-    telemetry_snapshot: Optional[Dict[str, Any]] = None
-    trace_events: Optional[List[Dict[str, Any]]] = None
-    trace_epoch_ns: Optional[int] = None
-    metrics_snapshot: Optional[Dict[str, Any]] = None
-
-
-def run_backend_payload(model: Any, solver: str, config: SolverConfig,
-                        capture_telemetry: bool = False,
-                        capture_trace: bool = False,
-                        capture_metrics: bool = False) -> WorkerOutcome:
-    """Run one registry backend and package the outcome.
-
-    When capture flags are set a *fresh* collector/tracer/metrics
-    registry is installed globally first — in a worker process that
-    global state is private to the child, so this cleanly scopes
-    capture to the one job.
-    """
-    collector: Optional[Collector] = None
-    tracer: Optional[Tracer] = None
-    registry: Optional[MetricsRegistry] = None
-    if capture_telemetry:
-        collector = telemetry.enable(Collector())
-    if capture_trace:
-        tracer = telemetry.enable_tracing(Tracer())
-    if capture_metrics:
-        registry = _metrics.enable_metrics(MetricsRegistry())
-    progress = (ProgressTrace(label=solver)
-                if config.convergence_active() else None)
-    start = time.perf_counter()
-    with telemetry.span(f"service.worker.{solver}"):
-        samples = run_registry_backend(model, solver, config, progress)
-    duration = time.perf_counter() - start
-    if progress is not None:
-        progress.note_truncation()
-    return WorkerOutcome(
-        samples=samples,
-        convergence=progress.rows() if progress is not None else None,
-        duration=duration,
-        pid=os.getpid(),
-        telemetry_snapshot=(collector.snapshot()
-                            if collector is not None else None),
-        trace_events=tracer.events() if tracer is not None else None,
-        trace_epoch_ns=tracer.epoch_ns if tracer is not None else None,
-        metrics_snapshot=(registry.snapshot()
-                          if registry is not None else None),
-    )
 
 
 def execute_inline(job, model: Any, solver: str, config: SolverConfig,

@@ -28,10 +28,10 @@ family on top of the original job/queue/cache set:
 ``service_worker_respawns_total`` (reap-and-replace events; exported
 as an explicit 0 on healthy runs), ``service_batch_folds_total``
 (cross-job folds of same-model submissions),
-``service_pool_dispatch_total{kind="warm"|"cold"}`` (worker model
-cache hits vs shm attaches), ``service_shm_bytes_total`` and
-``service_shm_segments`` (shared-memory transport volume and live
-segments). Worker registries merge at pool *drain*, so
+``service_pool_dispatch_total{kind="warm"|"cold"}`` (dispatches that
+sent only the model's key to a worker already holding it vs ones that
+pickled the model through the pipe). Worker registries merge at pool
+*drain*, so
 ``service_metrics_merges_total`` counts drained workers, not jobs.
 
 Like the collector and the tracer, metrics are **off by default and

@@ -1,5 +1,9 @@
 """Unit tests for the content-addressed result cache and its keys."""
 
+import hashlib
+import sys
+import threading
+
 from repro.compile import SolverConfig
 from repro.db import JoinOrderQUBO, random_join_graph
 from repro.service.cache import ResultCache, cache_key
@@ -80,3 +84,34 @@ def test_clear_and_len():
     cache.clear()
     assert len(cache) == 0
     assert cache.get("a") is None
+
+
+def test_concurrent_hit_path_is_consistent():
+    cache = ResultCache(256)
+    hot = [hashlib.sha256(str(i).encode()).hexdigest() for i in range(32)]
+    for index, key in enumerate(hot):
+        cache.put(key, index)
+    errors = []
+
+    def hammer():
+        try:
+            for _ in range(200):
+                for index, key in enumerate(hot):
+                    if cache.get(key) != index:
+                        raise AssertionError("lost entry under load")
+        except BaseException as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert cache.hits == 4 * 200 * 32

@@ -1,20 +1,32 @@
-"""Warm-pool lifecycle: crash respawn, deadline reap, shm hygiene,
-cross-job batching, and bit-for-bit parity across worker counts."""
+"""Warm-pool lifecycle: crash respawn, deadline reap, process hygiene,
+warm model dispatch, cross-job batching, and bit-for-bit parity across
+worker counts."""
 
+import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
+import repro
 from repro.compile import SolverConfig
 from repro.compile import solve as dispatch_solve
-from repro.db import JoinOrderQUBO, random_join_graph
+from repro.db import (
+    JoinOrderQUBO,
+    PartitioningIsing,
+    PartitioningProblem,
+    random_join_graph,
+)
 from repro.service import (
     JobStatus,
     JobTimeoutError,
     ServiceError,
     SolveService,
 )
+from repro.service.pool import WORKER_MODEL_CACHE
 
 
 def problem(seed=0, relations=4):
@@ -43,6 +55,11 @@ def results_equal(first, second):
 def test_parity_with_sequential_across_worker_counts(workers):
     specs = [(problem(seed=index), "sa", config(seed=40 + index))
              for index in range(6)]
+    # Ising models cross the process boundary too (partitioning).
+    specs += [(PartitioningIsing(PartitioningProblem.random(
+                   10, seed=index)).compile(), "sa",
+               config(seed=60 + index))
+              for index in range(2)]
     sequential = [dispatch_solve(p, s, config=c) for p, s, c in specs]
     if workers == 0:
         # workers=0 means no service at all: the sequential baseline
@@ -128,19 +145,77 @@ def test_deadline_reap_respawns_warm_worker():
         assert stats["pool"]["pids"][0] != first_pid
 
 
-def test_shutdown_unlinks_all_shared_memory_segments():
-    before = set(os.listdir("/dev/shm")) if os.path.isdir(
-        "/dev/shm") else set()
+LEAK_PROBE = textwrap.dedent("""
+    import json, os
+    from multiprocessing import resource_tracker
+    from repro.compile import SolverConfig
+    from repro.db import JoinOrderQUBO, random_join_graph
+    from repro.service import SolveService
+
+    def listing():
+        return set(os.listdir("/dev/shm"))
+
+    before = listing()
     service = SolveService(max_workers=2)
-    for index in range(3):
-        service.solve(problem(seed=index), "sa", config(seed=index))
-    names = service._store.segment_names()
-    assert names, "expected live segments while the service runs"
+    for seed in range(3):
+        problem = JoinOrderQUBO(
+            random_join_graph(4, "chain", seed=seed)).compile()
+        service.solve(problem, "sa", SolverConfig(
+            num_sweeps=60, num_reads=4, seed=seed, convergence=False))
     service.shutdown(wait=True)
-    assert service._store.segment_names() == []
-    if os.path.isdir("/dev/shm"):
-        leaked = set(os.listdir("/dev/shm")) - before
-        assert not leaked, f"leaked shm segments: {leaked}"
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rpartition(")")[2].split()
+            except OSError:
+                continue
+            if int(fields[1]) == os.getpid():
+                children.append(int(entry))
+    print(json.dumps({
+        "children": children,
+        "tracker_pid": resource_tracker._resource_tracker._pid,
+        "new_shm": sorted(listing() - before),
+    }))
+""")
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc")
+                         and os.path.isdir("/dev/shm")),
+                    reason="needs /proc and /dev/shm")
+def test_process_service_leaves_no_process_tracker_or_shm_entry():
+    # A fresh interpreter, so no earlier test's resource tracker or
+    # workers can mask (or fake) a leak.
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", LEAK_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["children"] == [], report
+    assert report["tracker_pid"] is None, report
+    assert report["new_shm"] == [], report
+
+
+def test_evicted_model_is_shipped_again_cold():
+    models = [JoinOrderQUBO(random_join_graph(3, "chain",
+                                              seed=index)).compile()
+              for index in range(WORKER_MODEL_CACHE + 1)]
+    assert len({model.content_key() for model in models}) == len(models)
+    with SolveService(max_workers=1, batch_limit=1,
+                      cache_entries=0) as service:
+        for index, model in enumerate(models):
+            service.solve(model, "sa", config(seed=index))
+        # The worker and the slot's record both dropped models[0].
+        again = service.solve(models[0], "sa", config(seed=500))
+        last = service.solve(models[-1], "sa", config(seed=501))
+    assert again.provenance["service"]["dispatch"] == "cold"
+    assert results_equal(again, dispatch_solve(models[0], "sa",
+                                               config=config(seed=500)))
+    assert last.provenance["service"]["dispatch"] == "warm"
+    assert results_equal(last, dispatch_solve(models[-1], "sa",
+                                              config=config(seed=501)))
 
 
 def test_warm_dispatch_counted_after_model_reuse():
@@ -151,4 +226,3 @@ def test_warm_dispatch_counted_after_model_reuse():
         stats = service.stats()
     assert stats["pool"]["dispatches_cold"] == 1
     assert stats["pool"]["dispatches_warm"] == 2
-    assert stats["shm"]["segments_created"] == 1
