@@ -42,7 +42,15 @@ reference workloads:
   phase against a tiny job queue (the 429 + ``Retry-After`` path must
   shed load without hanging while every accepted job completes).
   Results coming back over HTTP must match a direct in-process solve
-  bit for bit.
+  bit for bit;
+* **QAOA eval** — one QAOA objective evaluation (state preparation plus
+  the energy expectation) as ``QAOASolver`` runs it, one elementwise
+  phase per cost layer over the Hamiltonian diagonal, vs building
+  ``qaoa_circuit`` and running it gate by gate on
+  ``StatevectorSimulator``. Clique Ising models with fields; the
+  record keeps evaluations per second per ``(qubits, p)`` cell, its
+  ``speedup`` is the slowest cell's, and the declared
+  ``gate_min_speedup`` catches a fall back to circuit speed.
 
 Timings come from telemetry spans (``perf.<workload>.<impl>``). Run as
 a script to write the committed perf trajectory::
@@ -65,8 +73,14 @@ import time
 import numpy as np
 
 from repro import telemetry
-from repro.annealing import IsingModel, SimulatedAnnealingSolver
+from repro.annealing import (
+    IsingModel,
+    SimulatedAnnealingSolver,
+    basis_energies,
+    qaoa_circuit,
+)
 from repro.annealing.ising import spins_to_bits
+from repro.annealing.qaoa import _qaoa_state
 from repro.annealing.results import Sample, SampleSet
 from repro.annealing.simulated_annealing import auto_beta_schedule
 from repro.compile import SolverConfig
@@ -85,6 +99,7 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import profiler as _profiler
 from repro.telemetry.bench_schema import (
     BENCH_SCHEMA,
+    MAX_BATCHED_ABS_DIFF,
     MAX_DISPATCH_OVERHEAD,
     effective_speedup_floor,
     validate_document,
@@ -112,6 +127,7 @@ FULL_SCALE = {
             "gate_max_overhead": 0.05},
     "server": {"num_jobs": 8, "num_clients": 4, "num_sweeps": 300,
                "num_reads": 10, "queue_capacity": 2},
+    "qaoa": {"qubits": (8, 12, 14, 16), "depths": (1, 3), "evals": 8},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -133,6 +149,7 @@ SMOKE_SCALE = {
             "gate_max_overhead": 0.5},
     "server": {"num_jobs": 4, "num_clients": 2, "num_sweeps": 150,
                "num_reads": 5, "queue_capacity": 2},
+    "qaoa": {"qubits": (6, 8), "depths": (1, 2), "evals": 40},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -145,6 +162,11 @@ SERVICE_MIN_SPEEDUP = 1.5
 #: process-pool overhead a one-core box measurably pays (repeated
 #: full-scale runs on a 1-CPU container land between 0.88x and 0.96x).
 SERVICE_MIN_SPEEDUP_SINGLE_CPU = 1.0
+
+#: Floor on the slowest QAOA-eval cell. On a 2-vCPU host the cells
+#: measured 5.2-9.4x at full scale and 6.8-8.5x at smoke scale, while
+#: a fall back to the circuit path reads about 1x.
+QAOA_EVAL_MIN_SPEEDUP = 3.0
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -1100,6 +1122,83 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
     }
 
 
+def _qaoa_eval_cell(collector, simulator, model, angles, p):
+    """One ``(qubits, p)`` cell: both paths over the same angle rows."""
+    energies = basis_energies(model)
+    tag = f"n{model.num_spins}_p{p}"
+    with collector.span(f"perf.qaoa.circuit.{tag}"):
+        reference = [simulator.run(qaoa_circuit(model, a[:p], a[p:]))
+                     for a in angles]
+        reference_values = np.abs(reference) ** 2 @ energies
+    with collector.span(f"perf.qaoa.diagonal.{tag}"):
+        diagonal = [_qaoa_state(energies, a[:p], a[p:]) for a in angles]
+        values = np.abs(diagonal) ** 2 @ energies
+    circuit_seconds = _span_total(collector, f"perf.qaoa.circuit.{tag}")
+    diagonal_seconds = _span_total(collector, f"perf.qaoa.diagonal.{tag}")
+    abs_diff = 0.0
+    for state, expected in zip(diagonal, reference):
+        overlap = np.vdot(state, expected)
+        aligned = state * (overlap / abs(overlap))
+        abs_diff = max(abs_diff, float(np.abs(aligned - expected).max()))
+    repeat = _qaoa_state(energies, angles[0][:p], angles[0][p:])
+    return {
+        "num_qubits": model.num_spins,
+        "p": p,
+        "circuit_seconds": circuit_seconds,
+        "diagonal_seconds": diagonal_seconds,
+        "circuit_evals_per_s": len(angles) / circuit_seconds,
+        "diagonal_evals_per_s": len(angles) / diagonal_seconds,
+        "speedup": circuit_seconds / diagonal_seconds,
+        "max_abs_diff": abs_diff,
+        "max_expectation_diff": float(
+            np.abs(values - reference_values).max()
+            / np.abs(energies).max()),
+        "deterministic": bool(np.array_equal(repeat, diagonal[0])),
+    }
+
+
+def run_qaoa_eval_workload(collector, qubits, depths, evals, seed=29):
+    """QAOA objective evaluations: diagonal-phase state vs the circuit.
+
+    Every ``(qubits, p)`` cell draws one clique Ising model with fields
+    and ``evals`` angle vectors; both paths evaluate the same vectors.
+    ``max_abs_diff`` compares amplitudes after removing the global
+    phase the diagonal path leaves out (``exp(-i gamma offset)``);
+    ``max_expectation_diff`` compares expectations relative to the
+    largest ``|E|``.
+    """
+    rng = np.random.default_rng(seed)
+    simulator = StatevectorSimulator()
+    cells = []
+    for num_qubits in qubits:
+        for p in depths:
+            model = IsingModel.random(num_qubits, density=1.0,
+                                      field_scale=0.5,
+                                      seed=int(rng.integers(2 ** 31)))
+            angles = rng.uniform(0.0, math.pi, size=(evals, 2 * p))
+            cells.append(_qaoa_eval_cell(collector, simulator, model,
+                                         angles, p))
+    return {
+        "name": "qaoa_eval",
+        "params": {
+            "qubits": list(qubits),
+            "depths": list(depths),
+            "evals": evals,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "circuit_seconds": sum(c["circuit_seconds"] for c in cells),
+        "diagonal_seconds": sum(c["diagonal_seconds"] for c in cells),
+        "cells": cells,
+        "speedup": min(c["speedup"] for c in cells),
+        "gate_min_speedup": QAOA_EVAL_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in cells),
+        "max_expectation_diff": max(c["max_expectation_diff"]
+                                    for c in cells),
+        "deterministic": all(c["deterministic"] for c in cells),
+    }
+
+
 def run_workloads(scale, collector=None):
     collector = collector or telemetry.get_collector() or telemetry.Collector()
     return [
@@ -1111,6 +1210,7 @@ def run_workloads(scale, collector=None):
         run_pipeline_workload(collector, **scale["pipeline"]),
         run_obs_overhead_workload(collector, **scale["obs"]),
         run_server_workload(collector, **scale["server"]),
+        run_qaoa_eval_workload(collector, **scale["qaoa"]),
     ]
 
 
@@ -1220,6 +1320,18 @@ def test_perf_obs_stack_is_cheap_when_on(bench_telemetry):
     assert record["overhead_fraction"] < record["gate_max_overhead"]
 
 
+def test_perf_qaoa_eval_matches_circuit(bench_telemetry):
+    record = run_qaoa_eval_workload(bench_telemetry,
+                                    **SMOKE_SCALE["qaoa"])
+    print("\nQAOA eval circuit {circuit_seconds:.4f}s vs diagonal "
+          "{diagonal_seconds:.4f}s (slowest cell {speedup:.1f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["max_abs_diff"] < MAX_BATCHED_ABS_DIFF
+    assert record["max_expectation_diff"] < MAX_BATCHED_ABS_DIFF
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -1277,6 +1389,10 @@ def main():
                   "{pipeline_seconds:.3f}s -> {overhead_fraction:+.2%} "
                   "overhead (gate < {gate_max_overhead:.0%})"
                   .format(**record))
+        elif record["name"] == "qaoa_eval":
+            print("{name}: circuit {circuit_seconds:.3f}s, diagonal "
+                  "{diagonal_seconds:.3f}s -> slowest cell {speedup:.1f}x "
+                  "(gate >= {gate_min_speedup:.1f}x)".format(**record))
         elif record["name"] == "server_throughput":
             print("{name}: {requests_total} req in {soak_seconds:.3f}s "
                   "(p95 {request_p95_seconds:.4f}s), {rejected_429} "

@@ -1,10 +1,15 @@
 """QAOA — the gate-model route to Ising optimization.
 
 The quantum approximate optimization algorithm alternates ``p`` cost
-layers ``exp(-i gamma H_problem)`` (RZ/RZZ gates, since the problem
-Hamiltonian is diagonal) with mixer layers ``exp(-i beta sum X)``.
-Angles are optimized classically; solutions are sampled from the final
-state. Experiment E12 sweeps the depth ``p`` and shows the
+layers ``exp(-i gamma H_problem)`` with mixer layers
+``exp(-i beta sum X)``. The problem Hamiltonian is diagonal in the
+computational basis, so the solver applies each cost layer as one
+elementwise phase ``exp(-i gamma E)`` over the :func:`basis_energies`
+vector and each mixer as ``n`` single-qubit ``rx`` updates; no circuit
+is built per objective evaluation. :func:`qaoa_circuit` prepares the
+same state (up to a global phase) as a gate circuit with RZ/RZZ cost
+layers. Angles are optimized classically; solutions are sampled from
+the final state. Experiment E12 sweeps the depth ``p`` and shows the
 approximation ratio climbing toward 1.
 """
 
@@ -19,7 +24,8 @@ from scipy import optimize as scipy_optimize
 
 from .. import telemetry
 from ..quantum.circuit import Circuit
-from ..quantum.statevector import StatevectorSimulator
+from ..quantum.gates import rx_matrix
+from ..quantum.statevector import apply_matrix
 from ..telemetry.progress import ProgressTrace
 from .ising import IsingModel
 from .qubo import QUBO
@@ -53,15 +59,41 @@ def basis_energies(model: IsingModel) -> np.ndarray:
     """Diagonal of the problem Hamiltonian in the computational basis.
 
     Index convention matches the simulator: qubit 0 is the most
-    significant bit; bit 0 means spin +1.
+    significant bit; bit 0 means spin +1. Spins are kept as one int8
+    row per qubit and terms accumulate one at a time, so the peak
+    memory stays near one float vector of ``2**n`` entries.
     """
     n = model.num_spins
-    count = 2 ** n
-    indices = np.arange(count, dtype=np.int64)
-    shifts = (n - 1) - np.arange(n)
-    bits = ((indices[:, None] >> shifts[None, :]) & 1).astype(float)
-    spins = 1.0 - 2.0 * bits
-    return model.energies(spins)
+    indices = np.arange(2 ** n)
+    spins = [(1 - 2 * ((indices >> (n - 1 - q)) & 1)).astype(np.int8)
+             for q in range(n)]
+    energies = np.full(2 ** n, model.offset)
+    for spin, field in model.h.items():
+        energies += field * spins[spin]
+    for (a, b), coupling in model.j.items():
+        energies += coupling * (spins[a] * spins[b])
+    return energies
+
+
+def _qaoa_state(energies: np.ndarray, gammas: Sequence[float],
+                betas: Sequence[float]) -> np.ndarray:
+    """QAOA statevector straight from the Hamiltonian diagonal.
+
+    Equals ``StatevectorSimulator().run(qaoa_circuit(...))`` up to the
+    global phase ``exp(-i gamma offset)`` per layer: the RZ/RZZ cost
+    gates multiply basis state ``k`` by ``exp(-i gamma (E_k -
+    offset))``.
+    """
+    n = energies.size.bit_length() - 1
+    state = np.full(energies.size, 2.0 ** (-n / 2), dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        state *= np.exp(-1j * gamma * energies)
+        # Optimizer angles never repeat, so the mixer skips the LRU
+        # behind gate_matrix: caching them would only evict its entries.
+        mixer = rx_matrix(2.0 * beta)
+        for q in range(n):
+            state = apply_matrix(state, mixer, (q,), n)
+    return state
 
 
 @dataclass
@@ -120,7 +152,9 @@ class QAOASolver:
     def solve(self, model: Model) -> QAOAResult:
         ising = model.to_ising() if isinstance(model, QUBO) else model
         energies = basis_energies(ising)
-        sim = StatevectorSimulator(seed=int(self._rng.integers(2 ** 31)))
+        # A discarded draw keeps each seed's start angles and shots
+        # where the circuit-based solver put them.
+        self._rng.integers(2 ** 31)
         nfev = 0
         progress = self.progress
         running_best = math.inf
@@ -129,7 +163,7 @@ class QAOASolver:
             nonlocal nfev, running_best
             nfev += 1
             gammas, betas = angles[: self.p], angles[self.p:]
-            state = sim.run(qaoa_circuit(ising, gammas, betas))
+            state = _qaoa_state(energies, gammas, betas)
             probabilities = np.abs(state) ** 2
             value = float(probabilities @ energies)
             if progress is not None:
@@ -169,7 +203,7 @@ class QAOASolver:
             collector.gauge("annealing.qaoa.depth", self.p)
 
         gammas, betas = best_angles[: self.p], best_angles[self.p:]
-        final_state = sim.run(qaoa_circuit(ising, gammas, betas))
+        final_state = _qaoa_state(energies, gammas, betas)
         probabilities = np.abs(final_state) ** 2
         probabilities = probabilities / probabilities.sum()
         samples = self._sample(probabilities, energies, ising.num_spins)
@@ -187,8 +221,10 @@ class QAOASolver:
         )
         samples: List[Sample] = []
         for outcome, count in zip(*np.unique(outcomes, return_counts=True)):
+            # Basis bit 0 is spin +1, which is x = 1 under the
+            # x = (1 + s) / 2 map every other solver emits.
             bits = tuple(
-                (int(outcome) >> (num_spins - 1 - q)) & 1
+                1 - ((int(outcome) >> (num_spins - 1 - q)) & 1)
                 for q in range(num_spins)
             )
             samples.append(

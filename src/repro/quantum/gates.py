@@ -135,7 +135,8 @@ def ryy_matrix(theta: float) -> Matrix:
 def rzz_matrix(theta: float) -> Matrix:
     """Two-qubit ZZ interaction: ``exp(-i theta ZZ / 2)``.
 
-    This is the workhorse of QAOA cost layers for Ising problems.
+    An Ising coupling term as a gate; ``qaoa_circuit`` builds its cost
+    layers from these.
     """
     return _two_qubit_rotation(np.kron(PAULI_Z, PAULI_Z), theta)
 

@@ -109,8 +109,8 @@ def apply_diagonal_batch(states: np.ndarray, diagonal: np.ndarray,
 
     ``diagonal`` is the gate's matrix diagonal: one shared ``(2**k,)``
     vector or a per-element ``(batch, 2**k)`` stack. This is the fast
-    path for rz/p/cp/crz/rzz-style phase gates (IQP feature maps, QAOA
-    cost layers): a broadcast multiply instead of a contraction.
+    path for rz/p/cp/crz/rzz-style phase gates (IQP feature maps): a
+    broadcast multiply instead of a contraction.
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2:

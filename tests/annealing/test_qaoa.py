@@ -1,5 +1,7 @@
 """Tests for the QAOA solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,14 @@ from repro.annealing import (
     IsingModel,
     approximation_ratio,
     basis_energies,
+    bits_to_spins,
     qaoa_circuit,
     solve_ising_exact,
 )
+from repro.annealing.qaoa import _qaoa_state
+from repro.db import IndexSelectionProblem, IndexSelectionQUBO
+from repro.quantum import StatevectorSimulator
+from repro.telemetry.progress import ProgressTrace
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +52,139 @@ def test_basis_energies_match_model():
     assert energies[0] == pytest.approx(-0.5)
     # index 3 = |11> = spins (-1, -1): E = -0.5 - 1 = -1.5
     assert energies[3] == pytest.approx(-1.5)
+
+
+def _all_spins(num_spins):
+    """Every configuration, one row per basis index (qubit 0 = MSB)."""
+    indices = np.arange(2 ** num_spins)[:, None]
+    bits = (indices >> np.arange(num_spins - 1, -1, -1)) & 1
+    return 1 - 2 * bits
+
+
+def _signed_zero_model():
+    model = IsingModel(3, h={0: 0.25, 2: -1.0}, j={(0, 1): 0.5},
+                       offset=-0.75)
+    model.h[1] = -0.0
+    model.j[(1, 2)] = -0.0
+    return model
+
+
+@pytest.mark.parametrize("model", [
+    IsingModel(4, h={0: 0.5, 2: -1.25},
+               j={(0, 1): -1.0, (1, 3): 0.75, (2, 3): 2.0}, offset=1.5),
+    IsingModel.random(10, density=0.6, field_scale=0.5, seed=3),
+    IsingModel(3),
+    _signed_zero_model(),
+], ids=["fields-couplings-offset", "random-10", "empty", "signed-zero"])
+def test_basis_energies_match_vectorized_model_energies(model):
+    expected = model.energies(_all_spins(model.num_spins))
+    actual = basis_energies(model)
+    scale = max(1.0, float(np.abs(expected).max()))
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= 1e-14 * scale
+
+
+def test_qaoa_sample_energy_is_that_of_its_assignment():
+    """Samples carry x = (1 + s) / 2 bits, like every other solver.
+
+    The Ising model needs nonzero fields: a zero-field spectrum is
+    symmetric under flipping every spin, which would hide a sample
+    labelled with the complement of its assignment.
+    """
+    qubo = (QUBO(3).add_linear(0, 1.0).add_linear(2, -0.5)
+            .add_quadratic(0, 1, -3.0).add_quadratic(1, 2, 2.0))
+    ising = IsingModel(3, h={0: 0.7, 1: -0.4},
+                       j={(0, 1): 1.0, (1, 2): -0.6})
+    for model, energy in ((qubo, qubo.energy),
+                          (ising, lambda x: ising.energy(bits_to_spins(x)))):
+        result = QAOASolver(p=1, restarts=1, seed=5).solve(model)
+        assert len(result.samples) > 1
+        for sample in result.samples:
+            assert sample.energy == pytest.approx(
+                energy(sample.assignment), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# Fixed-angle parity: the diagonal-phase state vs the circuit reference
+# ----------------------------------------------------------------------
+def _fields_only():
+    # (0, 1) and (1, 0) cancel to a zero-valued coupling entry.
+    return IsingModel(4, h={0: 0.8, 1: -0.3, 2: 1.1, 3: -0.6},
+                      j={(0, 1): 0.5, (1, 0): -0.5}, offset=0.4)
+
+
+def _clique_with_fields():
+    model = IsingModel.random(10, density=1.0, field_scale=0.5, seed=21)
+    model.h[0] = 0.0
+    return model
+
+
+def _index_selection():
+    problem = IndexSelectionProblem.random(4, seed=2)
+    return IndexSelectionQUBO(problem).compile().model.to_ising()
+
+
+PARITY_MODELS = {
+    "triangle-maxcut": lambda: IsingModel(
+        3, j={(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}),
+    "fields-only": _fields_only,
+    "clique-10-fields": _clique_with_fields,
+    "index-selection": _index_selection,
+}
+
+
+def _circuit_state(model, gammas, betas):
+    return StatevectorSimulator().run(qaoa_circuit(model, gammas, betas))
+
+
+def _without_global_phase(state, reference):
+    overlap = np.vdot(state, reference)
+    return state * (overlap / abs(overlap))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PARITY_MODELS))
+def test_diagonal_state_matches_circuit_at_fixed_angles(name, p):
+    model = PARITY_MODELS[name]()
+    angles = np.random.default_rng(p).uniform(0.0, math.pi, 2 * p)
+    gammas, betas = angles[:p], angles[p:]
+    energies = basis_energies(model)
+    reference = _circuit_state(model, gammas, betas)
+    state = _qaoa_state(energies, gammas, betas)
+
+    aligned = _without_global_phase(state, reference)
+    assert np.abs(aligned - reference).max() <= 1e-10
+    tolerance = 1e-10 * float(np.abs(energies).max())
+    probabilities = np.abs(state) ** 2
+    reference_probabilities = np.abs(reference) ** 2
+    assert abs(probabilities @ energies
+               - reference_probabilities @ energies) <= tolerance
+
+    def shots(probs):
+        solver = QAOASolver(shots=256, seed=11)
+        return solver._sample(probs / probs.sum(), energies,
+                              model.num_spins).samples
+
+    assert shots(probabilities) == shots(reference_probabilities)
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_MODELS))
+def test_first_convergence_row_matches_circuit(name):
+    """The solver's first evaluation sits at the circuit path's start
+    angles: the seeded random stream is unchanged."""
+    model = PARITY_MODELS[name]()
+    p, seed = 2, 17
+    progress = ProgressTrace()
+    QAOASolver(p=p, restarts=1, maxiter=6, shots=8, seed=seed,
+               progress=progress).solve(model)
+    rng = np.random.default_rng(seed)
+    rng.integers(2 ** 31)
+    gammas = rng.uniform(0, math.pi, p)
+    betas = rng.uniform(0, math.pi / 2, p)
+    energies = basis_energies(model)
+    reference = np.abs(_circuit_state(model, gammas, betas)) ** 2 @ energies
+    first = progress.rows()[0]["current_energy"]
+    assert abs(first - reference) <= 1e-10 * float(np.abs(energies).max())
 
 
 def test_qaoa_improves_over_random_guessing(triangle_maxcut):
