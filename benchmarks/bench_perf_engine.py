@@ -50,7 +50,14 @@ reference workloads:
   ``StatevectorSimulator``. Clique Ising models with fields; the
   record keeps evaluations per second per ``(qubits, p)`` cell, its
   ``speedup`` is the slowest cell's, and the declared
-  ``gate_min_speedup`` catches a fall back to circuit speed.
+  ``gate_min_speedup`` catches a fall back to circuit speed;
+* **QML gradient** — one minibatch gradient of a variational regressor
+  as training computes it (one batched output pass plus one batched
+  parameter-shift call over every row) vs the per-row loop it
+  replaced (one ``expectation`` and one single-circuit
+  ``parameter_shift_gradient`` per row). Per ``(qubits, layers,
+  rows)`` cell the record keeps median seconds over interleaved
+  repeats with telemetry off; its ``speedup`` is the 4-qubit cell's.
 
 Timings come from telemetry spans (``perf.<workload>.<impl>``). Run as
 a script to write the committed perf trajectory::
@@ -87,11 +94,18 @@ from repro.compile import SolverConfig
 from repro.compile import dispatch as compile_dispatch
 from repro.compile import solve as dispatch_solve
 from repro.db import JoinOrderQUBO, random_join_graph
-from repro.qml import FidelityQuantumKernel, IQPEncoding
+from repro.qml import (
+    AngleEncoding,
+    FidelityQuantumKernel,
+    IQPEncoding,
+    VariationalRegressor,
+    parameter_shift_gradient,
+)
 from repro.quantum import StatevectorSimulator
 from repro.quantum.statevector import (
     _apply_instruction_batch,
     _structurally_identical,
+    gate_angles,
 )
 from repro.telemetry import context as _tracectx
 from repro.telemetry import flight as _flight
@@ -128,6 +142,7 @@ FULL_SCALE = {
     "server": {"num_jobs": 8, "num_clients": 4, "num_sweeps": 300,
                "num_reads": 10, "queue_capacity": 2},
     "qaoa": {"qubits": (8, 12, 14, 16), "depths": (1, 3), "evals": 8},
+    "qml": {"cells": ((4, 2, 24), (6, 2, 24), (8, 2, 24)), "repeats": 9},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -150,6 +165,7 @@ SMOKE_SCALE = {
     "server": {"num_jobs": 4, "num_clients": 2, "num_sweeps": 150,
                "num_reads": 5, "queue_capacity": 2},
     "qaoa": {"qubits": (6, 8), "depths": (1, 2), "evals": 40},
+    "qml": {"cells": ((2, 1, 8), (4, 2, 24)), "repeats": 5},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -167,6 +183,11 @@ SERVICE_MIN_SPEEDUP_SINGLE_CPU = 1.0
 #: measured 5.2-9.4x at full scale and 6.8-8.5x at smoke scale, while
 #: a fall back to the circuit path reads about 1x.
 QAOA_EVAL_MIN_SPEEDUP = 3.0
+
+#: Floor on the 4-qubit QML-gradient cell (the ``qml_train`` shape).
+#: A 2-vCPU host measured 3.6-4.0x at full scale and 3.7x at smoke
+#: scale; a fall back to per-row evaluation reads about 1x.
+QML_GRADIENT_MIN_SPEEDUP = 2.5
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -186,6 +207,20 @@ def loop_gram(encoding, X):
     """Gram matrix over per-point encoded states."""
     states = loop_encoded_states(encoding, X)
     return np.abs(states @ states.conj().T) ** 2
+
+
+def loop_minibatch_gradient(model, rows, targets, weights):
+    """Per-row minibatch gradient (pre-batching training closure): one
+    ``expectation`` and one single-circuit parameter-shift call per row."""
+    binding = dict(zip(model._weight_params, weights))
+    grad = np.zeros(model.num_weights)
+    for x, target in zip(rows, targets):
+        circuit = model._full_circuit(x)
+        output = model._sim.expectation(circuit.bind(binding),
+                                        model._observable)
+        grad += 2.0 * (output - target) * parameter_shift_gradient(
+            circuit, model._observable, weights, simulator=model._sim)
+    return grad / len(rows)
 
 
 def loop_sa_solve(ising, num_sweeps, num_reads, seed):
@@ -523,15 +558,19 @@ def bare_sa_solve(ising, num_sweeps, num_reads, seed):
 
 
 def bare_run_batch(circuits, num_qubits):
-    """``StatevectorSimulator.run_batch`` minus the accounting guard."""
-    batch = len(circuits)
-    states = np.zeros((batch, 2 ** num_qubits), dtype=complex)
-    states[:, 0] = 1.0
+    """``StatevectorSimulator.run_batch`` (through ``run_angles``) minus
+    the accounting guard."""
     if not _structurally_identical(circuits):
         raise ValueError("metrics workload expects a template batch")
-    for position in range(len(circuits[0].instructions)):
-        states = _apply_instruction_batch(states, circuits, position,
-                                          num_qubits)
+    angles = gate_angles(circuits)
+    states = np.zeros((len(circuits), 2 ** num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    column = 0
+    for inst in circuits[0].instructions:
+        width = len(inst.params)
+        states = _apply_instruction_batch(
+            states, inst, angles[:, column:column + width], num_qubits)
+        column += width
     return states
 
 
@@ -1199,6 +1238,79 @@ def run_qaoa_eval_workload(collector, qubits, depths, evals, seed=29):
     }
 
 
+def _qml_gradient_cell(num_qubits, num_layers, rows, repeats, rng):
+    """One ``(qubits, layers, rows)`` cell: both gradients, interleaved."""
+    model = VariationalRegressor(AngleEncoding(num_qubits, scaling=1.5),
+                                 num_layers=num_layers, seed=0)
+    X = rng.uniform(-1.0, 1.0, size=(rows, num_qubits))
+    targets = rng.uniform(-0.9, 0.9, size=rows)
+    weights = rng.uniform(-math.pi, math.pi, size=model.num_weights)
+    reference = loop_minibatch_gradient(model, X, targets, weights)
+    batched = model._minibatch_gradient(X, targets, weights)
+    repeat = model._minibatch_gradient(X, targets, weights)
+    sides = {
+        "per_row": lambda: loop_minibatch_gradient(model, X, targets,
+                                                   weights),
+        "batched": lambda: model._minibatch_gradient(X, targets, weights),
+    }
+    times = {name: [] for name in sides}
+    for index in range(repeats):
+        order = list(sides) if index % 2 == 0 else list(sides)[::-1]
+        for name in order:
+            started = time.perf_counter()
+            sides[name]()
+            times[name].append(time.perf_counter() - started)
+    per_row_seconds = float(np.median(times["per_row"]))
+    batched_seconds = float(np.median(times["batched"]))
+    return {
+        "num_qubits": num_qubits,
+        "num_layers": num_layers,
+        "rows": rows,
+        "per_row_seconds": per_row_seconds,
+        "batched_seconds": batched_seconds,
+        "speedup": per_row_seconds / batched_seconds,
+        "max_abs_diff": float(np.abs(batched - reference).max()),
+        "deterministic": bool(np.array_equal(batched, repeat)),
+    }
+
+
+def run_qml_gradient_workload(collector, cells, repeats, seed=31):
+    """Minibatch gradient of a variational regressor: batched vs per row.
+
+    Every ``(qubits, layers, rows)`` cell draws angle-encoded rows,
+    targets and weights, then times both implementations over
+    ``repeats`` interleaved runs (order alternating) and keeps the
+    medians. The global collector is parked while timing, so both
+    sides run the telemetry-off path training takes by default.
+    """
+    rng = np.random.default_rng(seed)
+    saved_collector = telemetry.get_collector()
+    telemetry.disable()
+    try:
+        records = [_qml_gradient_cell(qubits, layers, rows, repeats, rng)
+                   for qubits, layers, rows in cells]
+    finally:
+        if saved_collector is not None:
+            telemetry.enable(saved_collector)
+    (headline,) = [c for c in records if c["num_qubits"] == 4]
+    return {
+        "name": "qml_gradient",
+        "params": {
+            "cells": [list(cell) for cell in cells],
+            "repeats": repeats,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "per_row_seconds": sum(c["per_row_seconds"] for c in records),
+        "batched_seconds": sum(c["batched_seconds"] for c in records),
+        "cells": records,
+        "speedup": headline["speedup"],
+        "gate_min_speedup": QML_GRADIENT_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in records),
+        "deterministic": all(c["deterministic"] for c in records),
+    }
+
+
 def run_workloads(scale, collector=None):
     collector = collector or telemetry.get_collector() or telemetry.Collector()
     return [
@@ -1211,6 +1323,7 @@ def run_workloads(scale, collector=None):
         run_obs_overhead_workload(collector, **scale["obs"]),
         run_server_workload(collector, **scale["server"]),
         run_qaoa_eval_workload(collector, **scale["qaoa"]),
+        run_qml_gradient_workload(collector, **scale["qml"]),
     ]
 
 
@@ -1332,6 +1445,17 @@ def test_perf_qaoa_eval_matches_circuit(bench_telemetry):
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
+def test_perf_qml_gradient_matches_per_row(bench_telemetry):
+    record = run_qml_gradient_workload(bench_telemetry,
+                                       **SMOKE_SCALE["qml"])
+    print("\nQML gradient per-row {per_row_seconds:.4f}s vs batched "
+          "{batched_seconds:.4f}s (4-qubit cell {speedup:.1f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["max_abs_diff"] < MAX_BATCHED_ABS_DIFF
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -1392,6 +1516,10 @@ def main():
         elif record["name"] == "qaoa_eval":
             print("{name}: circuit {circuit_seconds:.3f}s, diagonal "
                   "{diagonal_seconds:.3f}s -> slowest cell {speedup:.1f}x "
+                  "(gate >= {gate_min_speedup:.1f}x)".format(**record))
+        elif record["name"] == "qml_gradient":
+            print("{name}: per-row {per_row_seconds:.3f}s, batched "
+                  "{batched_seconds:.3f}s -> 4-qubit cell {speedup:.1f}x "
                   "(gate >= {gate_min_speedup:.1f}x)".format(**record))
         elif record["name"] == "server_throughput":
             print("{name}: {requests_total} req in {soak_seconds:.3f}s "

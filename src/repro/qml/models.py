@@ -9,6 +9,7 @@ familiar ``fit`` / ``predict`` estimator interface.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -44,6 +45,14 @@ class _VariationalModel:
             raise ValueError("epochs must be positive")
         if data_reuploads < 1:
             raise ValueError("data_reuploads must be >= 1")
+        for name, value in (("batch_size", batch_size), ("shots", shots)):
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(
+                    f"{name} must be None or an integer >= 1, got {value!r}"
+                )
         self.encoding = encoding
         self.num_layers = num_layers
         self.ansatz_name = ansatz
@@ -107,20 +116,26 @@ class _VariationalModel:
         circuits = [self._full_circuit(x).bind(binding) for x in rows]
         telemetry.count("qml.circuit_evaluations", len(circuits))
         states = self._sim.run_batch(circuits)
-        num_qubits = self.encoding.num_qubits
-        return np.array([
-            self._observable.expectation(state, num_qubits)
-            for state in states
-        ])
+        return self._observable.expectation(states, self.encoding.num_qubits)
 
-    def _raw_gradient(self, x: Sequence[float],
-                      weights: np.ndarray) -> np.ndarray:
-        circuit = self._full_circuit(x)
-        # Parameter order in the composed circuit: weight params appear
-        # in template order because the encoding is fully bound.
-        return parameter_shift_gradient(
-            circuit, self._observable, weights, simulator=self._sim
+    def _minibatch_gradient(self, rows: np.ndarray, targets: np.ndarray,
+                            weights: np.ndarray) -> np.ndarray:
+        """Gradient of the mean squared error over a minibatch.
+
+        One pass for the outputs, then one batched parameter-shift
+        call over every row's circuit. The weight parameters appear in
+        template order in each composed circuit because the encoding
+        is fully bound, so the rows share one parameter list.
+        """
+        outputs = self._batch_raw_outputs(rows, weights)
+        row_gradients = parameter_shift_gradient(
+            [self._full_circuit(x) for x in rows], self._observable,
+            weights, simulator=self._sim,
         )
+        grad = np.zeros(self.num_weights)
+        for output, target, row in zip(outputs, targets, row_gradients):
+            grad += 2.0 * (output - target) * row
+        return grad / len(rows)
 
     def _fit_targets(self, X: np.ndarray, targets: np.ndarray) -> None:
         """Minimize mean squared error between raw outputs and targets."""
@@ -144,13 +159,7 @@ class _VariationalModel:
 
         def gradient(weights: np.ndarray) -> np.ndarray:
             rows = rows_holder["rows"]
-            grad = np.zeros(self.num_weights)
-            for i in rows:
-                output = self._raw_output(X[i], weights)
-                grad += 2.0 * (output - targets[i]) * self._raw_gradient(
-                    X[i], weights
-                )
-            return grad / rows.size
+            return self._minibatch_gradient(X[rows], targets[rows], weights)
 
         def resample(iteration: int, weights: np.ndarray,
                      value: float) -> None:

@@ -65,6 +65,7 @@ from .statevector import (
     apply_matrix_batch,
     basis_state,
     fidelity,
+    gate_angles,
     marginal_probabilities,
     zero_state,
 )
@@ -135,6 +136,7 @@ __all__ = [
     "apply_matrix_batch",
     "basis_state",
     "fidelity",
+    "gate_angles",
     "marginal_probabilities",
     "zero_state",
 ]

@@ -10,7 +10,7 @@ observable type consumed by the simulators, the QML models and QAOA.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -54,20 +54,30 @@ class PauliString:
         return out
 
     def apply(self, state: np.ndarray) -> np.ndarray:
-        """Apply the string to a statevector in ``O(2**n)`` per factor."""
-        from .statevector import apply_matrix
+        """Apply the string to a statevector in ``O(2**n)`` per factor.
+
+        A ``(batch, 2**n)`` stack is transformed row by row in one
+        batched contraction per factor.
+        """
+        from .statevector import apply_matrix, apply_matrix_batch
 
         n = self.num_qubits
         out = np.asarray(state, dtype=complex)
+        apply = apply_matrix if out.ndim == 1 else apply_matrix_batch
         for qubit, char in enumerate(self.label):
             if char != "I":
-                out = apply_matrix(out, _PAULI_MATRICES[char], (qubit,), n)
+                out = apply(out, _PAULI_MATRICES[char], (qubit,), n)
         return self.coefficient * out
 
-    def expectation(self, state: np.ndarray) -> float:
-        """Expectation ``<psi|P|psi>`` (real part; imaginary is ~0)."""
-        value = np.vdot(state, self.apply(state))
-        return float(value.real)
+    def expectation(self, state: np.ndarray) -> Union[float, np.ndarray]:
+        """Expectation ``<psi|P|psi>`` (real part; imaginary is ~0).
+
+        A ``(batch, 2**n)`` stack gives one value per row.
+        """
+        if np.ndim(state) == 1:
+            return float(np.vdot(state, self.apply(state)).real)
+        states = np.asarray(state, dtype=complex)
+        return np.einsum("ij,ij->i", states.conj(), self.apply(states)).real
 
     def __mul__(self, scalar: complex) -> "PauliString":
         return PauliString(self.label, self.coefficient * scalar)
@@ -157,11 +167,20 @@ class PauliSum:
             out += t.matrix()
         return out
 
-    def expectation(self, state: np.ndarray, num_qubits: int) -> float:
-        """Expectation value against a statevector."""
+    def expectation(self, state: np.ndarray,
+                    num_qubits: int) -> Union[float, np.ndarray]:
+        """Expectation value against a statevector.
+
+        A ``(batch, 2**n)`` stack gives one value per row.
+        """
         if self.terms and self.num_qubits != num_qubits:
             raise ValueError("observable qubit count mismatch")
-        return float(sum(t.expectation(state) for t in self.terms))
+        if np.ndim(state) == 1:
+            return float(sum(t.expectation(state) for t in self.terms))
+        values = np.zeros(len(state))
+        for t in self.terms:
+            values += t.expectation(state)
+        return values
 
     def expectation_from_counts(self, counts: Mapping[str, int]) -> float:
         """Estimate the expectation from Z-basis measurement counts.

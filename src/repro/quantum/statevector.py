@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import telemetry
 from ..telemetry import metrics as _metrics
-from .circuit import Circuit
+from .circuit import Circuit, Instruction
 from .gates import (
     GATE_NUM_PARAMS,
     batch_gate_diagonal,
@@ -231,10 +231,10 @@ class StatevectorSimulator:
         circuits are *structurally identical* — the same gate names on
         the same qubits in the same order, only parameter values
         differing (one encoding template bound to many data points, one
-        ansatz at many shift values) — every layer is applied to the
-        whole batch in a single vectorized operation, with a broadcast
-        phase multiply for diagonal gates. Heterogeneous batches fall
-        back to per-circuit :meth:`run` and stay exactly equivalent.
+        ansatz at many shift values) — their parameter values form one
+        :func:`gate_angles` matrix and the batch runs through
+        :meth:`run_angles`. Heterogeneous batches fall back to
+        per-circuit :meth:`run` and stay exactly equivalent.
         """
         circuits = list(circuits)
         if not circuits:
@@ -242,30 +242,54 @@ class StatevectorSimulator:
         n = circuits[0].num_qubits
         if any(c.num_qubits != n for c in circuits):
             raise ValueError("all circuits must have the same qubit count")
-        batch = len(circuits)
-        if initial_states is None:
-            states = np.zeros((batch, 2 ** n), dtype=complex)
-            states[:, 0] = 1.0
-        else:
-            states = np.asarray(initial_states, dtype=complex).copy()
-            if states.shape != (batch, 2 ** n):
-                raise ValueError(
-                    f"initial states must have shape {(batch, 2 ** n)}"
-                )
-        if not _structurally_identical(circuits):
-            return np.stack([
-                self.run(c, initial_state=states[i])
-                for i, c in enumerate(circuits)
-            ])
-        template = circuits[0].instructions
+        if _structurally_identical(circuits):
+            return self.run_angles(circuits[0], gate_angles(circuits),
+                                   initial_states)
+        states = _initial_states(len(circuits), n, initial_states)
+        return np.stack([
+            self.run(c, initial_state=states[i])
+            for i, c in enumerate(circuits)
+        ])
+
+    def run_angles(self, template: Circuit, angles: np.ndarray,
+                   initial_states: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+        """Run ``template`` once per row of an angle matrix.
+
+        ``angles`` has shape ``(batch, slots)``: column ``j`` feeds the
+        ``j``-th gate parameter of ``template``, counted in instruction
+        order (:func:`gate_angles` builds it from bound circuits). The
+        template's own parameter values are never read, so it may be
+        symbolic. Every layer is applied to the whole batch in one
+        vectorized operation: one shared matrix when a column holds a
+        single value, a per-row stack otherwise, and a broadcast phase
+        multiply for diagonal gates. Returns ``(batch, 2**n)``.
+        """
+        angles = np.asarray(angles, dtype=float)
+        instructions = template.instructions
+        columns = []
+        slots = 0
+        for inst in instructions:
+            columns.append(slice(slots, slots + len(inst.params)))
+            slots += len(inst.params)
+        if angles.ndim != 2 or angles.shape[1] != slots:
+            raise ValueError(
+                f"angles must be a (batch, {slots}) matrix, "
+                f"got shape {angles.shape}"
+            )
+        if angles.shape[0] < 1:
+            raise ValueError("run_angles needs at least one angle row")
+        n = template.num_qubits
+        batch = angles.shape[0]
+        states = _initial_states(batch, n, initial_states)
         collector = telemetry.get_collector()
         tracer = telemetry.get_tracer()
         registry = _metrics.get_registry()
         if collector is None and tracer is None and registry is None:
             # disabled: plain loop, zero accounting
-            for position in range(len(template)):
+            for inst, column in zip(instructions, columns):
                 states = _apply_instruction_batch(
-                    states, circuits, position, n
+                    states, inst, angles[:, column], n
                 )
             return states
         run_start = time.perf_counter() if registry is not None else 0.0
@@ -277,11 +301,10 @@ class StatevectorSimulator:
             span = contextlib.nullcontext()
         with span:
             if tracer is not None:  # one event per template position
-                for position in range(len(template)):
-                    inst = template[position]
+                for inst, column in zip(instructions, columns):
                     start = tracer.timestamp_us()
                     states = _apply_instruction_batch(
-                        states, circuits, position, n
+                        states, inst, angles[:, column], n
                     )
                     tracer.complete(
                         f"gate_batch.{inst.name}", start,
@@ -290,21 +313,22 @@ class StatevectorSimulator:
                               "batch": batch},
                     )
             else:
-                for position in range(len(template)):
+                for inst, column in zip(instructions, columns):
                     states = _apply_instruction_batch(
-                        states, circuits, position, n
+                        states, inst, angles[:, column], n
                     )
         if registry is not None:
             _record_run_metrics(registry, "batch",
-                                batch * len(template),
+                                batch * len(instructions),
                                 time.perf_counter() - run_start,
                                 int(states.nbytes))
         if collector is None:
             return states
         collector.count("quantum.circuit_evaluations", batch)
-        collector.count("quantum.gate_applications", batch * len(template))
+        collector.count("quantum.gate_applications",
+                        batch * len(instructions))
         tally: Dict[str, int] = {}
-        for inst in template:
+        for inst in instructions:
             tally[inst.name] = tally.get(inst.name, 0) + 1
         for name, occurrences in tally.items():
             collector.count(f"quantum.gate.{name}", occurrences * batch)
@@ -361,28 +385,57 @@ def _structurally_identical(circuits: Sequence[Circuit]) -> bool:
     return True
 
 
-def _apply_instruction_batch(states: np.ndarray,
-                             circuits: Sequence[Circuit],
-                             position: int, num_qubits: int) -> np.ndarray:
-    """Apply instruction ``position`` of every circuit to the batch."""
-    reference = circuits[0].instructions[position]
-    name, qubits = reference.name, reference.qubits
+def gate_angles(circuits: Sequence[Circuit]) -> np.ndarray:
+    """Angle matrix of structurally identical bound circuits.
+
+    Row ``i`` lists every gate parameter of ``circuits[i]`` in
+    instruction order, the layout :meth:`StatevectorSimulator.run_angles`
+    reads. Raises ``ValueError`` if a parameter is still symbolic.
+    """
+    try:
+        return np.array(
+            [[float(p) for inst in c.instructions for p in inst.params]
+             for c in circuits],
+            dtype=float,
+        )
+    except TypeError:
+        name = next(inst.name for c in circuits for inst in c.instructions
+                    if inst.is_parameterized)
+        raise ValueError(
+            f"instruction {name} has unbound parameters; bind first"
+        ) from None
+
+
+def _initial_states(batch: int, num_qubits: int,
+                    initial_states: Optional[np.ndarray]) -> np.ndarray:
+    """A fresh ``(batch, 2**n)`` stack: ``|0...0>`` rows or a copy."""
+    if initial_states is None:
+        states = np.zeros((batch, 2 ** num_qubits), dtype=complex)
+        states[:, 0] = 1.0
+        return states
+    states = np.asarray(initial_states, dtype=complex).copy()
+    if states.shape != (batch, 2 ** num_qubits):
+        raise ValueError(
+            f"initial states must have shape {(batch, 2 ** num_qubits)}"
+        )
+    return states
+
+
+def _apply_instruction_batch(states: np.ndarray, inst: Instruction,
+                             values: np.ndarray,
+                             num_qubits: int) -> np.ndarray:
+    """Apply one template instruction to the batch.
+
+    ``values`` is the instruction's ``(batch, params)`` slice of the
+    angle matrix (empty for fixed gates).
+    """
+    name, qubits = inst.name, inst.qubits
     if GATE_NUM_PARAMS[name] == 0:
         diag = gate_diagonal(name)
         if diag is not None:
             return apply_diagonal_batch(states, diag, qubits, num_qubits)
         return apply_matrix_batch(states, gate_matrix(name), qubits,
                                   num_qubits)
-    try:
-        values = np.array(
-            [[float(p) for p in c.instructions[position].params]
-             for c in circuits],
-            dtype=float,
-        )
-    except TypeError:
-        raise ValueError(
-            f"instruction {name} has unbound parameters; bind first"
-        ) from None
     if np.all(values == values[0]):  # one shared matrix for the batch
         diag = gate_diagonal(name, values[0])
         if diag is not None:

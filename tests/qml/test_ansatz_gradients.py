@@ -11,6 +11,8 @@ from repro.qml.ansatz import (
     strongly_entangling_ansatz,
     two_local_ansatz,
 )
+from repro.qml import gradients
+from repro.qml.encoding import AmplitudeEncoding, AngleEncoding
 from repro.qml.gradients import (
     expectation_function,
     finite_difference_gradient,
@@ -174,3 +176,103 @@ def test_property_shift_matches_finite_difference(seed):
         expectation_function(qc, obs), values
     )
     assert np.allclose(analytic, numeric, atol=1e-5)
+
+
+# ----------------------------------------------------------------------
+# Batched gradients: one row per circuit, equal to per-circuit calls
+# ----------------------------------------------------------------------
+def assert_batch_matches_single(circuits, observable, values):
+    batched = parameter_shift_gradient(circuits, observable, values)
+    single = np.stack([parameter_shift_gradient(c, observable, values)
+                       for c in circuits])
+    assert single.shape == batched.shape == (len(circuits), len(values))
+    assert np.abs(batched - single).max() < 1e-12
+    return batched
+
+
+def test_batched_gradient_angle_encoded_rows():
+    ansatz, params = hardware_efficient_ansatz(3, 2)
+    encoding = AngleEncoding(3)
+    rows = np.random.default_rng(1).uniform(-1, 1, size=(5, 3))
+    circuits = [encoding.circuit(x).compose(ansatz) for x in rows]
+    values = np.random.default_rng(2).uniform(-np.pi, np.pi, len(params))
+    obs = PauliSum([single_z(0, 3), PauliString("XZY", 0.3)])
+    assert_batch_matches_single(circuits, obs, values)
+
+
+def test_batched_gradient_data_reuploading():
+    ansatz, params = hardware_efficient_ansatz(2, 1)
+    encoding = AngleEncoding(2)
+    rows = np.random.default_rng(3).uniform(-1, 1, size=(4, 2))
+    # Each weight occurs twice: data, ansatz, data, ansatz.
+    circuits = []
+    for x in rows:
+        data = encoding.circuit(x)
+        circuits.append(data.compose(ansatz).compose(data).compose(ansatz))
+    values = np.random.default_rng(4).uniform(-np.pi, np.pi, len(params))
+    assert_batch_matches_single(circuits, PauliSum([single_z(0, 2)]),
+                                values)
+
+
+def test_batched_gradient_scaled_parameter():
+    theta = Parameter("theta")
+    circuits = [Circuit(1).ry(x, 0).rx(3.0 * theta, 0)
+                for x in (0.1, 0.9, -1.4)]
+    batched = assert_batch_matches_single(
+        circuits, PauliSum([single_z(0, 1)]), [0.2])
+    # <Z> = cos(x) cos(3 theta): d/dtheta = -3 cos(x) sin(3 theta)
+    expected = [-3.0 * np.cos(x) * np.sin(0.6) for x in (0.1, 0.9, -1.4)]
+    assert np.allclose(batched[:, 0], expected, atol=1e-9)
+
+
+def test_batched_gradient_phase_gate_fallback():
+    lam = Parameter("lam")
+    circuits = [Circuit(1).ry(x, 0).p(lam, 0).h(0) for x in (0.3, 1.1)]
+    assert_batch_matches_single(circuits, PauliSum([single_z(0, 1)]),
+                                [0.7])
+
+
+def test_batched_gradient_amplitude_rows_differ_in_structure():
+    ansatz, params = hardware_efficient_ansatz(2, 1)
+    encoding = AmplitudeEncoding(4)
+    rows = [[0.3, 0.5, 0.7, 0.2], [1.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]]
+    circuits = [encoding.circuit(x).compose(ansatz) for x in rows]
+    assert len({len(c) for c in circuits}) == 3  # near-zero RYs dropped
+    values = np.random.default_rng(5).uniform(-np.pi, np.pi, len(params))
+    assert_batch_matches_single(circuits, PauliSum([single_z(1, 2)]),
+                                values)
+
+
+def test_batched_gradient_spans_several_blocks():
+    ansatz, params = hardware_efficient_ansatz(10, 1, rotations=("ry",))
+    encoding = AngleEncoding(10)
+    rows = np.random.default_rng(6).uniform(-1, 1, size=(3, 10))
+    circuits = [encoding.circuit(x).compose(ansatz) for x in rows]
+    # 20 angle rows per circuit; blocks end inside a circuit's rows.
+    block_rows = gradients._BLOCK_AMPLITUDES >> 10
+    assert 20 % block_rows and 3 * 20 > 2 * block_rows
+    values = np.random.default_rng(7).uniform(-np.pi, np.pi, len(params))
+    obs = PauliSum([single_z(0, 10), single_z(9, 10, 0.5)])
+    assert_batch_matches_single(circuits, obs, values)
+
+
+def test_batched_gradient_same_structure_other_parameter_slots():
+    a, b = Parameter("a"), Parameter("b")
+    circuits = [Circuit(1).ry(a, 0).rx(0.3, 0).ry(b, 0),
+                Circuit(1).ry(a, 0).rx(b, 0).ry(b, 0)]
+    assert_batch_matches_single(circuits, PauliSum([single_z(0, 1)]),
+                                [0.4, -1.1])
+
+
+def test_batched_gradient_rejects_different_parameter_lists():
+    a, b = Parameter("a"), Parameter("b")
+    obs = PauliSum([single_z(0, 1)])
+    with pytest.raises(ValueError):
+        parameter_shift_gradient([Circuit(1).ry(a, 0), Circuit(1).ry(b, 0)],
+                                 obs, [0.1])
+    with pytest.raises(ValueError):  # same parameters, other order
+        parameter_shift_gradient(
+            [Circuit(1).ry(a, 0).rx(b, 0), Circuit(1).rx(b, 0).ry(a, 0)],
+            obs, [0.1, 0.2])
+    with pytest.raises(ValueError):
+        parameter_shift_gradient([], obs, [])

@@ -8,12 +8,14 @@ experiments E2/E13 measure properly.
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.datasets import make_linearly_separable, make_moons
 from repro.qml import (
     AngleEncoding,
     IQPEncoding,
     VariationalClassifier,
     VariationalRegressor,
+    parameter_shift_gradient,
 )
 
 
@@ -118,6 +120,12 @@ def test_classifier_rejects_bad_constructor_args():
         VariationalClassifier(2, epochs=0)
     with pytest.raises(ValueError):
         VariationalClassifier(2, data_reuploads=0)
+    for bad in (0, -2, 2.5, True, "4"):
+        with pytest.raises(ValueError, match="batch_size"):
+            VariationalClassifier(2, batch_size=bad)
+        with pytest.raises(ValueError, match="shots"):
+            VariationalClassifier(2, shots=bad)
+    VariationalClassifier(2, batch_size=np.int64(3), shots=1)
 
 
 def test_classifier_shot_based_outputs_are_noisy_but_bounded():
@@ -169,3 +177,79 @@ def test_regressor_score_is_r_squared():
     reg = VariationalRegressor(1, num_layers=2, epochs=20, seed=1)
     reg.fit(X, y)
     assert reg.score(X, y) <= 1.0
+
+
+# ----------------------------------------------------------------------
+# The batched minibatch gradient against the per-row loop it replaced
+# ----------------------------------------------------------------------
+def per_row_gradient(model, rows, targets, weights):
+    """Reference: one output run and one single-circuit gradient per row,
+    as training computed the minibatch gradient before the batched pass."""
+    grad = np.zeros(model.num_weights)
+    for x, target in zip(rows, targets):
+        output = model._raw_output(x, weights)
+        grad += 2.0 * (output - target) * parameter_shift_gradient(
+            model._full_circuit(x), model._observable, weights,
+            simulator=model._sim,
+        )
+    return grad / len(rows)
+
+
+def with_per_row_gradient(model):
+    model._minibatch_gradient = (
+        lambda rows, targets, weights:
+        per_row_gradient(model, rows, targets, weights))
+    return model
+
+
+def test_regressor_fit_matches_per_row_gradient():
+    rng = np.random.default_rng(10)
+    X = rng.uniform(-1, 1, size=(30, 3))
+    y = X @ np.array([0.5, -0.3, 0.8]) + 0.1 * X[:, 0] * X[:, 1]
+
+    def model():
+        return VariationalRegressor(AngleEncoding(3, scaling=1.5),
+                                    num_layers=2, epochs=8, batch_size=12,
+                                    seed=4)
+
+    batched = model().fit(X, y)
+    reference = with_per_row_gradient(model()).fit(X, y)
+    assert len(batched.loss_history_) == 8
+    assert np.abs(np.subtract(batched.loss_history_,
+                              reference.loss_history_)).max() < 1e-12
+    assert np.abs(batched.predict(X) - reference.predict(X)).max() < 1e-10
+
+
+def test_shot_based_classifier_keeps_its_random_stream():
+    X, y = make_linearly_separable(12, seed=6)
+
+    def model():
+        return VariationalClassifier(2, num_layers=1, epochs=4, shots=64,
+                                     batch_size=6, seed=2)
+
+    batched = model().fit(X, y)
+    reference = with_per_row_gradient(model()).fit(X, y)
+    assert batched.loss_history_ == reference.loss_history_
+
+
+def test_minibatch_gradient_telemetry_matches_per_row_counts():
+    X, y = make_linearly_separable(5, dim=2, seed=7)
+    targets = np.where(y == 1, 1.0, -1.0)
+    model = VariationalClassifier(2, num_layers=2, seed=0)
+    weights = np.linspace(-1.0, 1.0, model.num_weights)
+    counts = []
+    for gradient in (model._minibatch_gradient,
+                     lambda *args: per_row_gradient(model, *args)):
+        collector = telemetry.enable()
+        try:
+            value = gradient(X, targets, weights)
+            counts.append(collector.snapshot()["counters"])
+        finally:
+            telemetry.disable()
+        assert value.shape == (model.num_weights,)
+    rows = len(X)
+    for snapshot in counts:  # batched, then the per-row reference
+        assert snapshot["qml.gradient_evaluations"] == rows
+        assert snapshot["qml.circuit_evaluations"] == rows
+        assert (snapshot["quantum.circuit_evaluations"]
+                == rows * (2 * model.num_weights + 1))

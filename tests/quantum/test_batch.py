@@ -13,10 +13,14 @@ from hypothesis import strategies as st
 from repro import telemetry
 from repro.quantum import (
     Circuit,
+    Parameter,
+    PauliString,
+    PauliSum,
     StatevectorSimulator,
     apply_diagonal_batch,
     apply_matrix,
     apply_matrix_batch,
+    gate_angles,
     random_layered_circuit,
 )
 from repro.quantum.gates import (
@@ -193,6 +197,70 @@ def test_run_batch_validates_inputs():
     symbolic = [Circuit(1).ry(theta, 0), Circuit(1).ry(theta, 0)]
     with pytest.raises(ValueError):
         SIM.run_batch(symbolic)
+
+
+def test_run_angles_equals_run_batch_bit_for_bit():
+    rng = np.random.default_rng(11)
+    # params[2] is fixed, so its rz and crz columns hold one value each
+    # and take the shared-matrix branch; the others take per-row stacks.
+    circuits = [iqp_like_circuit([*rng.normal(size=2), 0.5, rng.normal()])
+                for _ in range(8)]
+    angles = gate_angles(circuits)
+    assert angles.shape == (8, 12)
+    initial = random_states(8, 4, seed=12)
+    assert np.array_equal(SIM.run_angles(circuits[0], angles),
+                          SIM.run_batch(circuits))
+    assert np.array_equal(
+        SIM.run_angles(circuits[0], angles, initial_states=initial),
+        SIM.run_batch(circuits, initial_states=initial))
+
+
+def test_run_angles_ignores_template_values():
+    theta = Parameter("theta")
+    symbolic = Circuit(2).h(0).ry(theta, 1).cx(0, 1).rz(2.0 * theta, 0)
+    bound = [symbolic.bind({theta: t}) for t in (0.1, -0.7, 2.3)]
+    batched = SIM.run_angles(symbolic, gate_angles(bound))
+    for row, circuit in zip(batched, bound):
+        assert np.allclose(row, SIM.run(circuit), atol=1e-12)
+
+
+def test_run_angles_validates_angle_matrix():
+    template = Circuit(2).ry(0.1, 0).cx(0, 1).rz(0.2, 1)
+    with pytest.raises(ValueError):
+        SIM.run_angles(template, np.zeros((3, 3)))  # two columns wanted
+    with pytest.raises(ValueError):
+        SIM.run_angles(template, np.zeros(2))  # not 2-D
+    with pytest.raises(ValueError):
+        SIM.run_angles(template, np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        SIM.run_angles(template, np.zeros((2, 2)),
+                       initial_states=np.zeros((3, 4), dtype=complex))
+
+
+def test_gate_angles_rejects_symbolic_circuits():
+    theta = Parameter("theta")
+    with pytest.raises(ValueError, match="unbound"):
+        gate_angles([Circuit(1).ry(0.3, 0), Circuit(1).ry(theta, 0)])
+
+
+def test_pauli_expectation_of_stack_matches_rows():
+    states = random_states(7, 3, seed=13)
+    observable = PauliSum([
+        PauliString("XYZ", 0.4 - 0.3j),
+        PauliString("IIZ", -1.2),
+        PauliString("YIX", 0.25j),
+        PauliString("III", 0.7 + 0.1j),
+        PauliString("ZZI", 1.0),
+    ])
+    stacked = observable.expectation(states, 3)
+    assert stacked.shape == (7,)
+    expected = [observable.expectation(state, 3) for state in states]
+    assert np.abs(stacked - expected).max() < 1e-14
+    for term in observable:
+        single = [term.expectation(state) for state in states]
+        assert np.abs(term.expectation(states) - single).max() < 1e-14
+    assert isinstance(observable.expectation(states[0], 3), float)
+    assert np.array_equal(PauliSum().expectation(states, 3), np.zeros(7))
 
 
 def test_run_batch_telemetry_counters():
