@@ -57,7 +57,16 @@ reference workloads:
   replaced (one ``expectation`` and one single-circuit
   ``parameter_shift_gradient`` per row). Per ``(qubits, layers,
   rows)`` cell the record keeps median seconds over interleaved
-  repeats with telemetry off; its ``speedup`` is the 4-qubit cell's.
+  repeats with telemetry off; its ``speedup`` is the 4-qubit cell's;
+* **SA sweep** — ``SimulatedAnnealingSolver.solve`` with the shipped
+  sweep (frozen-prefix start, flips applied in place) vs the same
+  solver running the previous sweep, which visits every position and
+  applies flips through boolean fancy indexing. Join-order QUBOs at
+  the ``pipeline_batch`` and ``http_jobs`` shapes plus the
+  ``sa_sweeps`` Ising model; per cell the record keeps median seconds
+  over interleaved repeats with telemetry off, and both sides must
+  return identical samples. Its ``speedup`` is the 8-relation cell's
+  (the 5-relation cell's at smoke scale).
 
 Timings come from telemetry spans (``perf.<workload>.<impl>``). Run as
 a script to write the committed perf trajectory::
@@ -118,6 +127,7 @@ from repro.telemetry.bench_schema import (
     effective_speedup_floor,
     validate_document,
 )
+from repro.telemetry.progress import ProgressTrace
 
 #: Reference scales from the PR-2 issue: the committed BENCH_perf.json
 #: must show >= 5x on both workloads at these sizes.
@@ -143,6 +153,12 @@ FULL_SCALE = {
                "num_reads": 10, "queue_capacity": 2},
     "qaoa": {"qubits": (8, 12, 14, 16), "depths": (1, 3), "evals": 8},
     "qml": {"cells": ((4, 2, 24), (6, 2, 24), (8, 2, 24)), "repeats": 9},
+    "sa_sweep": {"cells": (("join", 6, 300, 20, False),
+                           ("join", 8, 300, 20, False),
+                           ("join", 10, 300, 20, False),
+                           ("join", 5, 50, 10, True),
+                           ("ising", 64, 500, 100, False)),
+                 "headline": 8, "repeats": 5},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -166,6 +182,9 @@ SMOKE_SCALE = {
                "num_reads": 5, "queue_capacity": 2},
     "qaoa": {"qubits": (6, 8), "depths": (1, 2), "evals": 40},
     "qml": {"cells": ((2, 1, 8), (4, 2, 24)), "repeats": 5},
+    "sa_sweep": {"cells": (("join", 4, 60, 10, False),
+                           ("join", 5, 50, 10, True)),
+                 "headline": 5, "repeats": 5},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -188,6 +207,12 @@ QAOA_EVAL_MIN_SPEEDUP = 3.0
 #: A 2-vCPU host measured 3.6-4.0x at full scale and 3.7x at smoke
 #: scale; a fall back to per-row evaluation reads about 1x.
 QML_GRADIENT_MIN_SPEEDUP = 2.5
+
+#: Floor on the headline SA-sweep cell (8 relations, the
+#: ``pipeline_batch`` shape). A 2-vCPU host measured 1.7x there,
+#: 1.4-2.3x across the full-scale cells and 1.6-1.8x on the 5-relation
+#: smoke cell; a fall back to the previous sweep reads about 1x.
+SA_SWEEP_MIN_SPEEDUP = 1.4
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -247,6 +272,35 @@ def loop_sa_solve(ising, num_sweeps, num_reads, seed):
                     spins[i] = -spins[i]
         energies.append(float(ising.energies(spins[None, :])[0]))
     return energies
+
+
+class FullSweepSolver(SimulatedAnnealingSolver):
+    """SA with the sweep that preceded the frozen-prefix start: every
+    position is visited and accepted flips go through boolean fancy
+    indexing."""
+
+    def _sweep(self, spins, local, couplings, beta, energies=None):
+        reads, n = spins.shape
+        order = self._rng.permutation(n)
+        thresholds = self._rng.random((n, reads))
+        accepted = 0
+        for position, i in enumerate(order):
+            delta = -2.0 * spins[:, i] * local[:, i]
+            # exp(min(-beta*delta, 0)) is 1 for downhill moves, so the
+            # uniform threshold in [0, 1) always accepts them — same
+            # semantics as the scalar `delta <= 0 or ...` test, without
+            # overflowing exp for strongly downhill moves.
+            accept = thresholds[position] < np.exp(
+                np.minimum(-beta * delta, 0.0)
+            )
+            if accept.any():
+                flipped = spins[accept, i]
+                spins[accept, i] = -flipped
+                local[accept] -= 2.0 * flipped[:, None] * couplings[i]
+                if energies is not None:
+                    energies[accept] += delta[accept]
+                accepted += int(accept.sum())
+        return accepted
 
 
 # ----------------------------------------------------------------------
@@ -1238,6 +1292,19 @@ def run_qaoa_eval_workload(collector, qubits, depths, evals, seed=29):
     }
 
 
+def _interleaved_medians(first, second, repeats):
+    """Median seconds of two callables over ``repeats`` interleaved
+    runs, the order within each pair alternating."""
+    sides = (first, second)
+    times = ([], [])
+    for index in range(repeats):
+        for side in ((0, 1) if index % 2 == 0 else (1, 0)):
+            started = time.perf_counter()
+            sides[side]()
+            times[side].append(time.perf_counter() - started)
+    return float(np.median(times[0])), float(np.median(times[1]))
+
+
 def _qml_gradient_cell(num_qubits, num_layers, rows, repeats, rng):
     """One ``(qubits, layers, rows)`` cell: both gradients, interleaved."""
     model = VariationalRegressor(AngleEncoding(num_qubits, scaling=1.5),
@@ -1248,20 +1315,10 @@ def _qml_gradient_cell(num_qubits, num_layers, rows, repeats, rng):
     reference = loop_minibatch_gradient(model, X, targets, weights)
     batched = model._minibatch_gradient(X, targets, weights)
     repeat = model._minibatch_gradient(X, targets, weights)
-    sides = {
-        "per_row": lambda: loop_minibatch_gradient(model, X, targets,
-                                                   weights),
-        "batched": lambda: model._minibatch_gradient(X, targets, weights),
-    }
-    times = {name: [] for name in sides}
-    for index in range(repeats):
-        order = list(sides) if index % 2 == 0 else list(sides)[::-1]
-        for name in order:
-            started = time.perf_counter()
-            sides[name]()
-            times[name].append(time.perf_counter() - started)
-    per_row_seconds = float(np.median(times["per_row"]))
-    batched_seconds = float(np.median(times["batched"]))
+    per_row_seconds, batched_seconds = _interleaved_medians(
+        lambda: loop_minibatch_gradient(model, X, targets, weights),
+        lambda: model._minibatch_gradient(X, targets, weights),
+        repeats)
     return {
         "num_qubits": num_qubits,
         "num_layers": num_layers,
@@ -1311,6 +1368,106 @@ def run_qml_gradient_workload(collector, cells, repeats, seed=31):
     }
 
 
+def _sa_sweep_models(kind, size, seed):
+    """One join-order QUBO per join-graph topology at ``size``
+    relations, or the ``sa_sweeps`` random Ising model of ``size``
+    spins."""
+    if kind == "ising":
+        return [IsingModel.random(size, density=0.5, field_scale=0.3,
+                                  seed=seed)]
+    return [JoinOrderQUBO(random_join_graph(size, topology=topology,
+                                            seed=seed)).compile().model
+            for topology in ("chain", "star", "cycle", "clique")]
+
+
+def _sa_sweep_cell(kind, size, num_sweeps, num_reads, convergence,
+                   repeats, seed):
+    """One cell: both sweeps solve every model of the cell, interleaved."""
+    models = _sa_sweep_models(kind, size, seed)
+
+    def solve_all(solver_cls):
+        outputs = []
+        for index, model in enumerate(models):
+            progress = ProgressTrace() if convergence else None
+            samples = solver_cls(num_sweeps=num_sweeps,
+                                 num_reads=num_reads, seed=seed + index,
+                                 progress=progress).solve(model)
+            outputs.append((samples,
+                            None if progress is None else progress.rows()))
+        return outputs
+
+    def fingerprint(outputs):
+        # repr keeps every bit of each energy and the sign of zero.
+        return repr([([(s.assignment, s.energy, s.num_occurrences)
+                       for s in samples], rows)
+                     for samples, rows in outputs])
+
+    parent = solve_all(FullSweepSolver)
+    kernel = solve_all(SimulatedAnnealingSolver)
+    repeat = solve_all(SimulatedAnnealingSolver)
+    parent_seconds, kernel_seconds = _interleaved_medians(
+        lambda: solve_all(FullSweepSolver),
+        lambda: solve_all(SimulatedAnnealingSolver),
+        repeats)
+    return {
+        "kind": kind,
+        "size": size,
+        "num_sweeps": num_sweeps,
+        "num_reads": num_reads,
+        "convergence": convergence,
+        "instances": len(models),
+        "parent_seconds": parent_seconds,
+        "kernel_seconds": kernel_seconds,
+        "speedup": parent_seconds / kernel_seconds,
+        "max_abs_diff": max(
+            float(np.abs(np.sort(ours.energies())
+                         - np.sort(theirs.energies())).max())
+            for (ours, _), (theirs, _) in zip(kernel, parent)),
+        "matches_parent": fingerprint(kernel) == fingerprint(parent),
+        "deterministic": fingerprint(repeat) == fingerprint(kernel),
+    }
+
+
+def run_sa_sweep_workload(collector, cells, headline, repeats, seed=37):
+    """SA solves: the shipped sweep vs the previous full sweep.
+
+    Every ``(kind, size, sweeps, reads, convergence)`` cell times both
+    solvers over the same models and seeds, ``repeats`` interleaved
+    runs with the order alternating, and keeps the medians. The global
+    collector is parked while timing, so both sides run the
+    telemetry-off path the serving workers take. ``speedup`` is the
+    join-order cell of ``headline`` relations.
+    """
+    saved_collector = telemetry.get_collector()
+    telemetry.disable()
+    try:
+        records = [_sa_sweep_cell(*cell, repeats=repeats, seed=seed)
+                   for cell in cells]
+    finally:
+        if saved_collector is not None:
+            telemetry.enable(saved_collector)
+    (headline_cell,) = [c for c in records
+                        if c["kind"] == "join" and c["size"] == headline]
+    return {
+        "name": "sa_sweep",
+        "params": {
+            "cells": [list(cell) for cell in cells],
+            "headline": headline,
+            "repeats": repeats,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "parent_seconds": sum(c["parent_seconds"] for c in records),
+        "kernel_seconds": sum(c["kernel_seconds"] for c in records),
+        "cells": records,
+        "speedup": headline_cell["speedup"],
+        "gate_min_speedup": SA_SWEEP_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in records),
+        "matches_parent": all(c["matches_parent"] for c in records),
+        "deterministic": all(c["deterministic"] for c in records),
+    }
+
+
 def run_workloads(scale, collector=None):
     collector = collector or telemetry.get_collector() or telemetry.Collector()
     return [
@@ -1324,6 +1481,7 @@ def run_workloads(scale, collector=None):
         run_server_workload(collector, **scale["server"]),
         run_qaoa_eval_workload(collector, **scale["qaoa"]),
         run_qml_gradient_workload(collector, **scale["qml"]),
+        run_sa_sweep_workload(collector, **scale["sa_sweep"]),
     ]
 
 
@@ -1456,6 +1614,18 @@ def test_perf_qml_gradient_matches_per_row(bench_telemetry):
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
+def test_perf_sa_sweep_matches_parent(bench_telemetry):
+    record = run_sa_sweep_workload(bench_telemetry,
+                                   **SMOKE_SCALE["sa_sweep"])
+    print("\nSA sweep previous {parent_seconds:.4f}s vs shipped "
+          "{kernel_seconds:.4f}s (headline cell {speedup:.2f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["matches_parent"]
+    assert record["max_abs_diff"] == 0.0
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -1521,6 +1691,11 @@ def main():
             print("{name}: per-row {per_row_seconds:.3f}s, batched "
                   "{batched_seconds:.3f}s -> 4-qubit cell {speedup:.1f}x "
                   "(gate >= {gate_min_speedup:.1f}x)".format(**record))
+        elif record["name"] == "sa_sweep":
+            print("{name}: previous {parent_seconds:.3f}s, shipped "
+                  "{kernel_seconds:.3f}s -> headline cell "
+                  "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
+                  .format(**record))
         elif record["name"] == "server_throughput":
             print("{name}: {requests_total} req in {soak_seconds:.3f}s "
                   "(p95 {request_p95_seconds:.4f}s), {rejected_429} "

@@ -171,31 +171,62 @@ class SimulatedAnnealingSolver:
 
         Visits spins in one random order shared by every read; at each
         position all reads decide their flip simultaneously from the
-        cached local fields, which are then updated for the accepted
-        rows only. When ``energies`` is given, accepted flip deltas
-        are accumulated into it (per read) for convergence tracing.
+        cached local fields, which are then updated in place for the
+        accepted rows only. When ``energies`` is given, accepted flip
+        deltas are accumulated into it (per read) for convergence
+        tracing.
+
+        No field changes before the first accepted flip, so one
+        vectorized test over the whole order finds the position where
+        the per-position loop starts; a sweep with no acceptable flip
+        at all returns without visiting any position. The flip
+        energy ``-2*s*l`` enters the exponent as ``(2*beta) * (s*l)``,
+        the same correctly rounded product as ``-beta * (-2*s*l)``
+        because the factor 2 scales exactly.
         """
         reads, n = spins.shape
         order = self._rng.permutation(n)
         thresholds = self._rng.random((n, reads))
+        two_beta = 2.0 * beta
+        # exp(min(x, 0)) is 1 for downhill moves, so the uniform
+        # threshold in [0, 1) always accepts them without overflowing
+        # exp. Every exp runs on a contiguous float64 buffer: numpy
+        # may pick another routine for strided input, and the prefix
+        # test must decide exactly as the loop would.
+        exponent = spins[:, order] * local[:, order]
+        exponent *= two_beta
+        np.minimum(exponent, 0.0, out=exponent)
+        np.exp(exponent, out=exponent)
+        live = (thresholds.T < exponent).any(axis=0)
+        start = int(live.argmax())
+        if not live[start]:
+            return 0
+        x = np.empty(reads)
+        accept = np.empty(reads, dtype=bool)
+        accept_rows = accept[:, None]
+        term = np.empty_like(local)
         accepted = 0
-        for position, i in enumerate(order):
-            delta = -2.0 * spins[:, i] * local[:, i]
-            # exp(min(-beta*delta, 0)) is 1 for downhill moves, so the
-            # uniform threshold in [0, 1) always accepts them — same
-            # semantics as the scalar `delta <= 0 or ...` test, without
-            # overflowing exp for strongly downhill moves.
-            accept = thresholds[position] < np.exp(
-                np.minimum(-beta * delta, 0.0)
-            )
-            if accept.any():
-                flipped = spins[accept, i]
-                spins[accept, i] = -flipped
-                local[accept] -= 2.0 * flipped[:, None] * couplings[i]
+        for position, i in enumerate(order[start:].tolist(), start):
+            s = spins[:, i]
+            field = local[:, i]
+            np.multiply(s, field, out=x)
+            x *= two_beta
+            np.minimum(x, 0.0, out=x)
+            np.exp(x, out=x)
+            np.less(thresholds[position], x, out=accept)
+            count = np.count_nonzero(accept)
+            if count:
                 if energies is not None:
-                    energies[accept] += delta[accept]
-                accepted += int(accept.sum())
-        return accepted
+                    np.add(energies, -2.0 * s * field, out=energies,
+                           where=accept)
+                np.multiply.outer(s + s, couplings[i], out=term)
+                np.subtract(local, term, out=local, where=accept_rows)
+                # Not np.negative: on AVX-512 builds of numpy 2.4 it
+                # writes wrong values into a float64 column with a
+                # 64-byte stride, i.e. whenever n = 8.
+                np.multiply(s, -1.0, out=s, where=accept)
+                accepted += count
+        return int(accepted)
 
 
 def auto_beta_schedule(ising: IsingModel, num_sweeps: int

@@ -35,6 +35,7 @@ in ``SolverConfig.options`` and are forwarded to the constructor.
 
 from __future__ import annotations
 
+import numbers
 import pickle
 import time
 from dataclasses import dataclass, field, replace
@@ -80,10 +81,15 @@ class SolverConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.num_sweeps is not None and self.num_sweeps < 1:
-            raise ValueError("num_sweeps must be positive")
-        if self.num_reads is not None and self.num_reads < 1:
-            raise ValueError("num_reads must be positive")
+        for name in ("num_sweeps", "num_reads"):
+            value = getattr(self, name)
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(
+                    f"{name} must be None or an integer >= 1, got {value!r}"
+                )
         if self.seed is not None and not isinstance(self.seed, (int,
                                                                 np.integer)):
             raise ValueError("seed must be an integer")

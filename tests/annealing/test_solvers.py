@@ -21,6 +21,8 @@ from repro.annealing import (
     solve_qubo_exact,
 )
 from repro.annealing.simulated_annealing import auto_beta_schedule
+from repro.db import JoinOrderQUBO, random_join_graph
+from repro.telemetry.progress import ProgressTrace
 
 
 @pytest.fixture(scope="module")
@@ -284,3 +286,148 @@ def test_vectorized_sqa_reaches_optimum_with_telemetry(frustrated_qubo):
     assert counters["annealing.sqa.accepted_local_moves"] > 0
     assert counters["annealing.sqa.energy_evaluations"] == 8 * 10
     assert len(snapshot["series"]["annealing.sqa.best_energy"]["values"]) == 8
+
+
+# ----------------------------------------------------------------------
+# Frozen-prefix sweeps: parity with the full per-position loop
+# ----------------------------------------------------------------------
+class _ReferenceSweepSolver(SimulatedAnnealingSolver):
+    """SA with the sweep that visits every position and applies flips
+    through boolean fancy indexing, kept verbatim as the reference the
+    shipped ``_sweep`` must reproduce bit for bit."""
+
+    def _sweep(self, spins, local, couplings, beta, energies=None):
+        reads, n = spins.shape
+        order = self._rng.permutation(n)
+        thresholds = self._rng.random((n, reads))
+        accepted = 0
+        for position, i in enumerate(order):
+            delta = -2.0 * spins[:, i] * local[:, i]
+            accept = thresholds[position] < np.exp(
+                np.minimum(-beta * delta, 0.0)
+            )
+            if accept.any():
+                flipped = spins[accept, i]
+                spins[accept, i] = -flipped
+                local[accept] -= 2.0 * flipped[:, None] * couplings[i]
+                if energies is not None:
+                    energies[accept] += delta[accept]
+                accepted += int(accept.sum())
+        return accepted
+
+
+def _join_order_model(num_relations, topology, seed):
+    graph = random_join_graph(num_relations, topology=topology, seed=seed)
+    return JoinOrderQUBO(graph).compile().model
+
+
+def _huge_coupling_qubo():
+    model = QUBO(4).add_linear(0, -1.0).add_linear(3, 0.5)
+    model.add_quadratic(0, 1, 1e6)
+    model.add_quadratic(2, 3, -2.0)
+    return model
+
+
+#: (model factory, num_sweeps, num_reads)
+_PARITY_CASES = [
+    pytest.param(lambda: _join_order_model(3, "chain", 0), 1, 1,
+                 id="join3"),
+    pytest.param(lambda: _join_order_model(4, "star", 1), 20, 3,
+                 id="join4"),
+    pytest.param(lambda: _join_order_model(5, "cycle", 2), 50, 10,
+                 id="join5"),
+    pytest.param(lambda: _join_order_model(6, "clique", 3), 60, 10,
+                 id="join6"),
+    pytest.param(lambda: _join_order_model(7, "chain", 4), 100, 5,
+                 id="join7"),
+    pytest.param(lambda: _join_order_model(8, "star", 5), 200, 20,
+                 id="join8"),
+    pytest.param(lambda: IsingModel.random(12, density=0.5,
+                                           field_scale=0.4, seed=3),
+                 80, 7, id="ising12"),
+    pytest.param(lambda: IsingModel.random(30, density=0.3,
+                                           field_scale=1.0, seed=4),
+                 40, 16, id="ising30"),
+    pytest.param(lambda: IsingModel(1, h={0: 0.7}), 30, 4, id="one_spin"),
+    pytest.param(lambda: IsingModel(3), 10, 5, id="no_terms"),
+    pytest.param(_huge_coupling_qubo, 50, 6, id="huge_coupling"),
+]
+
+
+def _traced_solve(solver_cls, model, num_sweeps, num_reads, seed,
+                  convergence, beta_schedule=None):
+    """Samples, convergence rows and move counters of one solve."""
+    from repro import telemetry
+
+    progress = ProgressTrace() if convergence else None
+    collector = telemetry.enable()
+    try:
+        samples = solver_cls(num_sweeps=num_sweeps, num_reads=num_reads,
+                             beta_schedule=beta_schedule, seed=seed,
+                             progress=progress).solve(model)
+        counters = collector.snapshot()["counters"]
+    finally:
+        telemetry.disable()
+    # repr keeps the sign of zero and every bit of each float.
+    return repr((
+        [(s.assignment, s.energy, s.num_occurrences) for s in samples],
+        None if progress is None else progress.rows(),
+        counters["annealing.sa.accepted_moves"],
+        counters["annealing.sa.rejected_moves"],
+    ))
+
+
+@pytest.mark.parametrize("convergence", [False, True])
+@pytest.mark.parametrize("factory, num_sweeps, num_reads", _PARITY_CASES)
+def test_sa_sweep_matches_reference_bit_for_bit(factory, num_sweeps,
+                                                num_reads, convergence):
+    model = factory()
+    assert (_traced_solve(SimulatedAnnealingSolver, model, num_sweeps,
+                          num_reads, 7, convergence)
+            == _traced_solve(_ReferenceSweepSolver, model, num_sweeps,
+                             num_reads, 7, convergence))
+
+
+@pytest.mark.parametrize("convergence", [False, True])
+@pytest.mark.parametrize("factory, num_sweeps, num_reads", _PARITY_CASES)
+def test_sa_sweep_matches_reference_on_a_custom_schedule(
+        factory, num_sweeps, num_reads, convergence):
+    """beta 0 accepts every move and 1e3 freezes most sweeps."""
+    schedule = [0.0, 0.1, 1.0, 10.0, 1e3]
+    model = factory()
+    assert (_traced_solve(SimulatedAnnealingSolver, model, len(schedule),
+                          num_reads, 17, convergence, schedule)
+            == _traced_solve(_ReferenceSweepSolver, model, len(schedule),
+                             num_reads, 17, convergence, schedule))
+
+
+@pytest.mark.parametrize("num_spins", range(1, 21))
+def test_sa_sweep_matches_reference_at_every_width(num_spins):
+    """Flips write into strided spin columns; numpy picks its inner
+    loops by stride, so cover every row stride from 8 to 160 bytes."""
+    model = IsingModel.random(num_spins, density=0.6, field_scale=0.5,
+                              seed=num_spins)
+    assert (_traced_solve(SimulatedAnnealingSolver, model, 30, 9,
+                          num_spins, True)
+            == _traced_solve(_ReferenceSweepSolver, model, 30, 9,
+                             num_spins, True))
+
+
+def test_frozen_sweep_is_a_no_op_that_keeps_the_rng_stream():
+    # All spins up is the ground state of a ferromagnetic chain: every
+    # flip costs energy, and at beta = 1e3 no read accepts one.
+    model = IsingModel(4, j={(0, 1): -1.0, (1, 2): -1.0, (2, 3): -1.0})
+    couplings = model.coupling_matrix()
+    spins = np.ones((3, 4))
+    local = spins @ couplings + model.local_fields()
+    energies = model.energies(spins)
+    before = (spins.copy(), local.copy(), energies.copy())
+    shipped = SimulatedAnnealingSolver(seed=5)
+    reference = _ReferenceSweepSolver(seed=5)
+    assert shipped._sweep(spins, local, couplings, 1e3, energies) == 0
+    assert reference._sweep(spins.copy(), local.copy(), couplings,
+                            1e3) == 0
+    for after, expected in zip((spins, local, energies), before):
+        assert np.array_equal(after, expected)
+    assert shipped._rng.random(4).tolist() == \
+        reference._rng.random(4).tolist()

@@ -68,6 +68,11 @@ def test_solver_config_validation():
         SolverConfig(num_sweeps=0)
     with pytest.raises(ValueError, match="num_reads"):
         SolverConfig(num_reads=-3)
+    for bad in (2.5, True, float("nan"), "3"):
+        with pytest.raises(ValueError, match="num_sweeps"):
+            SolverConfig(num_sweeps=bad)
+        with pytest.raises(ValueError, match="num_reads"):
+            SolverConfig(num_reads=bad)
     with pytest.raises(ValueError, match="seed"):
         SolverConfig(seed=1.5)
     with pytest.raises(ValueError, match="options"):
@@ -76,6 +81,8 @@ def test_solver_config_validation():
         SolverConfig(options={"num_sweeps": 5})
     config = SolverConfig(num_sweeps=10, num_reads=2, seed=np.int64(3))
     assert config.to_dict()["seed"] == 3
+    config = SolverConfig(num_sweeps=np.int64(5), num_reads=np.int64(5))
+    assert config.num_sweeps == config.num_reads == 5
 
 
 @pytest.mark.parametrize("name", ["sa", "sqa", "tabu", "exact", "pt"])

@@ -107,6 +107,10 @@ class TestBasics:
             {"problem": {"kind": "qubo", "num_variables": 2},
              "solver": "sa", "config": {"bogus_knob": 1}})
         assert status == 400
+        status, _, _ = client.submit(
+            {"problem": {"kind": "qubo", "num_variables": 2},
+             "solver": "sa", "config": {"num_sweeps": 2.5}})
+        assert status == 400
 
     def test_metrics_endpoint_validates(self, client):
         # Metrics are process-global and normally off under pytest:
