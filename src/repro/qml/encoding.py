@@ -13,14 +13,17 @@ all implemented here behind one interface:
 Every encoding builds a bound :class:`~repro.quantum.Circuit` from a
 feature vector via :meth:`Encoding.circuit`, and can also return the
 encoded statevector directly via :meth:`Encoding.state` (simulated by
-default, exact for amplitude encoding).
+default, exact for amplitude encoding). Angle and IQP encodings emit
+the same gates for every row, only the angles differ, so they also
+have a batch form: one :meth:`Encoding.template` circuit and the
+``(rows, slots)`` :meth:`Encoding.angle_matrix` of every row's angles.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,18 +47,44 @@ class Encoding(ABC):
         """The encoded statevector (default: simulate the circuit)."""
         return StatevectorSimulator().run(self.circuit(x))
 
+    def template(self) -> Optional[Circuit]:
+        """The circuit every row shares up to its gate angles.
+
+        Row ``x``'s circuit is this template with its angles replaced
+        by ``angle_matrix([x])[0]``. ``None`` (the default) when the
+        gates themselves depend on the row; such encodings are run one
+        circuit per row.
+        """
+        return None
+
+    def angle_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Gate angles of every row's circuit, ``(rows, slots)``.
+
+        Equal to :func:`~repro.quantum.statevector.gate_angles` of
+        ``[self.circuit(x) for x in X]``, computed without building
+        the circuits. Only encodings with a :meth:`template` have it.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no fixed template"
+        )
+
     def state_batch(self, X: np.ndarray) -> np.ndarray:
         """Encoded statevectors for every row of X, ``(batch, 2**n)``.
 
-        The default implementation routes all rows through
-        :meth:`StatevectorSimulator.run_batch`, which vectorizes the
-        whole batch in one pass whenever the encoding emits structurally
-        identical circuits (angle and IQP encodings do). Subclasses with
-        a closed form override this entirely.
+        Encodings with a :meth:`template` run it once over the
+        :meth:`angle_matrix` of all rows
+        (:meth:`StatevectorSimulator.run_angles`); the others route
+        one circuit per row through
+        :meth:`StatevectorSimulator.run_batch`. Subclasses with a
+        closed form override this entirely.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ValueError("state_batch needs at least one data point")
+        template = self.template()
+        if template is not None:
+            return StatevectorSimulator().run_angles(
+                template, self.angle_matrix(X))
         circuits = [self.circuit(x) for x in X]
         return StatevectorSimulator().run_batch(circuits)
 
@@ -67,6 +96,15 @@ class Encoding(ABC):
                 f"features, got {vec.size}"
             )
         return vec
+
+    def _validate_batch(self, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.num_features:
+            raise ValueError(
+                f"{type(self).__name__} expects {self.num_features} "
+                f"features, got {X.shape[-1]}"
+            )
+        return X
 
 
 class BasisEncoding(Encoding):
@@ -93,11 +131,7 @@ class BasisEncoding(Encoding):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ValueError("state_batch needs at least one data point")
-        if X.shape[1] != self.num_features:
-            raise ValueError(
-                f"{type(self).__name__} expects {self.num_features} "
-                f"features, got {X.shape[1]}"
-            )
+        X = self._validate_batch(X)
         if not np.isin(X, (0.0, 1.0)).all():
             raise ValueError("basis encoding requires 0/1 features")
         weights = 1 << np.arange(self.num_qubits - 1, -1, -1)
@@ -152,6 +186,13 @@ class AngleEncoding(Encoding):
                 qc.cx(qubit, qubit + 1)
         return qc
 
+    def template(self) -> Circuit:
+        return self.circuit(np.zeros(self.num_features))
+
+    def angle_matrix(self, X: np.ndarray) -> np.ndarray:
+        """``X * scaling``: one rotation angle per feature."""
+        return self._validate_batch(X) * self.scaling
+
 
 class IQPEncoding(Encoding):
     """Instantaneous-quantum-polynomial feature map.
@@ -193,6 +234,16 @@ class IQPEncoding(Encoding):
                 qc.rzz(float(vec[a] * vec[b]), a, b)
         return qc
 
+    def template(self) -> Circuit:
+        return self.circuit(np.zeros(self.num_features))
+
+    def angle_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Per repetition: the scaled features, then their pair products."""
+        scaled = self._validate_batch(X) * self.scaling
+        a, b = np.array(self._pairs(), dtype=int).reshape(-1, 2).T
+        layer = np.hstack([scaled, scaled[:, a] * scaled[:, b]])
+        return np.tile(layer, (1, self.depth))
+
 
 class AmplitudeEncoding(Encoding):
     """Pack up to ``2**n`` real features into state amplitudes.
@@ -224,11 +275,7 @@ class AmplitudeEncoding(Encoding):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[0] == 0:
             raise ValueError("state_batch needs at least one data point")
-        if X.shape[1] != self.num_features:
-            raise ValueError(
-                f"{type(self).__name__} expects {self.num_features} "
-                f"features, got {X.shape[1]}"
-            )
+        X = self._validate_batch(X)
         padded = np.zeros((X.shape[0], 2 ** self.num_qubits))
         padded[:, : X.shape[1]] = X
         norms = np.linalg.norm(padded, axis=1, keepdims=True)

@@ -61,7 +61,8 @@ def expectation_function(circuit: Circuit, observable,
 def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
                              observable,
                              values: Sequence[float],
-                             simulator: Optional[StatevectorSimulator] = None
+                             simulator: Optional[StatevectorSimulator] = None,
+                             angles: Optional[np.ndarray] = None
                              ) -> np.ndarray:
     """Exact gradient of ``<O>`` w.r.t. every circuit parameter.
 
@@ -81,8 +82,35 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
     shape ``(len(circuits), len(values))``, and all rows are
     evaluated in the same blocks. Circuits whose structure differs
     are evaluated one at a time.
+
+    With ``angles``, ``circuit`` is one template and ``angles`` a
+    ``(rows, slots)`` matrix in its :func:`gate_angles` layout, one
+    row per evaluation point (say, every data row's encoding angles
+    beside the ansatz). The columns of the template's symbolic slots
+    take the bound ``values``; the others are read as given. The
+    result has one gradient row per angle row, and no circuit is
+    built per row. The sequence form is this form applied to the
+    bound circuits' :func:`gate_angles`.
     """
     sim = simulator or StatevectorSimulator()
+    obs = _as_pauli_sum(observable)
+    if angles is not None:
+        if not isinstance(circuit, Circuit):
+            raise TypeError("the angle-matrix form takes one template")
+        layout = _symbolic_slots(circuit)
+        params = _parameters(layout)
+        bound = gate_angles([circuit.bind(_binding(params, values))])[0]
+        angles = np.array(angles, dtype=float)
+        if angles.ndim != 2 or angles.shape[1] != bound.size:
+            raise ValueError(
+                f"angles must be a (rows, {bound.size}) matrix, "
+                f"got shape {angles.shape}"
+            )
+        if angles.shape[0] < 1:
+            raise ValueError("parameter_shift_gradient needs an angle row")
+        columns = [slot for slot, _, _, _ in layout]
+        angles[:, columns] = bound[columns]
+        return _shift_gradients(sim, circuit, angles, layout, params, obs)
     single = isinstance(circuit, Circuit)
     circuits = [circuit] if single else list(circuit)
     if not circuits:
@@ -91,35 +119,39 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
     params = _parameters(layouts[0])
     if any(_parameters(layout) != params for layout in layouts[1:]):
         raise ValueError("circuits must share one parameter list")
-    values = list(values)
-    if len(values) != len(params):
-        raise ValueError(
-            f"expected {len(params)} values, got {len(values)}"
-        )
-    binding = dict(zip(params, values))
+    binding = _binding(params, values)
     bound = [c.bind(binding) for c in circuits]
-    telemetry.count("qml.gradient_evaluations", len(circuits))
-    obs = _as_pauli_sum(observable)
     if (all(layout == layouts[0] for layout in layouts[1:])
             and _structurally_identical(bound)):
-        gradients = _shift_gradients(sim, bound, layouts[0], params, obs)
+        gradients = _shift_gradients(sim, bound[0], gate_angles(bound),
+                                     layouts[0], params, obs)
     else:  # e.g. amplitude encodings that drop near-zero rotations
         gradients = np.vstack([
-            _shift_gradients(sim, [b], layout, params, obs)
+            _shift_gradients(sim, b, gate_angles([b]), layout, params, obs)
             for b, layout in zip(bound, layouts)
         ])
     return gradients[0] if single else gradients
 
 
-def _shift_gradients(sim: StatevectorSimulator, bound: List[Circuit],
-                     layout: List[tuple], params: List[Parameter],
-                     obs) -> np.ndarray:
-    """Gradient rows of structurally identical bound circuits.
+def _binding(params: List[Parameter], values: Sequence[float]) -> dict:
+    values = list(values)
+    if len(values) != len(params):
+        raise ValueError(
+            f"expected {len(params)} values, got {len(values)}"
+        )
+    return dict(zip(params, values))
 
-    ``layout`` lists the symbolic slots every circuit shares. The
-    shift plan is built once; angle row ``b * terms + t`` is circuit
-    ``b``'s bound angles with term ``t``'s shift added at its slot.
+
+def _shift_gradients(sim: StatevectorSimulator, template: Circuit,
+                     bound_angles: np.ndarray, layout: List[tuple],
+                     params: List[Parameter], obs) -> np.ndarray:
+    """Gradient rows of ``template`` at every row of ``bound_angles``.
+
+    ``layout`` lists the template's symbolic slots. The shift plan is
+    built once; angle row ``b * terms + t`` is row ``b``'s bound angles
+    with term ``t``'s shift added at its slot.
     """
+    telemetry.count("qml.gradient_evaluations", len(bound_angles))
     index = {id(p): k for k, p in enumerate(params)}
     plan = []  # (parameter index, slot, shift, chain-rule weight)
     for k, slot, scale, name in sorted(
@@ -131,25 +163,26 @@ def _shift_gradients(sim: StatevectorSimulator, bound: List[Circuit],
             shift, factor = _FD_EPS, 0.5 / _FD_EPS
         plan.append((k, slot, +shift, scale * factor))
         plan.append((k, slot, -shift, -scale * factor))
-    gradients = np.zeros((len(bound), len(params)))
+    points = len(bound_angles)
+    gradients = np.zeros((points, len(params)))
     if not plan:
         return gradients
     ks, slots, shifts, weights = (np.array(column) for column in zip(*plan))
     terms = len(plan)
-    angles = np.repeat(gate_angles(bound), terms, axis=0)
+    angles = np.repeat(bound_angles, terms, axis=0)
     rows = np.arange(len(angles))
-    angles[rows, np.tile(slots, len(bound))] += np.tile(shifts, len(bound))
-    circuit_of_row = rows // terms
-    param_of_row = np.tile(ks, len(bound))
-    weight_of_row = np.tile(weights, len(bound))
-    num_qubits = bound[0].num_qubits
+    angles[rows, np.tile(slots, points)] += np.tile(shifts, points)
+    point_of_row = rows // terms
+    param_of_row = np.tile(ks, points)
+    weight_of_row = np.tile(weights, points)
+    num_qubits = template.num_qubits
     block = max(1, _BLOCK_AMPLITUDES >> num_qubits)
     with telemetry.span("qml.parameter_shift"):
         for start in range(0, len(angles), block):
             chunk = slice(start, start + block)
-            states = sim.run_angles(bound[0], angles[chunk])
+            states = sim.run_angles(template, angles[chunk])
             np.add.at(gradients,
-                      (circuit_of_row[chunk], param_of_row[chunk]),
+                      (point_of_row[chunk], param_of_row[chunk]),
                       weight_of_row[chunk]
                       * obs.expectation(states, num_qubits))
     return gradients

@@ -18,11 +18,27 @@ from .. import telemetry
 from ..quantum.circuit import Circuit
 from ..quantum.operators import PauliSum, single_z
 from ..quantum.measurement import expectation_with_shots
-from ..quantum.statevector import StatevectorSimulator
+from ..quantum.statevector import StatevectorSimulator, gate_angles
 from .ansatz import build_ansatz
 from .encoding import AngleEncoding, Encoding
 from .gradients import parameter_shift_gradient
 from .optimizers import Adam, Optimizer, make_optimizer
+
+
+def _is_count(value) -> bool:
+    """True for an integer >= 1 (numpy ints too, bool not)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 1)
+
+
+def _checked_features(X: np.ndarray) -> np.ndarray:
+    """``X`` as a float matrix with at least one row, all finite."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] == 0:
+        raise ValueError("X has no rows")
+    if not np.isfinite(X).all():
+        raise ValueError("X contains non-finite values")
+    return X
 
 
 class _VariationalModel:
@@ -41,15 +57,14 @@ class _VariationalModel:
             encoding = AngleEncoding(encoding, scaling=math.pi)
         if not isinstance(encoding, Encoding):
             raise TypeError("encoding must be an Encoding or a feature count")
-        if epochs < 1:
-            raise ValueError("epochs must be positive")
-        if data_reuploads < 1:
-            raise ValueError("data_reuploads must be >= 1")
+        for name, value in (("epochs", epochs), ("num_layers", num_layers),
+                            ("data_reuploads", data_reuploads)):
+            if not _is_count(value):
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
         for name, value in (("batch_size", batch_size), ("shots", shots)):
-            if value is not None and (
-                    isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)
-                    or value < 1):
+            if value is not None and not _is_count(value):
                 raise ValueError(
                     f"{name} must be None or an integer >= 1, got {value!r}"
                 )
@@ -73,21 +88,42 @@ class _VariationalModel:
         )
         self.num_weights = len(self._weight_params)
         self._observable = PauliSum([single_z(0, encoding.num_qubits)])
+        # Encodings whose gates do not depend on the row give one
+        # template for every evaluation; the others build per row.
+        data_template = encoding.template()
+        self._model_template = (None if data_template is None
+                                else self._with_ansatz(data_template))
         self.weights_: Optional[np.ndarray] = None
         self.loss_history_: List[float] = []
 
     # ------------------------------------------------------------------
-    def _full_circuit(self, x: Sequence[float]) -> Circuit:
-        """Data-bound circuit with symbolic weights.
+    def _with_ansatz(self, data_circuit: Circuit) -> Circuit:
+        """``data_circuit`` followed by the symbolic ansatz.
 
         With ``data_reuploads > 1`` the encoding block is interleaved
         with fresh copies of the ansatz layers (simple re-uploading).
         """
-        data_circuit = self.encoding.circuit(x)
         full = data_circuit
         for _ in range(self.data_reuploads - 1):
             full = full.compose(self._template).compose(data_circuit)
         return full.compose(self._template)
+
+    def _full_circuit(self, x: Sequence[float]) -> Circuit:
+        """Data-bound circuit with symbolic weights."""
+        return self._with_ansatz(self.encoding.circuit(x))
+
+    def _angles(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Every row's gate angles in the model template's layout.
+
+        Per re-upload: the encoding's angle matrix, then the ansatz
+        bound once for all rows. Equal to :func:`gate_angles` of each
+        row's bound :meth:`_full_circuit`.
+        """
+        data = self.encoding.angle_matrix(rows)
+        ansatz = gate_angles([self._template.bind(
+            dict(zip(self._weight_params, weights)))])
+        block = np.hstack([data, np.repeat(ansatz, len(data), axis=0)])
+        return np.tile(block, (1, self.data_reuploads))
 
     def _raw_output(self, x: Sequence[float],
                     weights: np.ndarray) -> float:
@@ -105,6 +141,8 @@ class _VariationalModel:
                            weights: np.ndarray) -> np.ndarray:
         """Exact outputs for many rows in one batched simulator pass.
 
+        The pass is the model template over every row's angles when
+        the encoding has a template, else one bound circuit per row.
         Falls back to the per-sample shot-based estimator when the
         model is configured with a finite shot budget.
         """
@@ -112,10 +150,14 @@ class _VariationalModel:
             return np.array(
                 [self._raw_output(x, weights) for x in rows]
             )
-        binding = dict(zip(self._weight_params, weights))
-        circuits = [self._full_circuit(x).bind(binding) for x in rows]
-        telemetry.count("qml.circuit_evaluations", len(circuits))
-        states = self._sim.run_batch(circuits)
+        telemetry.count("qml.circuit_evaluations", len(rows))
+        if self._model_template is not None:
+            states = self._sim.run_angles(self._model_template,
+                                          self._angles(rows, weights))
+        else:
+            binding = dict(zip(self._weight_params, weights))
+            states = self._sim.run_batch(
+                [self._full_circuit(x).bind(binding) for x in rows])
         return self._observable.expectation(states, self.encoding.num_qubits)
 
     def _minibatch_gradient(self, rows: np.ndarray, targets: np.ndarray,
@@ -123,15 +165,23 @@ class _VariationalModel:
         """Gradient of the mean squared error over a minibatch.
 
         One pass for the outputs, then one batched parameter-shift
-        call over every row's circuit. The weight parameters appear in
-        template order in each composed circuit because the encoding
-        is fully bound, so the rows share one parameter list.
+        call over every row: the model template with every row's
+        angles when the encoding has a template, else every row's
+        circuit. The weight parameters appear in template order in
+        each composed circuit because the encoding is fully bound, so
+        the rows share one parameter list.
         """
         outputs = self._batch_raw_outputs(rows, weights)
-        row_gradients = parameter_shift_gradient(
-            [self._full_circuit(x) for x in rows], self._observable,
-            weights, simulator=self._sim,
-        )
+        if self._model_template is not None:
+            row_gradients = parameter_shift_gradient(
+                self._model_template, self._observable, weights,
+                simulator=self._sim, angles=self._angles(rows, weights),
+            )
+        else:
+            row_gradients = parameter_shift_gradient(
+                [self._full_circuit(x) for x in rows], self._observable,
+                weights, simulator=self._sim,
+            )
         grad = np.zeros(self.num_weights)
         for output, target, row in zip(outputs, targets, row_gradients):
             grad += 2.0 * (output - target) * row
@@ -139,7 +189,6 @@ class _VariationalModel:
 
     def _fit_targets(self, X: np.ndarray, targets: np.ndarray) -> None:
         """Minimize mean squared error between raw outputs and targets."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
         batch = min(self.batch_size or n, n)
         weights0 = self._rng.uniform(-0.1, 0.1, size=self.num_weights)
@@ -183,8 +232,7 @@ class _VariationalModel:
     def raw_outputs(self, X: np.ndarray) -> np.ndarray:
         """Model outputs ``<Z_0>`` in [-1, 1] for each row of X."""
         self._check_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._batch_raw_outputs(X, self.weights_)
+        return self._batch_raw_outputs(_checked_features(X), self.weights_)
 
 
 class VariationalClassifier(_VariationalModel):
@@ -204,9 +252,11 @@ class VariationalClassifier(_VariationalModel):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "VariationalClassifier":
         y = np.asarray(y).reshape(-1)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _checked_features(X)
         if X.shape[0] != y.size:
             raise ValueError("X and y length mismatch")
+        if np.issubdtype(y.dtype, np.inexact) and not np.isfinite(y).all():
+            raise ValueError("y contains non-finite values")
         self.classes_ = np.unique(y)
         if self.classes_.size != 2:
             raise ValueError("classifier is binary; got "
@@ -241,9 +291,11 @@ class VariationalRegressor(_VariationalModel):
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "VariationalRegressor":
         y = np.asarray(y, dtype=float).reshape(-1)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = _checked_features(X)
         if X.shape[0] != y.size:
             raise ValueError("X and y length mismatch")
+        if not np.isfinite(y).all():
+            raise ValueError("y contains non-finite values")
         lo, hi = float(y.min()), float(y.max())
         if hi == lo:
             self._scale, self._offset = 1.0, lo

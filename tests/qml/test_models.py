@@ -125,7 +125,47 @@ def test_classifier_rejects_bad_constructor_args():
             VariationalClassifier(2, batch_size=bad)
         with pytest.raises(ValueError, match="shots"):
             VariationalClassifier(2, shots=bad)
+        for name in ("epochs", "num_layers", "data_reuploads"):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be an integer >= 1"):
+                VariationalClassifier(2, **{name: bad})
     VariationalClassifier(2, batch_size=np.int64(3), shots=1)
+    clf = VariationalClassifier(2, epochs=np.int64(2),
+                                num_layers=np.int32(1),
+                                data_reuploads=np.int64(2))
+    X, y = make_linearly_separable(6, seed=0)
+    assert len(clf.fit(X, y).loss_history_) == 2
+
+
+@pytest.mark.parametrize("cls", [VariationalClassifier, VariationalRegressor])
+def test_fit_and_predict_reject_bad_inputs(cls):
+    X, y = make_linearly_separable(8, seed=1)
+    y = y.astype(float)
+    model = cls(2, num_layers=1, epochs=1, seed=0)
+    for bad in (np.nan, np.inf, -np.inf):
+        features = X.copy()
+        features[3, 1] = bad
+        with pytest.raises(ValueError, match="X contains non-finite"):
+            model.fit(features, y)
+        targets = y.copy()
+        targets[2] = bad
+        with pytest.raises(ValueError, match="y contains non-finite"):
+            model.fit(X, targets)
+    with pytest.raises(ValueError, match="X has no rows"):
+        model.fit(np.empty((0, 2)), np.empty(0))
+    model.fit(X, y)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="X contains non-finite"):
+            model.predict(np.array([[0.1, bad]]))
+    with pytest.raises(ValueError, match="X has no rows"):
+        model.predict(np.empty((0, 2)))
+    # A wrong feature count still raises the encoding's own message.
+    with pytest.raises(ValueError,
+                       match="AngleEncoding expects 2 features, got 3"):
+        model.predict(np.ones((2, 3)))
+    with pytest.raises(ValueError,
+                       match="AngleEncoding expects 2 features, got 3"):
+        cls(2, num_layers=1, epochs=1).fit(np.ones((4, 3)), y[:4])
 
 
 def test_classifier_shot_based_outputs_are_noisy_but_bounded():
