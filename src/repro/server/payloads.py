@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -104,6 +105,48 @@ class ModelEnergy:
         return float(self.model.energies(spins)[0])
 
 
+def _index(raw: Any, what: str) -> int:
+    """A term index: a JSON integer >= 0, or the decimal string of one
+    (object keys are strings). Fractions and booleans are refused, not
+    truncated."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            pass
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise PayloadError(f"{what} index {raw!r} is not an integer")
+    if raw < 0:
+        raise PayloadError(f"{what} index {raw} is negative")
+    return raw
+
+
+def _finite(raw: Any, what: str) -> float:
+    """A JSON number (or numeric string) as a float; NaN, infinities
+    and booleans are refused."""
+    value = math.nan
+    if not isinstance(raw, bool):
+        try:
+            value = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if not math.isfinite(value):
+        raise PayloadError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
+def _declared_count(spec: Dict[str, Any], key: str) -> Optional[int]:
+    """``spec[key]`` when given: an integer >= 1 (booleans and
+    fractions are refused, not truncated)."""
+    declared = spec.get(key)
+    if declared is not None and (isinstance(declared, bool)
+                                 or not isinstance(declared, int)
+                                 or declared < 1):
+        raise PayloadError(
+            f"{key} must be an integer >= 1, got {declared!r}")
+    return declared
+
+
 def _coerce_terms(value: Any, what: str) -> Dict[int, float]:
     """``{"0": -1.0}`` or ``[[0, -1.0], ...]`` -> ``{0: -1.0}``."""
     if value is None:
@@ -122,13 +165,8 @@ def _coerce_terms(value: Any, what: str) -> Dict[int, float]:
         raise PayloadError(f"{what} must be an object or a pair list")
     terms: Dict[int, float] = {}
     for raw_index, raw_value in items:
-        try:
-            index = int(raw_index)
-            coefficient = float(raw_value)
-        except (TypeError, ValueError):
-            raise PayloadError(
-                f"{what} has non-numeric entry "
-                f"[{raw_index!r}, {raw_value!r}]") from None
+        index = _index(raw_index, what)
+        coefficient = _finite(raw_value, f"{what} coefficient")
         terms[index] = terms.get(index, 0.0) + coefficient
     return terms
 
@@ -157,12 +195,8 @@ def _coerce_pairs(value: Any, what: str) -> List[Tuple[int, int, float]]:
     else:
         raise PayloadError(f"{what} must be a triple list or an object")
     for raw_u, raw_v, raw_c in entries:
-        try:
-            triples.append((int(raw_u), int(raw_v), float(raw_c)))
-        except (TypeError, ValueError):
-            raise PayloadError(
-                f"{what} has non-numeric triple "
-                f"[{raw_u!r}, {raw_v!r}, {raw_c!r}]") from None
+        triples.append((_index(raw_u, what), _index(raw_v, what),
+                        _finite(raw_c, f"{what} coefficient")))
     return triples
 
 
@@ -178,19 +212,16 @@ def build_problem(spec: Any) -> CompiledProblem:
     if kind not in ("qubo", "ising"):
         raise PayloadError(
             f"problem kind must be 'qubo' or 'ising', got {kind!r}")
-    try:
-        offset = float(spec.get("offset", 0.0))
-    except (TypeError, ValueError):
-        raise PayloadError("offset must be a number") from None
+    offset = _finite(spec.get("offset", 0.0), "offset")
 
     if kind == "qubo":
         linear = _coerce_terms(spec.get("linear"), "linear")
         quadratic = _coerce_pairs(spec.get("quadratic"), "quadratic")
-        declared = spec.get("num_variables")
+        declared = _declared_count(spec, "num_variables")
         highest = max(
             [index for index in linear] +
             [max(u, v) for u, v, _ in quadratic] + [-1])
-        num_variables = (int(declared) if declared is not None
+        num_variables = (declared if declared is not None
                          else highest + 1)
         if num_variables < 1:
             raise PayloadError("problem declares no variables")
@@ -209,10 +240,11 @@ def build_problem(spec: Any) -> CompiledProblem:
     else:
         h = _coerce_terms(spec.get("h"), "h")
         j = _coerce_pairs(spec.get("j"), "j")
-        declared = spec.get("num_spins", spec.get("num_variables"))
+        declared = _declared_count(
+            spec, "num_spins" if "num_spins" in spec else "num_variables")
         highest = max([index for index in h] +
                       [max(u, v) for u, v, _ in j] + [-1])
-        num_spins = int(declared) if declared is not None else highest + 1
+        num_spins = declared if declared is not None else highest + 1
         if num_spins < 1:
             raise PayloadError("problem declares no spins")
         if highest >= num_spins:
@@ -226,6 +258,14 @@ def build_problem(spec: Any) -> CompiledProblem:
             key = (min(u, v), max(u, v))
             couplings[key] = couplings.get(key, 0.0) + coefficient
         model = IsingModel(num_spins, h=h, j=couplings, offset=offset)
+    # Each coefficient is finite, but repeated terms add up and can
+    # overflow.
+    coefficients = ((model.linear, model.quadratic) if kind == "qubo"
+                    else (model.h, model.j))
+    if not all(math.isfinite(value)
+               for terms in coefficients for value in terms.values()):
+        raise PayloadError("problem coefficients sum to a non-finite "
+                           "value")
 
     variables = VariableRegistry()
     for index in range(model.num_variables
@@ -300,10 +340,7 @@ def parse_submission(body: Any) -> Submission:
         raise PayloadError("priority must be an integer")
     deadline = body.get("deadline")
     if deadline is not None:
-        try:
-            deadline = float(deadline)
-        except (TypeError, ValueError):
-            raise PayloadError("deadline must be a number") from None
+        deadline = _finite(deadline, "deadline")
         if deadline <= 0:
             raise PayloadError("deadline must be positive")
     tag = body.get("tag")

@@ -8,10 +8,11 @@ at once under latency budgets:
 
 * :class:`SolveService` — bounded priority job queue feeding a
   *persistent warm worker pool* (solver registry imported once per
-  worker, each model pickled to a worker once, hard deadline reaping
-  with respawn) or threads, with :class:`JobHandle` futures,
-  cancellation, cross-job batching of same-model submissions and
-  batch :meth:`~SolveService.solve_many`.
+  worker, each task's model pickled through the worker pipe, hard
+  deadline reaping with respawn) or threads, both running one member
+  loop, with :class:`JobHandle` futures, cancellation, cross-job
+  batching of same-model submissions and batch
+  :meth:`~SolveService.solve_many`.
 * :class:`ResultCache` — content-addressed LRU over
   :meth:`CompiledProblem.content_key` + solver + config + seed, with
   in-flight request coalescing.
@@ -39,7 +40,12 @@ and verifies service results are bit-for-bit identical to sequential
 """
 
 from .cache import ResultCache, cache_key
-from .pool import WarmWorkerPool
+from .pool import (
+    WarmWorkerPool,
+    WorkerCancelled,
+    WorkerCrashed,
+    WorkerTimeout,
+)
 from .portfolio import PortfolioError, race
 from .queue import Job, JobQueue, JobStatus, QueueFullError
 from .service import (
@@ -48,11 +54,6 @@ from .service import (
     JobTimeoutError,
     ServiceError,
     SolveService,
-)
-from .workers import (
-    WorkerCancelled,
-    WorkerCrashed,
-    WorkerTimeout,
 )
 
 __all__ = [

@@ -360,9 +360,8 @@ def main(argv) -> int:
         if stats.get("pool") is not None:
             pool = stats["pool"]
             print(f"pool: {pool['size']} warm workers, "
-                  f"{pool['jobs_run']} jobs, "
-                  f"{pool['dispatches_warm']} warm / "
-                  f"{pool['dispatches_cold']} cold dispatches, "
+                  f"{pool['jobs_run']} jobs in "
+                  f"{pool['dispatches_cold']} round trips, "
                   f"{pool['respawns']} respawns")
 
     if collector is not None:

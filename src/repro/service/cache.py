@@ -66,8 +66,7 @@ def cache_key(problem: CompiledProblem, solver: str,
     ``repair``, which changes the returned best solution.
     ``problem_key`` lets a caller that already holds
     ``problem.content_key()`` (the service computes it once per
-    submission for batching and model dispatch) pass it in instead of
-    re-deriving it.
+    submission for batching) pass it in instead of re-deriving it.
     """
     if config.seed is None:
         return None

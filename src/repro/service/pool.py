@@ -1,16 +1,18 @@
-"""Persistent warm worker pool with cross-job batching.
+"""Persistent warm worker pool with cross-job batching, and the member
+loop both service modes run.
 
 * :class:`WarmWorkerPool` — spawns ``size`` worker processes once per
   :class:`~repro.service.SolveService`. Each worker holds the solver
   registry imported and warm, and loops on a duplex pipe pulling task
   batches until drained.
-* **Model dispatch** — a task message pickles the model through the
-  worker pipe only when the slot's worker does not already hold it.
-  Workers keep an LRU of models keyed by
-  :meth:`CompiledProblem.content_key`, and the parent mirrors each
-  slot's keys in a per-slot record updated with the same calls in the
-  same order, so a *warm* dispatch sends the key alone and a *cold*
-  one ships the model. A respawned worker starts with an empty record.
+* **One member loop** — :func:`_run_members` runs a batch's jobs on
+  the batch's bare model in both modes: inside the warm worker in
+  ``process`` mode, and on the dispatcher thread through
+  :func:`run_inline` (soft deadlines) in ``thread`` mode.
+* **Model dispatch** — every task message pickles its model through
+  the worker pipe, and workers keep no model between tasks: a round
+  trip of a 10-366-term model (0.11-0.33 ms on a 2-vCPU Xeon) is
+  small beside the solver kernel.
 * **Cross-job batching** — one task message carries *several* jobs
   (same model, same registry solver, independent configs/seeds); the
   worker answers them in one round trip. Each job still runs its own
@@ -39,8 +41,8 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -55,12 +57,6 @@ from ..telemetry.collector import Collector
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.progress import ProgressTrace
 from ..telemetry.trace import Tracer
-from .workers import (
-    WorkerCancelled,
-    WorkerCrashed,
-    WorkerTimeout,
-    _reap,
-)
 
 __all__ = [
     "WarmWorkerPool",
@@ -70,9 +66,9 @@ __all__ = [
 #: before the pool gives up and kills it.
 DRAIN_TIMEOUT_SECONDS = 10.0
 
-#: Models each worker keeps, and content keys each parent-side slot
-#: record mirrors.
-WORKER_MODEL_CACHE = 64
+#: Seconds granted for a terminated worker to exit before escalating
+#: from SIGTERM to SIGKILL.
+REAP_GRACE_SECONDS = 1.0
 
 #: Most recent per-job attribution entries a worker ships at drain.
 WORKER_ATTRIBUTION_LOG = 1024
@@ -85,31 +81,46 @@ def _respawns_counter(registry: "_metrics.MetricsRegistry"):
     )
 
 
-def _pool_dispatch_counter(registry: "_metrics.MetricsRegistry"):
-    return registry.counter(
-        "service_pool_dispatch_total",
-        "warm-pool task dispatches by model residency (warm = model "
-        "already cached in the worker, cold = shipped this dispatch)",
-        ("kind",),
-    )
+class WorkerTimeout(Exception):
+    """The job blew its deadline; the worker (if any) was reaped."""
 
 
-def _cache_model(cache: "OrderedDict[str, Any]", key: str,
-                 model: Any = None) -> None:
-    """Insert or refresh ``key`` in an LRU of ``WORKER_MODEL_CACHE``.
+class WorkerCancelled(Exception):
+    """The job was cancelled while running; the worker was reaped."""
 
-    The worker caches models with it; the parent mirrors each slot's
-    keys with it, calling it once per ok reply in dispatch order, so
-    both sides evict the same key.
+
+class WorkerCrashed(Exception):
+    """The worker process died or broke the pipe protocol."""
+
+
+def _reap(process) -> None:
+    """Terminate and join a worker process, escalating to SIGKILL.
+
+    Idempotent: a second call on an already-closed Process object is a
+    no-op (``is_alive`` raises ValueError once closed).
     """
-    cache[key] = model
-    cache.move_to_end(key)
-    while len(cache) > WORKER_MODEL_CACHE:
-        cache.popitem(last=False)
+    try:
+        alive = process.is_alive()
+    except ValueError:
+        return
+    if alive:
+        process.terminate()
+        process.join(REAP_GRACE_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join(REAP_GRACE_SECONDS)
+    else:
+        process.join(REAP_GRACE_SECONDS)
+    # Release the Process object's pipe/sentinel file descriptors.
+    if hasattr(process, "close"):
+        try:
+            process.close()
+        except ValueError:
+            pass
 
 
 # ----------------------------------------------------------------------
-# Worker-process side
+# The member loop (inside a warm worker, or inline in thread mode)
 # ----------------------------------------------------------------------
 def _compact_samples(samples: SampleSet) -> Dict[str, Any]:
     """Lower a SampleSet to flat arrays for the result pipe."""
@@ -138,7 +149,7 @@ def expand_samples(compact: Dict[str, Any]) -> SampleSet:
 def _run_member(model: Any, solver: str, config: SolverConfig,
                 job_id: Optional[int] = None,
                 trace_id: Optional[str] = None) -> Dict[str, Any]:
-    """One job inside the warm worker: solve, compact, never raise.
+    """One job of the member loop: solve, compact, never raise.
 
     When the parent shipped a trace id for the member (context layer
     enabled), the whole solve runs under an activated worker-side
@@ -177,6 +188,48 @@ def _run_member(model: Any, solver: str, config: SolverConfig,
         return {"ok": False, "traceback": traceback.format_exc()}
 
 
+def _run_members(model: Any, members: List[Tuple[Any, ...]]
+                 ) -> List[Dict[str, Any]]:
+    """Every ``(job_id, solver, config, trace_id)`` member of one
+    batch, in order, on the batch's shared model."""
+    return [_run_member(model, solver, config, job_id=job_id,
+                        trace_id=trace_id)
+            for job_id, solver, config, trace_id in members]
+
+
+@dataclass
+class BatchOutcome:
+    """Parent-side view of one batch's round trip."""
+
+    pid: int
+    results: List[Dict[str, Any]]
+
+
+def run_inline(leader, members: List[Tuple[Any, ...]], model: Any,
+               deadline: Optional[float] = None) -> BatchOutcome:
+    """Thread mode's round trip: the member loop on the calling thread.
+
+    Telemetry flows into the process-global state directly, so there
+    is no snapshot to merge at drain. The deadline is soft: a Python
+    thread cannot be preempted, so an overdue batch is detected after
+    the run and its results discarded (:class:`WorkerTimeout`).
+    """
+    start = time.perf_counter()
+    results = _run_members(model, members)
+    duration = time.perf_counter() - start
+    if deadline is not None and duration > deadline:
+        raise WorkerTimeout(
+            f"job {leader.job_id} ({leader.solver}) exceeded its "
+            f"{deadline:g}s deadline (ran {duration:.3f}s); thread "
+            "workers enforce deadlines post-hoc — use mode='process' "
+            "for hard reaping"
+        )
+    return BatchOutcome(pid=os.getpid(), results=results)
+
+
+# ----------------------------------------------------------------------
+# Worker-process side
+# ----------------------------------------------------------------------
 def _capture_payload(collector, tracer, registry,
                      jobs: Optional[List[Dict[str, Any]]] = None
                      ) -> Dict[str, Any]:
@@ -231,7 +284,6 @@ def _warm_worker_main(connection, index: int,
             _profiler.enable_profiling()
 
     ensure_capture(capture)
-    models: "OrderedDict[str, Any]" = OrderedDict()
     jobs_log: deque = deque(maxlen=WORKER_ATTRIBUTION_LOG)
     try:
         while True:
@@ -246,17 +298,11 @@ def _warm_worker_main(connection, index: int,
                      _capture_payload(collector, tracer, registry,
                                       jobs=list(jobs_log))))
                 return
-            _, task_id, flags, model_key, model, members = message
+            _, task_id, flags, model, members = message
             ensure_capture(flags)
-            if model is None:  # warm dispatch: the parent sent the key
-                model = models[model_key]
-            _cache_model(models, model_key, model)
-            results = []
-            for member in members:
-                job_id, solver, config = member[0], member[1], member[2]
-                trace_id = member[3] if len(member) > 3 else None
-                result = _run_member(model, solver, config,
-                                     job_id=job_id, trace_id=trace_id)
+            results = _run_members(model, members)
+            for (job_id, solver, _config, trace_id), result in zip(
+                    members, results):
                 jobs_log.append({
                     "job_id": job_id,
                     "trace_id": trace_id,
@@ -264,7 +310,6 @@ def _warm_worker_main(connection, index: int,
                     "ok": result["ok"],
                     "duration": result.get("duration"),
                 })
-                results.append(result)
             connection.send(("ok", task_id, os.getpid(), results))
     finally:
         try:
@@ -283,18 +328,6 @@ class _WarmWorker:
     connection: Any
     task_counter: int = 0
     jobs_run: int = 0
-    #: Content keys of the models this worker holds, mirrored from its
-    #: cache (values unused); a respawned worker starts with none.
-    models: "OrderedDict[str, None]" = field(default_factory=OrderedDict)
-
-
-@dataclass
-class BatchOutcome:
-    """Parent-side view of one warm-worker round trip."""
-
-    pid: int
-    model_was_cached: bool
-    results: List[Dict[str, Any]]
 
 
 class WarmWorkerPool:
@@ -314,8 +347,7 @@ class WarmWorkerPool:
         self._context = context
         self._lock = threading.Lock()
         self.respawns = 0
-        self.dispatches_warm = 0
-        self.dispatches_cold = 0
+        self.round_trips = 0
         registry = _metrics.get_registry()
         if registry is not None:
             # Create the counter eagerly so a healthy run exports an
@@ -373,8 +405,7 @@ class WarmWorkerPool:
 
     # -- execution -------------------------------------------------------
     def execute(self, index: int, leader,
-                members: List[Tuple[Any, ...]],
-                model_key: str, model: Any,
+                members: List[Tuple[Any, ...]], model: Any,
                 deadline: Optional[float] = None,
                 publish_process: bool = True) -> BatchOutcome:
         """Run one task batch on slot ``index``; reap+respawn on harm.
@@ -386,14 +417,9 @@ class WarmWorkerPool:
         from a genuine crash. Raises :class:`WorkerTimeout`,
         :class:`WorkerCancelled` or :class:`WorkerCrashed`.
 
-        ``model`` (whose content key is ``model_key``) is pickled into
-        the task only when the slot's record says the worker does not
-        hold it; otherwise the key alone rides the pipe (a *warm*
-        dispatch).
-
-        Each member is ``(job_id, solver, config)`` with an optional
-        fourth ``trace_id`` element; the id rides the pipe so the
-        worker can attribute its telemetry to the parent's trace.
+        Each member is ``(job_id, solver, config, trace_id)``; the
+        trace id rides the pipe so the worker can attribute its
+        telemetry to the parent's trace.
         """
         worker = self.worker(index)
         with leader.lock:
@@ -409,12 +435,9 @@ class WarmWorkerPool:
                 leader.process = worker.process
         worker.task_counter += 1
         task_id = worker.task_counter
-        wire_members = [tuple(member) for member in members]
-        warm = model_key in worker.models
         try:
             worker.connection.send(
-                ("run", task_id, self._capture_flags(), model_key,
-                 None if warm else model, wire_members))
+                ("run", task_id, self._capture_flags(), model, members))
             reply = self._await_reply(worker, leader, task_id, deadline)
         except (WorkerTimeout, WorkerCancelled, WorkerCrashed):
             self._respawn(worker)
@@ -430,19 +453,10 @@ class WarmWorkerPool:
                 with leader.lock:
                     leader.process = None
         _status, _task, pid, results = reply
-        _cache_model(worker.models, model_key)
         worker.jobs_run += len(members)
         with self._lock:
-            if warm:
-                self.dispatches_warm += 1
-            else:
-                self.dispatches_cold += 1
-        registry = _metrics.get_registry()
-        if registry is not None:
-            _pool_dispatch_counter(registry).labels(
-                kind="warm" if warm else "cold").inc()
-        return BatchOutcome(pid=pid, model_was_cached=warm,
-                            results=results)
+            self.round_trips += 1
+        return BatchOutcome(pid=pid, results=results)
 
     def _await_reply(self, worker: _WarmWorker, leader, task_id: int,
                      deadline: Optional[float]):
@@ -543,8 +557,10 @@ class WarmWorkerPool:
                 "pids": [self._pid(worker.process)
                          for worker in self._workers],
                 "respawns": self.respawns,
-                "dispatches_warm": self.dispatches_warm,
-                "dispatches_cold": self.dispatches_cold,
+                # perfbench/pipeline_batch.py reads both keys. Every
+                # task pickles its model, so no dispatch is warm.
+                "dispatches_warm": 0,
+                "dispatches_cold": self.round_trips,
                 "jobs_run": sum(worker.jobs_run
                                 for worker in self._workers),
             }

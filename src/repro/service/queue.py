@@ -62,9 +62,9 @@ class Job:
     priority: int = 0
     deadline: Optional[float] = None
     cache_key: Optional[str] = None
-    #: ``problem.content_key()`` — the warm pool's batch folding and
-    #: model dispatch both key on it, so it is computed once at submit
-    #: and carried on the job.
+    #: ``problem.content_key()`` — batch folding and the result cache
+    #: key both use it, so it is computed once at submit and carried
+    #: on the job.
     model_key: Optional[str] = None
     #: Trace-context id correlating this job's events across layers
     #: (queue, dispatch, worker, cache); ``None`` when the context

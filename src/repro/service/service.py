@@ -8,13 +8,15 @@ call into a managed execution subsystem:
   convergence tri-state), puts it on a bounded priority queue and
   returns a :class:`JobHandle` with status, result waiting and
   cancellation.
-* **warm worker pool** — N dispatcher threads execute jobs either
-  inline (``mode="thread"``) or on *persistent* worker processes
-  (``mode="process"``, the default): each dispatcher owns one
-  long-lived worker with the solver registry imported and warm, a
-  model crosses the worker pipe only when that worker does not hold it
-  yet (:mod:`repro.service.pool`), and hard per-job deadlines still
-  reap (and then respawn) a stuck worker.
+* **warm worker pool** — N dispatcher threads run every job through
+  one sequence: fold, the member loop, decode, resolve. The modes
+  differ only in where the member loop runs: on *persistent* worker
+  processes (``mode="process"``, the default), where each dispatcher
+  owns one long-lived worker with the solver registry imported and
+  warm, every task pickles its model through the worker pipe
+  (:mod:`repro.service.pool`), and hard per-job deadlines reap (and
+  then respawn) a stuck worker; or inline on the dispatcher thread
+  (``mode="thread"``), with deadlines checked after the run.
 * **cross-job batching** — deadline-free jobs on the *same model and
   solver* as a job being dispatched fold into its worker round trip,
   so N same-model jobs with different seeds/configs cost one dispatch.
@@ -35,7 +37,9 @@ code path (:func:`repro.compile.assemble_result`).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import numbers
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
@@ -53,14 +57,15 @@ from ..compile.dispatch import (
 )
 from ..compile.ir import CompiledProblem
 from .cache import ResultCache, cache_key
-from .pool import WarmWorkerPool, expand_samples
-from .queue import Job, JobQueue, JobStatus, QueueFullError
-from .workers import (
+from .pool import (
+    WarmWorkerPool,
     WorkerCancelled,
     WorkerCrashed,
     WorkerTimeout,
-    execute_inline,
+    expand_samples,
+    run_inline,
 )
+from .queue import Job, JobQueue, JobStatus, QueueFullError
 
 __all__ = [
     "JobCancelledError",
@@ -85,6 +90,21 @@ def _jobs_total(registry: "_metrics.MetricsRegistry"):
 def _queue_depth(registry: "_metrics.MetricsRegistry"):
     return registry.gauge("service_queue_depth",
                           "jobs queued but not yet dispatched")
+
+
+def _checked_deadline(deadline: Any) -> Optional[float]:
+    """``deadline`` when it is ``None`` or a finite number of seconds
+    above zero; :class:`ValueError` otherwise. NaN compares false with
+    everything, so a bare ``deadline <= 0`` test lets it through."""
+    if deadline is not None and (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, numbers.Real)
+            or not math.isfinite(deadline) or deadline <= 0):
+        raise ValueError(
+            "deadline must be None or a finite number of seconds > 0, "
+            f"got {deadline!r}"
+        )
+    return deadline
 
 
 class ServiceError(RuntimeError):
@@ -205,7 +225,8 @@ class SolveService:
         with it request coalescing).
     default_deadline:
         Per-job wall-clock budget in seconds applied when ``submit``
-        gets no explicit ``deadline``; ``None`` means unbounded.
+        gets no explicit ``deadline``; ``None`` means unbounded, and
+        anything else must be a finite number above zero.
     start_method:
         ``multiprocessing`` start method for process workers (``None``
         = platform default, ``fork`` on Linux).
@@ -214,6 +235,8 @@ class SolveService:
         When a dispatcher takes a deadline-free job, up to
         ``batch_limit - 1`` queued jobs on the same model and solver
         fold into its dispatch. ``1`` disables cross-job batching.
+        Folding saves a pipe round trip; thread mode has none to save,
+        so it folds nothing.
     """
 
     def __init__(self, max_workers: int = 2, mode: str = "process",
@@ -233,8 +256,11 @@ class SolveService:
             raise ValueError("batch_limit must be positive")
         self.max_workers = max_workers
         self.mode = mode
-        self.default_deadline = default_deadline
-        self.batch_limit = batch_limit
+        self.default_deadline = _checked_deadline(default_deadline)
+        self.batch_limit = batch_limit if mode == "process" else 1
+        #: ``provenance["service"]["dispatch"]``: process mode ships
+        #: every model through the pipe, thread mode ships none.
+        self._dispatch_kind = "cold" if mode == "process" else "inline"
         self._context = (multiprocessing.get_context(start_method)
                          if mode == "process" else None)
         self._queue = JobQueue(queue_capacity)
@@ -273,7 +299,8 @@ class SolveService:
         Validation happens *here*, not in the worker: unknown solver
         names, pre-configured solver instances (the in-process escape
         hatch of :func:`repro.compile.solve` — unpicklable and
-        unsupported across workers) and unpicklable configs all raise
+        unsupported across workers), unpicklable configs and
+        deadlines that are not a finite number above zero all raise
         :class:`ValueError` before the job is enqueued. Higher
         ``priority`` dequeues first; ``deadline`` seconds of wall
         clock are enforced by reaping (process mode). ``block=True``
@@ -306,8 +333,7 @@ class SolveService:
             config.require_picklable()
         if deadline is None:
             deadline = self.default_deadline
-        if deadline is not None and deadline <= 0:
-            raise ValueError("deadline must be positive seconds")
+        _checked_deadline(deadline)
 
         # Trace context: inherit the caller's trace (pipeline entry)
         # or start a fresh one per submission — minted outside the
@@ -320,11 +346,11 @@ class SolveService:
                         else context_state.new_trace_id())
 
         # Computed once per submission: the cache key, the coalescing
-        # map, warm model dispatch and batch folding all key on it
-        # (and content_key memoizes on the problem anyway).
+        # map and batch folding all key on it (and content_key
+        # memoizes on the problem anyway).
         problem_key = (problem.content_key()
                        if (self._cache is not None
-                           or self.mode == "process") else None)
+                           or self.batch_limit > 1) else None)
         key = (cache_key(problem, solver, config, repair=repair,
                          problem_key=problem_key)
                if self._cache is not None else None)
@@ -598,12 +624,6 @@ class SolveService:
             if payload is not None:
                 self._merge_drain_payload(payload)
 
-    def _execute(self, job: Job, index: int) -> None:
-        if self.mode == "process":
-            self._execute_batch(job, index)
-        else:
-            self._execute_inline(job)
-
     def _fold_batch(self, job: Job, registry) -> List[Job]:
         """The jobs riding this dispatch: the leader plus any queued
         deadline-free jobs on the same model and solver."""
@@ -631,8 +651,10 @@ class SolveService:
                 _queue_depth(registry).set(len(self._queue))
         return members
 
-    def _execute_batch(self, job: Job, index: int) -> None:
-        """Run a job (plus foldable queued jobs) on the warm worker."""
+    def _execute(self, job: Job, index: int) -> None:
+        """Run a job, plus any foldable queued jobs, through the member
+        loop: down slot ``index``'s pipe in process mode, on this
+        dispatcher thread in thread mode."""
         registry = _metrics.get_registry()
         members = self._fold_batch(job, registry)
         queue_seconds = {member.job_id:
@@ -652,20 +674,23 @@ class SolveService:
         _flight.flight_event("job", "dispatching",
                              trace_id=job.trace_id, job_id=job.job_id,
                              solver=job.solver, batched=len(members))
+        wire_members = [(member.job_id, member.solver, member.config,
+                         member.trace_id) for member in members]
         try:
             with _context.activate(job.trace_id, job_id=job.job_id,
                                    stage="dispatch"):
                 with telemetry.span(
                         f"service.execute.{job.problem.name}"):
-                    outcome = self._pool.execute(
-                        index, job,
-                        [(member.job_id, member.solver, member.config,
-                          member.trace_id)
-                         for member in members],
-                        job.model_key, job.problem.model,
-                        deadline=job.deadline,
-                        publish_process=(len(members) == 1),
-                    )
+                    if self._pool is not None:
+                        outcome = self._pool.execute(
+                            index, job, wire_members, job.problem.model,
+                            deadline=job.deadline,
+                            publish_process=(len(members) == 1),
+                        )
+                    else:
+                        outcome = run_inline(job, wire_members,
+                                             job.problem.model,
+                                             deadline=job.deadline)
         except WorkerTimeout as exc:
             status = JobStatus.TIMEOUT
             message = str(exc)
@@ -686,14 +711,13 @@ class SolveService:
                     elapsed)
         tracer = telemetry.get_tracer()
         if outcome is not None and tracer is not None:
-            kind = "warm" if outcome.model_was_cached else "cold"
             for member in members:
                 tracer.instant(
                     "service.job.dispatch", category="service",
                     args={"trace_id": member.trace_id,
                           "job_id": member.job_id,
                           "solver": member.solver,
-                          "dispatch": kind,
+                          "dispatch": self._dispatch_kind,
                           "worker_pid": outcome.pid,
                           "queue_seconds": queue_seconds[member.job_id],
                           "batched": len(members)})
@@ -744,8 +768,7 @@ class SolveService:
                 "coalesced": member.coalesced,
                 "cache": ("miss" if member.cache_key is not None
                           else "off"),
-                "dispatch": ("warm" if outcome.model_was_cached
-                             else "cold"),
+                "dispatch": self._dispatch_kind,
                 "batched": batch_size,
             }
             if member.trace_id is not None:
@@ -766,81 +789,6 @@ class SolveService:
             return
         self._finish(member, JobStatus.DONE, result, None,
                      queue_seconds, registry)
-
-    def _execute_inline(self, job: Job) -> None:
-        queue_seconds = job.started_at - job.submitted_at
-        status = JobStatus.FAILED
-        result: Optional[SolveResult] = None
-        error: Optional[BaseException] = None
-        registry = _metrics.get_registry()
-        if registry is not None:
-            registry.histogram(
-                "service_queue_wait_seconds",
-                "wall clock from submit to dispatch"
-            ).observe(queue_seconds)
-        execute_start = time.perf_counter()
-        try:
-            with _context.activate(job.trace_id, job_id=job.job_id,
-                                   stage="dispatch"):
-                with telemetry.span(
-                        f"service.execute.{job.problem.name}"):
-                    outcome = execute_inline(
-                        job, job.problem.model, job.solver, job.config,
-                        deadline=job.deadline,
-                    )
-                    solutions = decode_samples(job.problem,
-                                               outcome.samples)
-                    service_block: Dict[str, Any] = {
-                        "job_id": job.job_id,
-                        "mode": self.mode,
-                        "worker_pid": outcome.pid,
-                        "queue_seconds": queue_seconds,
-                        "deadline": job.deadline,
-                        "coalesced": job.coalesced,
-                        "cache": ("miss" if job.cache_key is not None
-                                  else "off"),
-                        "dispatch": "inline",
-                        "batched": 1,
-                    }
-                    if job.trace_id is not None:
-                        service_block["trace_id"] = job.trace_id
-                    result = assemble_result(
-                        job.problem, job.solver, job.config,
-                        outcome.samples, solutions, outcome.duration,
-                        convergence=outcome.convergence,
-                        repair=job.repair,
-                        provenance_extra={"service": service_block},
-                    )
-            tracer = telemetry.get_tracer()
-            if tracer is not None:
-                tracer.instant(
-                    "service.job.dispatch", category="service",
-                    args={"trace_id": job.trace_id,
-                          "job_id": job.job_id,
-                          "solver": job.solver,
-                          "dispatch": "inline",
-                          "worker_pid": outcome.pid,
-                          "queue_seconds": queue_seconds,
-                          "batched": 1})
-            status = JobStatus.DONE
-        except WorkerTimeout as exc:
-            status = JobStatus.TIMEOUT
-            error = JobTimeoutError(str(exc))
-        except WorkerCancelled:
-            status = JobStatus.CANCELLED
-            error = JobCancelledError(f"job {job.job_id} cancelled")
-        except WorkerCrashed as exc:
-            error = ServiceError(str(exc))
-        except BaseException as exc:  # decode/score hooks can raise too
-            error = exc
-        if registry is not None:
-            registry.histogram(
-                "service_execute_seconds",
-                "wall clock from dispatch to resolution, per solver",
-                ("solver",)).labels(solver=job.solver).observe(
-                    time.perf_counter() - execute_start)
-        self._finish(job, status, result, error, queue_seconds,
-                     registry)
 
     def _finish(self, job: Job, status: JobStatus,
                 result: Optional[SolveResult],

@@ -26,13 +26,10 @@ repro.experiments metrics-report``.
 The warm-pool service layer (PR 7) contributes its own instrument
 family on top of the original job/queue/cache set:
 ``service_worker_respawns_total`` (reap-and-replace events; exported
-as an explicit 0 on healthy runs), ``service_batch_folds_total``
-(cross-job folds of same-model submissions),
-``service_pool_dispatch_total{kind="warm"|"cold"}`` (dispatches that
-sent only the model's key to a worker already holding it vs ones that
-pickled the model through the pipe). Worker registries merge at pool
-*drain*, so
-``service_metrics_merges_total`` counts drained workers, not jobs.
+as an explicit 0 on healthy runs) and ``service_batch_folds_total``
+(cross-job folds of same-model submissions). Worker registries merge
+at pool *drain*, so ``service_metrics_merges_total`` counts drained
+workers, not jobs.
 
 Like the collector and the tracer, metrics are **off by default and
 cheap when off**: instrumented hot paths fetch :func:`get_registry`

@@ -12,7 +12,7 @@ three carries a ``trace_id``. This CLI performs the join::
         --metrics metrics.json --flight flight_dir/
 
 For the selected trace it reconstructs the per-job timeline — submit,
-queue wait, dispatch kind (warm/cold) and worker pid, worker-side
+queue wait, dispatch kind (cold/inline) and worker pid, worker-side
 solve spans, convergence row count, terminal status — and appends any
 flight capsules recorded for that trace. ``--pick first|failed``
 selects a trace automatically (``failed`` prefers one that has a

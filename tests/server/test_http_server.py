@@ -111,6 +111,33 @@ class TestBasics:
             {"problem": {"kind": "qubo", "num_variables": 2},
              "solver": "sa", "config": {"num_sweeps": 2.5}})
         assert status == 400
+        # Malformed terms and counts are refused up front, never
+        # truncated, solved to NaN or failed in the backend.
+        qubo = {"kind": "qubo", "num_variables": 2}
+        ising = {"kind": "ising", "num_spins": 2}
+        for problem in (
+                {**qubo, "linear": {"-1": -5.0}},
+                {**ising, "h": {"-1": 1.0}},
+                {**ising, "j": [[0, -1, 1.0]]},
+                {**qubo, "linear": {"0": math.nan}},
+                {**qubo, "linear": [[0, "nan"]]},
+                {**qubo, "quadratic": [[0, 1, math.inf]]},
+                {**ising, "j": [[0, 1, -math.inf]]},
+                {**qubo, "offset": math.nan},
+                {**qubo, "linear": [[0, 1e308], [0, 1e308]]},
+                {**qubo, "quadratic": [[0, 1.5, 1.0]]},
+                {**qubo, "quadratic": [[True, 1, 1.0]]},
+                {**qubo, "num_variables": 2.7},
+                {**qubo, "num_variables": True},
+                {**ising, "num_spins": 2.0}):
+            status, _, document = client.submit(
+                {"problem": problem, "solver": "sa"})
+            assert status == 400, (problem, document)
+        # So are deadlines that are not a finite number above zero.
+        for deadline in (math.nan, math.inf, -math.inf, "nan", True):
+            status, _, document = client.submit(
+                problem_body(seed=41, deadline=deadline))
+            assert status == 400, (deadline, document)
 
     def test_metrics_endpoint_validates(self, client):
         # Metrics are process-global and normally off under pytest:

@@ -16,7 +16,12 @@ import pytest
 from repro.compile import SolverConfig
 from repro.compile import solve as dispatch_solve
 from repro.db import JoinOrderQUBO, random_join_graph
-from repro.service import JobTimeoutError, ServiceError, SolveService
+from repro.service import (
+    JobStatus,
+    JobTimeoutError,
+    ServiceError,
+    SolveService,
+)
 from repro.telemetry import context as context_mod
 from repro.telemetry import flight as flight_mod
 from repro.telemetry import obs_report as obs_mod
@@ -46,26 +51,29 @@ SLOW = SolverConfig(num_sweeps=2_000_000, num_reads=50, seed=1,
                     convergence=False)
 
 
-def test_trace_ids_propagate_into_workers_and_drain_merge():
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_trace_ids_propagate_into_workers_and_drain_merge(mode):
     context_mod.enable_context()
     tracer = trace_mod.enable_tracing(sample_memory=False)
     specs = [(problem(seed=index), "sa", config(seed=50 + index))
              for index in range(3)]
-    with SolveService(max_workers=2) as service:
+    with SolveService(max_workers=2, mode=mode) as service:
         results = service.solve_many(specs)
     trace_ids = [result.provenance["service"]["trace_id"]
                  for result in results]
     assert len(set(trace_ids)) == 3
     assert all(len(trace_id) == 16 for trace_id in trace_ids)
 
-    # Worker-side spans arrive via drain-merge tagged with the parent's
-    # trace ids (satellite 2: merge attribution).
+    # Worker-side spans carry the parent's trace ids in both modes;
+    # process-mode ones arrive via drain-merge.
     events = tracer.events()
     worker_span_traces = {
         event["args"]["trace_id"] for event in events
         if event.get("ph") == "B"
         and (event.get("args") or {}).get("stage") == "worker"}
     assert worker_span_traces == set(trace_ids)
+    if mode == "thread":
+        return
 
     # The drain log (stats()["drains"], populated at shutdown) maps
     # each worker pid to the jobs/traces it ran.
@@ -128,6 +136,24 @@ def test_flight_capsule_on_deadline_reap(tmp_path):
     with open(capsule["path"], encoding="utf-8") as handle_:
         on_disk = json.load(handle_)
     assert flight_mod.validate_flight_document(on_disk) == []
+
+
+def test_thread_mode_deadline_is_checked_after_the_run(tmp_path):
+    context_mod.enable_context()
+    recorder = flight_mod.enable_flight(dump_dir=str(tmp_path))
+    with SolveService(max_workers=1, mode="thread") as service:
+        # A thread cannot be reaped: the job runs to the end, then its
+        # overrun turns the result into a timeout.
+        handle = service.submit(problem(), "sa", config(),
+                                deadline=1e-6)
+        with pytest.raises(JobTimeoutError, match="post-hoc"):
+            handle.result(timeout=60)
+        assert handle.status is JobStatus.TIMEOUT
+        assert service.stats()["jobs"]["timeout"] == 1
+        capsules = [capsule for capsule in recorder.capsules
+                    if capsule.get("job_id") == handle.job_id]
+    assert [capsule["reason"] for capsule in capsules] == ["job_timeout"]
+    assert capsules[0]["trace_id"] == handle.trace_id
 
 
 def test_flight_capsule_on_midjob_worker_kill(tmp_path):

@@ -1,6 +1,5 @@
 """Warm-pool lifecycle: crash respawn, deadline reap, process hygiene,
-warm model dispatch, cross-job batching, and bit-for-bit parity across
-worker counts."""
+cross-job batching, and bit-for-bit parity across worker counts."""
 
 import json
 import os
@@ -26,7 +25,6 @@ from repro.service import (
     ServiceError,
     SolveService,
 )
-from repro.service.pool import WORKER_MODEL_CACHE
 
 
 def problem(seed=0, relations=4):
@@ -88,7 +86,10 @@ def test_same_model_jobs_fold_into_batches_with_parity():
     batched = [r.provenance["service"]["batched"] for r in results]
     assert max(batched) > 1
     assert stats["pool"]["jobs_run"] == 10
-    assert stats["pool"]["dispatches_warm"] >= 1
+    # One round trip per batch, and a batch of k reports batched=k.
+    round_trips = round(sum(1 / size for size in batched))
+    assert stats["pool"]["dispatches_cold"] == round_trips
+    assert round_trips < 10
 
 
 def test_batching_disabled_with_batch_limit_one():
@@ -99,6 +100,22 @@ def test_batching_disabled_with_batch_limit_one():
         results = [handle.result(timeout=120) for handle in handles]
     assert all(r.provenance["service"]["batched"] == 1
                for r in results)
+
+
+def test_thread_mode_never_folds():
+    shared = problem(seed=5)
+    with SolveService(max_workers=1, mode="thread",
+                      batch_limit=4) as service:
+        # The decoy holds the only dispatcher while the same-model
+        # jobs queue up behind it.
+        decoy = service.submit(problem(seed=6, relations=6), "sa",
+                               config(seed=1, sweeps=2000, reads=20))
+        handles = [service.submit(shared, "sa", config(seed=300 + i))
+                   for i in range(4)]
+        results = [handle.result(timeout=120) for handle in handles]
+        assert decoy.result(timeout=120).feasible
+    assert [r.provenance["service"]["batched"] for r in results] \
+        == [1] * 4
 
 
 def test_worker_crash_mid_job_respawns_and_fails_job():
@@ -196,33 +213,3 @@ def test_process_service_leaves_no_process_tracker_or_shm_entry():
     assert report["children"] == [], report
     assert report["tracker_pid"] is None, report
     assert report["new_shm"] == [], report
-
-
-def test_evicted_model_is_shipped_again_cold():
-    models = [JoinOrderQUBO(random_join_graph(3, "chain",
-                                              seed=index)).compile()
-              for index in range(WORKER_MODEL_CACHE + 1)]
-    assert len({model.content_key() for model in models}) == len(models)
-    with SolveService(max_workers=1, batch_limit=1,
-                      cache_entries=0) as service:
-        for index, model in enumerate(models):
-            service.solve(model, "sa", config(seed=index))
-        # The worker and the slot's record both dropped models[0].
-        again = service.solve(models[0], "sa", config(seed=500))
-        last = service.solve(models[-1], "sa", config(seed=501))
-    assert again.provenance["service"]["dispatch"] == "cold"
-    assert results_equal(again, dispatch_solve(models[0], "sa",
-                                               config=config(seed=500)))
-    assert last.provenance["service"]["dispatch"] == "warm"
-    assert results_equal(last, dispatch_solve(models[-1], "sa",
-                                              config=config(seed=501)))
-
-
-def test_warm_dispatch_counted_after_model_reuse():
-    shared = problem(seed=9)
-    with SolveService(max_workers=1, batch_limit=1) as service:
-        for index in range(3):
-            service.solve(shared, "sa", config(seed=400 + index))
-        stats = service.stats()
-    assert stats["pool"]["dispatches_cold"] == 1
-    assert stats["pool"]["dispatches_warm"] == 2

@@ -1,6 +1,8 @@
 """Integration tests for SolveService: correctness, deadlines, cache,
 coalescing, cancellation, validation."""
 
+import math
+import os
 import time
 
 import pytest
@@ -15,6 +17,7 @@ from repro.service import (
     ServiceError,
     SolveService,
 )
+from repro.telemetry import profiler as profiler_mod
 
 
 def problem(seed=0, relations=4):
@@ -157,8 +160,15 @@ def test_submit_validation_errors():
         with pytest.raises(ValueError, match="unpicklable options"):
             service.submit(problem(), "sa",
                            SolverConfig(options={"hook": lambda: 0}))
-        with pytest.raises(ValueError, match="deadline"):
-            service.submit(problem(), "sa", config(), deadline=-1.0)
+        for deadline in (-1.0, 0, math.nan, math.inf, -math.inf, True):
+            with pytest.raises(ValueError, match="deadline"):
+                service.submit(problem(), "sa", config(),
+                               deadline=deadline)
+        # Nothing reached the worker: it serves the next job as is.
+        assert service.solve(problem(), "sa", config()).feasible
+        assert service.stats()["pool"]["respawns"] == 0
+    with pytest.raises(ValueError, match="deadline"):
+        SolveService(max_workers=1, default_deadline=math.nan)
 
 
 def test_thread_mode_allows_unpicklable_options():
@@ -175,8 +185,9 @@ def test_thread_mode_allows_unpicklable_options():
         assert handle.result(timeout=60).feasible
 
 
-def test_worker_failure_surfaces_as_service_error():
-    with SolveService(max_workers=1) as service:
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_worker_failure_surfaces_as_service_error(mode):
+    with SolveService(max_workers=1, mode=mode) as service:
         # An unknown backend option crashes inside the worker; the
         # handle carries the child traceback.
         handle = service.submit(
@@ -184,9 +195,24 @@ def test_worker_failure_surfaces_as_service_error():
             SolverConfig(num_sweeps=40, num_reads=2, seed=3,
                          convergence=False,
                          options={"definitely_not_a_knob": 1}))
-        with pytest.raises(ServiceError):
+        with pytest.raises(ServiceError, match="definitely_not_a_knob"):
             handle.result(timeout=60)
         assert handle.status is JobStatus.FAILED
+
+
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_result_provenance_in_both_modes(mode):
+    profiler_mod.enable_profiling(interval=0.001)
+    try:
+        with SolveService(max_workers=1, mode=mode) as service:
+            result = service.solve(problem(), "sa", config())
+    finally:
+        profiler_mod.disable_profiling()
+    block = result.provenance["service"]
+    assert block["dispatch"] == ("cold" if mode == "process"
+                                 else "inline")
+    assert (block["worker_pid"] == os.getpid()) == (mode == "thread")
+    assert "hotspots" in result.provenance["profile"]
 
 
 def test_shutdown_rejects_new_work():
