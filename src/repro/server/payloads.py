@@ -334,7 +334,9 @@ def parse_submission(body: Any) -> Submission:
     if not isinstance(solver, str):
         raise PayloadError("solver must be a registry name string")
     config = build_config(body.get("config"))
-    repair = bool(body.get("repair", False))
+    repair = body.get("repair", False)
+    if not isinstance(repair, bool):
+        raise PayloadError("repair must be a JSON boolean")
     priority = body.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise PayloadError("priority must be an integer")

@@ -138,6 +138,13 @@ class TestBasics:
             status, _, document = client.submit(
                 problem_body(seed=41, deadline=deadline))
             assert status == 400, (deadline, document)
+        # repair is a JSON boolean or absent: "false" must not turn
+        # repair on.
+        for repair in ("false", "0", 1, None):
+            status, _, document = client.submit(
+                problem_body(seed=43, repair=repair))
+            assert status == 400, (repair, document)
+            assert "repair" in document["error"], document
 
     def test_metrics_endpoint_validates(self, client):
         # Metrics are process-global and normally off under pytest:
