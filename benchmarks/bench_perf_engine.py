@@ -76,8 +76,8 @@ reference workloads:
   repeats with telemetry off; loss histories and predictions must be
   identical. Its ``speedup`` is the 4-qubit cell's.
 
-Timings come from telemetry spans (``perf.<workload>.<impl>``). Run as
-a script to write the committed perf trajectory::
+Timings come from ``time.perf_counter``. Run as a script to write the
+committed perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_perf_engine.py
 
@@ -118,6 +118,7 @@ from repro.qml import (
     VariationalRegressor,
     parameter_shift_gradient,
 )
+from repro.qml.models import _count_evaluations
 from repro.quantum import StatevectorSimulator
 from repro.quantum.statevector import (
     _apply_instruction_batch,
@@ -278,7 +279,7 @@ class PerRowRegressor(VariationalRegressor):
             )
         binding = dict(zip(self._weight_params, weights))
         circuits = [self._full_circuit(x).bind(binding) for x in rows]
-        telemetry.count("qml.circuit_evaluations", len(circuits))
+        _count_evaluations(len(circuits))
         states = self._sim.run_batch(circuits)
         return self._observable.expectation(states, self.encoding.num_qubits)
 
@@ -352,12 +353,14 @@ class FullSweepSolver(SimulatedAnnealingSolver):
 # ----------------------------------------------------------------------
 # Workloads
 # ----------------------------------------------------------------------
-def _span_total(collector, path):
-    spans = collector.snapshot()["spans"]
-    return float(spans[path]["total_seconds"])
+def _timed(function):
+    """``(result, seconds)`` of one call."""
+    started = time.perf_counter()
+    result = function()
+    return result, time.perf_counter() - started
 
 
-def run_kernel_workload(collector, num_points, num_features, depth,
+def run_kernel_workload(num_points, num_features, depth,
                         seed=7):
     """Fidelity-kernel Gram: batched engine vs per-point loop."""
     rng = np.random.default_rng(seed)
@@ -365,15 +368,10 @@ def run_kernel_workload(collector, num_points, num_features, depth,
     encoding = IQPEncoding(num_features, depth=depth)
     kernel = FidelityQuantumKernel(encoding)
 
-    with collector.span("perf.kernel.loop"):
-        reference = loop_gram(encoding, X)
-    with collector.span("perf.kernel.batched"):
-        batched = kernel(X)
-    with collector.span("perf.kernel.batched_repeat"):
-        repeat = kernel(X)
+    reference, loop_seconds = _timed(lambda: loop_gram(encoding, X))
+    batched, batched_seconds = _timed(lambda: kernel(X))
+    repeat = kernel(X)
 
-    loop_seconds = _span_total(collector, "perf.kernel.loop")
-    batched_seconds = _span_total(collector, "perf.kernel.batched")
     return {
         "name": "kernel_gram",
         "params": {
@@ -391,25 +389,21 @@ def run_kernel_workload(collector, num_points, num_features, depth,
     }
 
 
-def run_sa_workload(collector, num_spins, num_reads, num_sweeps,
+def run_sa_workload(num_spins, num_reads, num_sweeps,
                     seed=11):
     """SA restarts: read-vectorized sweeps vs the per-read Python loop."""
     ising = IsingModel.random(num_spins, density=0.5, field_scale=0.3,
                               seed=seed)
 
-    with collector.span("perf.sa.loop"):
-        loop_energies = loop_sa_solve(ising, num_sweeps, num_reads,
-                                      seed=seed)
+    loop_energies, loop_seconds = _timed(lambda: loop_sa_solve(
+        ising, num_sweeps, num_reads, seed=seed))
     solver = SimulatedAnnealingSolver(num_sweeps=num_sweeps,
                                       num_reads=num_reads, seed=seed)
-    with collector.span("perf.sa.batched"):
-        batched = solver.solve(ising)
+    batched, batched_seconds = _timed(lambda: solver.solve(ising))
     repeat = SimulatedAnnealingSolver(num_sweeps=num_sweeps,
                                       num_reads=num_reads,
                                       seed=seed).solve(ising)
 
-    loop_seconds = _span_total(collector, "perf.sa.loop")
-    batched_seconds = _span_total(collector, "perf.sa.batched")
     return {
         "name": "sa_sweeps",
         "params": {
@@ -453,7 +447,7 @@ def _direct_sa_best(compiled, num_sweeps, num_reads, seed):
     return best
 
 
-def run_compile_workload(collector, num_relations, num_sweeps,
+def run_compile_workload(num_relations, num_sweeps,
                          num_reads, repeats, seed=13):
     """Compile-layer dispatch vs direct solver call on join ordering."""
     graph = random_join_graph(num_relations, topology="chain", seed=seed)
@@ -468,17 +462,15 @@ def run_compile_workload(collector, num_relations, num_sweeps,
     dispatch_repeat = dispatch_solve(compiled, solver="sa", config=config)
 
     direct_times = []
-    with collector.span("perf.compile.direct"):
-        for _ in range(repeats):
-            started = time.perf_counter()
-            _direct_sa_best(compiled, num_sweeps, num_reads, seed)
-            direct_times.append(time.perf_counter() - started)
+    for _ in range(repeats):
+        started = time.perf_counter()
+        _direct_sa_best(compiled, num_sweeps, num_reads, seed)
+        direct_times.append(time.perf_counter() - started)
     dispatch_times = []
-    with collector.span("perf.compile.dispatch"):
-        for _ in range(repeats):
-            started = time.perf_counter()
-            dispatch_solve(compiled, solver="sa", config=config)
-            dispatch_times.append(time.perf_counter() - started)
+    for _ in range(repeats):
+        started = time.perf_counter()
+        dispatch_solve(compiled, solver="sa", config=config)
+        dispatch_times.append(time.perf_counter() - started)
 
     direct_seconds = min(direct_times)
     dispatch_seconds = min(dispatch_times)
@@ -506,7 +498,7 @@ def run_compile_workload(collector, num_relations, num_sweeps,
     }
 
 
-def run_service_workload(collector, num_jobs, num_relations,
+def run_service_workload(num_jobs, num_relations,
                          num_sweeps, num_reads, workers, seed=17,
                          gate_speedup_tolerance=0.10):
     """Solve-service throughput: warm worker pool vs sequential loop.
@@ -537,12 +529,12 @@ def run_service_workload(collector, num_jobs, num_relations,
                       seed)
     specs = [(problem, "sa", config) for problem, config in jobs]
 
-    with collector.span("perf.service.sequential"):
-        sequential = [dispatch_solve(problem, "sa", config=config)
-                      for problem, config in jobs]
+    sequential, sequential_seconds = _timed(lambda: [
+        dispatch_solve(problem, "sa", config=config)
+        for problem, config in jobs])
     with SolveService(max_workers=workers) as service:
-        with collector.span("perf.service.concurrent"):
-            concurrent = service.solve_many(specs)
+        concurrent, service_seconds = _timed(
+            lambda: service.solve_many(specs))
         pool_stats = service.stats()["pool"]
     # A fresh service (empty cache, new workers) must reproduce the
     # batch exactly.
@@ -556,23 +548,17 @@ def run_service_workload(collector, num_jobs, num_relations,
                                  num_reads=num_reads,
                                  seed=seed * 3000 + index)
                     for index in range(num_jobs)]
-    with collector.span("perf.service.batch_sequential"):
-        fold_base = [dispatch_solve(fold_problem, "sa", config=c)
-                     for c in fold_configs]
+    fold_base, batch_sequential = _timed(lambda: [
+        dispatch_solve(fold_problem, "sa", config=c)
+        for c in fold_configs])
     with SolveService(max_workers=workers) as service:
-        with collector.span("perf.service.batch_concurrent"):
-            handles = [service.submit(fold_problem, "sa", c)
-                       for c in fold_configs]
-            fold_results = [handle.result() for handle in handles]
+        started = time.perf_counter()
+        handles = [service.submit(fold_problem, "sa", c)
+                   for c in fold_configs]
+        fold_results = [handle.result() for handle in handles]
+        batch_service = time.perf_counter() - started
         fold_pool = service.stats()["pool"]
 
-    sequential_seconds = _span_total(collector,
-                                     "perf.service.sequential")
-    service_seconds = _span_total(collector, "perf.service.concurrent")
-    batch_sequential = _span_total(collector,
-                                   "perf.service.batch_sequential")
-    batch_service = _span_total(collector,
-                                "perf.service.batch_concurrent")
     cpus = os.cpu_count() or 1
     record = {
         "name": "service_throughput",
@@ -636,7 +622,7 @@ def bare_sa_solve(ising, num_sweeps, num_reads, seed):
 
     Byte-for-byte the same numerical work (same RNG consumption, same
     ``_sweep`` inner loop, same sample assembly) with the telemetry
-    span, collector counters, metrics-registry guard and progress
+    span, metrics-registry guard and progress
     plumbing stripped — the baseline the shipped path's disabled-mode
     cost is measured against.
     """
@@ -743,7 +729,7 @@ def _min_paired_times(bare_fn, shipped_fn, repeats):
     return bare_min, shipped_min, overhead
 
 
-def run_metrics_overhead_workload(collector, num_spins, num_reads,
+def run_metrics_overhead_workload(num_spins, num_reads,
                                   num_sweeps, num_points, num_features,
                                   depth, repeats, gate_max_overhead,
                                   seed=19):
@@ -757,11 +743,10 @@ def run_metrics_overhead_workload(collector, num_spins, num_reads,
     accounting disabled and compared against bare replicas of the
     identical numerical work with the instrumentation stripped. ``overhead_fraction`` is the worst of the three and the
     record embeds ``gate_max_overhead`` so ``bench_schema --gates``
-    enforces the budget (2% at full scale). Every global collector /
-    tracer / metrics registry is parked for the duration so the timed
+    enforces the budget (2% at full scale). The global tracer and
+    metrics registry are parked for the duration so the timed
     paths take their fully-disabled branch, then restored.
     """
-    saved_collector = telemetry.get_collector()
     saved_tracer = telemetry.get_tracer()
     saved_registry = _metrics.get_registry()
     # Park the trace-context / flight / profiler globals too: the
@@ -773,8 +758,6 @@ def run_metrics_overhead_workload(collector, num_spins, num_reads,
     _tracectx._state = None
     _flight._recorder = None
     _profiler._config = None
-    if saved_collector is not None:
-        telemetry.disable()
     if saved_tracer is not None:
         telemetry.disable_tracing()
     if saved_registry is not None:
@@ -845,8 +828,6 @@ def run_metrics_overhead_workload(collector, num_spins, num_reads,
         _tracectx._state = saved_context
         _flight._recorder = saved_flight
         _profiler._config = saved_profiler
-        if saved_collector is not None:
-            telemetry.enable(saved_collector)
         if saved_tracer is not None:
             telemetry.enable_tracing(saved_tracer)
         if saved_registry is not None:
@@ -886,7 +867,7 @@ def run_metrics_overhead_workload(collector, num_spins, num_reads,
     }
 
 
-def run_obs_overhead_workload(collector, num_jobs, num_relations,
+def run_obs_overhead_workload(num_jobs, num_relations,
                               num_sweeps, num_reads, workers, repeats,
                               gate_max_overhead, seed=29):
     """Enabled-cost gate for the trace-context + flight-recorder stack.
@@ -965,7 +946,7 @@ def run_obs_overhead_workload(collector, num_jobs, num_relations,
     }
 
 
-def run_pipeline_workload(collector, topologies, size,
+def run_pipeline_workload(topologies, size,
                           instances_per_cell, num_sweeps, num_reads,
                           repeats, gate_max_overhead, seed=23):
     """Staged pipeline vs direct compile+dispatch on a generated
@@ -1009,17 +990,15 @@ def run_pipeline_workload(collector, topologies, size,
     pipeline_repeat = run_pipe()
 
     direct_times = []
-    with collector.span("perf.pipeline.direct"):
-        for _ in range(repeats):
-            started = time.perf_counter()
-            run_direct()
-            direct_times.append(time.perf_counter() - started)
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run_direct()
+        direct_times.append(time.perf_counter() - started)
     pipeline_times = []
-    with collector.span("perf.pipeline.dispatch"):
-        for _ in range(repeats):
-            started = time.perf_counter()
-            run_pipe()
-            pipeline_times.append(time.perf_counter() - started)
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run_pipe()
+        pipeline_times.append(time.perf_counter() - started)
 
     direct_seconds = min(direct_times)
     pipeline_seconds = min(pipeline_times)
@@ -1086,7 +1065,7 @@ def _strip_provenance(document):
             if key != "provenance"}
 
 
-def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
+def run_server_workload(num_jobs, num_clients, num_sweeps,
                         num_reads, queue_capacity, seed=31):
     """HTTP front-end soak and backpressure.
 
@@ -1166,11 +1145,12 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
         workers = [threading.Thread(target=soak_worker,
                                     args=(thread, index, errors))
                    for index in range(num_clients)]
-        with collector.span("perf.server.soak"):
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
+        soak_start = time.perf_counter()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        soak_seconds = time.perf_counter() - soak_start
         if errors:
             raise errors[0]
 
@@ -1201,7 +1181,6 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
                     in client.stream(accepted["job_id"])
                     if event == "convergence"]
 
-    soak_seconds = _span_total(collector, "perf.server.soak")
     sorted_latencies = sorted(latencies)
 
     # Backpressure burst against a tiny queue: must shed with 429s
@@ -1261,19 +1240,19 @@ def run_server_workload(collector, num_jobs, num_clients, num_sweeps,
     }
 
 
-def _qaoa_eval_cell(collector, simulator, model, angles, p):
+def _qaoa_eval_cell(simulator, model, angles, p):
     """One ``(qubits, p)`` cell: both paths over the same angle rows."""
     energies = basis_energies(model)
     tag = f"n{model.num_spins}_p{p}"
-    with collector.span(f"perf.qaoa.circuit.{tag}"):
-        reference = [simulator.run(qaoa_circuit(model, a[:p], a[p:]))
-                     for a in angles]
-        reference_values = np.abs(reference) ** 2 @ energies
-    with collector.span(f"perf.qaoa.diagonal.{tag}"):
-        diagonal = [_qaoa_state(energies, a[:p], a[p:]) for a in angles]
-        values = np.abs(diagonal) ** 2 @ energies
-    circuit_seconds = _span_total(collector, f"perf.qaoa.circuit.{tag}")
-    diagonal_seconds = _span_total(collector, f"perf.qaoa.diagonal.{tag}")
+    started = time.perf_counter()
+    reference = [simulator.run(qaoa_circuit(model, a[:p], a[p:]))
+                 for a in angles]
+    reference_values = np.abs(reference) ** 2 @ energies
+    circuit_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    diagonal = [_qaoa_state(energies, a[:p], a[p:]) for a in angles]
+    values = np.abs(diagonal) ** 2 @ energies
+    diagonal_seconds = time.perf_counter() - started
     abs_diff = 0.0
     for state, expected in zip(diagonal, reference):
         overlap = np.vdot(state, expected)
@@ -1296,7 +1275,7 @@ def _qaoa_eval_cell(collector, simulator, model, angles, p):
     }
 
 
-def run_qaoa_eval_workload(collector, qubits, depths, evals, seed=29):
+def run_qaoa_eval_workload(qubits, depths, evals, seed=29):
     """QAOA objective evaluations: diagonal-phase state vs the circuit.
 
     Every ``(qubits, p)`` cell draws one clique Ising model with fields
@@ -1315,8 +1294,7 @@ def run_qaoa_eval_workload(collector, qubits, depths, evals, seed=29):
                                       field_scale=0.5,
                                       seed=int(rng.integers(2 ** 31)))
             angles = rng.uniform(0.0, math.pi, size=(evals, 2 * p))
-            cells.append(_qaoa_eval_cell(collector, simulator, model,
-                                         angles, p))
+            cells.append(_qaoa_eval_cell(simulator, model, angles, p))
     return {
         "name": "qaoa_eval",
         "params": {
@@ -1377,24 +1355,24 @@ def _qml_gradient_cell(num_qubits, num_layers, rows, repeats, rng):
     }
 
 
-def run_qml_gradient_workload(collector, cells, repeats, seed=31):
+def run_qml_gradient_workload(cells, repeats, seed=31):
     """Minibatch gradient of a variational regressor: batched vs per row.
 
     Every ``(qubits, layers, rows)`` cell draws angle-encoded rows,
     targets and weights, then times both implementations over
     ``repeats`` interleaved runs (order alternating) and keeps the
-    medians. The global collector is parked while timing, so both
-    sides run the telemetry-off path training takes by default.
+    medians. The global metrics registry is parked while timing, so
+    both sides run the telemetry-off path training takes by default.
     """
     rng = np.random.default_rng(seed)
-    saved_collector = telemetry.get_collector()
-    telemetry.disable()
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
     try:
         records = [_qml_gradient_cell(qubits, layers, rows, repeats, rng)
                    for qubits, layers, rows in cells]
     finally:
-        if saved_collector is not None:
-            telemetry.enable(saved_collector)
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
     (headline,) = [c for c in records if c["num_qubits"] == 4]
     return {
         "name": "qml_gradient",
@@ -1474,24 +1452,24 @@ def _sa_sweep_cell(kind, size, num_sweeps, num_reads, convergence,
     }
 
 
-def run_sa_sweep_workload(collector, cells, headline, repeats, seed=37):
+def run_sa_sweep_workload(cells, headline, repeats, seed=37):
     """SA solves: the shipped sweep vs the previous full sweep.
 
     Every ``(kind, size, sweeps, reads, convergence)`` cell times both
     solvers over the same models and seeds, ``repeats`` interleaved
     runs with the order alternating, and keeps the medians. The global
-    collector is parked while timing, so both sides run the
+    metrics registry is parked while timing, so both sides run the
     telemetry-off path the serving workers take. ``speedup`` is the
     join-order cell of ``headline`` relations.
     """
-    saved_collector = telemetry.get_collector()
-    telemetry.disable()
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
     try:
         records = [_sa_sweep_cell(*cell, repeats=repeats, seed=seed)
                    for cell in cells]
     finally:
-        if saved_collector is not None:
-            telemetry.enable(saved_collector)
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
     (headline_cell,) = [c for c in records
                         if c["kind"] == "join" and c["size"] == headline]
     return {
@@ -1547,23 +1525,23 @@ def _vqc_fit_cell(num_qubits, repeats, seed):
     }
 
 
-def run_vqc_fit_workload(collector, qubits, repeats, seed=41):
+def run_vqc_fit_workload(qubits, repeats, seed=41):
     """VQC fits: one template plus one angle matrix vs circuits per row.
 
     Every qubit count fits ``VariationalRegressor(AngleEncoding(n,
     scaling=1.5), num_layers=2, epochs=12, batch_size=24)`` on 105
     seeded rows with both models, ``repeats`` interleaved runs with
-    the order alternating, and keeps the medians. The global collector
-    is parked while timing, so both sides run the telemetry-off path
-    training takes by default.
+    the order alternating, and keeps the medians. The global metrics
+    registry is parked while timing, so both sides run the
+    telemetry-off path training takes by default.
     """
-    saved_collector = telemetry.get_collector()
-    telemetry.disable()
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
     try:
         records = [_vqc_fit_cell(n, repeats, seed) for n in qubits]
     finally:
-        if saved_collector is not None:
-            telemetry.enable(saved_collector)
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
     (headline,) = [c for c in records if c["num_qubits"] == 4]
     return {
         "name": "vqc_fit",
@@ -1584,30 +1562,28 @@ def run_vqc_fit_workload(collector, qubits, repeats, seed=41):
     }
 
 
-def run_workloads(scale, collector=None):
-    collector = collector or telemetry.get_collector() or telemetry.Collector()
+def run_workloads(scale):
     return [
-        run_kernel_workload(collector, **scale["kernel"]),
-        run_sa_workload(collector, **scale["sa"]),
-        run_compile_workload(collector, **scale["compile"]),
-        run_service_workload(collector, **scale["service"]),
-        run_metrics_overhead_workload(collector, **scale["metrics"]),
-        run_pipeline_workload(collector, **scale["pipeline"]),
-        run_obs_overhead_workload(collector, **scale["obs"]),
-        run_server_workload(collector, **scale["server"]),
-        run_qaoa_eval_workload(collector, **scale["qaoa"]),
-        run_qml_gradient_workload(collector, **scale["qml"]),
-        run_sa_sweep_workload(collector, **scale["sa_sweep"]),
-        run_vqc_fit_workload(collector, **scale["vqc_fit"]),
+        run_kernel_workload(**scale["kernel"]),
+        run_sa_workload(**scale["sa"]),
+        run_compile_workload(**scale["compile"]),
+        run_service_workload(**scale["service"]),
+        run_metrics_overhead_workload(**scale["metrics"]),
+        run_pipeline_workload(**scale["pipeline"]),
+        run_obs_overhead_workload(**scale["obs"]),
+        run_server_workload(**scale["server"]),
+        run_qaoa_eval_workload(**scale["qaoa"]),
+        run_qml_gradient_workload(**scale["qml"]),
+        run_sa_sweep_workload(**scale["sa_sweep"]),
+        run_vqc_fit_workload(**scale["vqc_fit"]),
     ]
 
 
 # ----------------------------------------------------------------------
 # Pytest entry points (smoke scale; correctness over raw speedup)
 # ----------------------------------------------------------------------
-def test_perf_kernel_batched_matches_loop(bench_telemetry):
-    record = run_kernel_workload(bench_telemetry,
-                                 **SMOKE_SCALE["kernel"])
+def test_perf_kernel_batched_matches_loop():
+    record = run_kernel_workload(**SMOKE_SCALE["kernel"])
     print("\nkernel Gram loop {loop_seconds:.4f}s vs batched "
           "{batched_seconds:.4f}s ({speedup:.1f}x)".format(**record))
     assert record["max_abs_diff"] < 1e-10
@@ -1615,8 +1591,8 @@ def test_perf_kernel_batched_matches_loop(bench_telemetry):
     assert record["speedup"] > 1.0
 
 
-def test_perf_sa_batched_is_faster_and_deterministic(bench_telemetry):
-    record = run_sa_workload(bench_telemetry, **SMOKE_SCALE["sa"])
+def test_perf_sa_batched_is_faster_and_deterministic():
+    record = run_sa_workload(**SMOKE_SCALE["sa"])
     print("\nSA loop {loop_seconds:.4f}s vs batched "
           "{batched_seconds:.4f}s ({speedup:.1f}x)".format(**record))
     assert record["deterministic"]
@@ -1627,9 +1603,8 @@ def test_perf_sa_batched_is_faster_and_deterministic(bench_telemetry):
             <= record["loop_best_energy"] + 2.0)
 
 
-def test_perf_compile_dispatch_overhead_is_small(bench_telemetry):
-    record = run_compile_workload(bench_telemetry,
-                                  **SMOKE_SCALE["compile"])
+def test_perf_compile_dispatch_overhead_is_small():
+    record = run_compile_workload(**SMOKE_SCALE["compile"])
     print("\ncompile dispatch {dispatch_seconds:.4f}s vs direct "
           "{direct_seconds:.4f}s ({overhead_fraction:+.2%} overhead)"
           .format(**record))
@@ -1638,9 +1613,8 @@ def test_perf_compile_dispatch_overhead_is_small(bench_telemetry):
     assert record["overhead_fraction"] < MAX_DISPATCH_OVERHEAD
 
 
-def test_perf_service_matches_sequential_bit_for_bit(bench_telemetry):
-    record = run_service_workload(bench_telemetry,
-                                  **SMOKE_SCALE["service"])
+def test_perf_service_matches_sequential_bit_for_bit():
+    record = run_service_workload(**SMOKE_SCALE["service"])
     print("\nservice sequential {sequential_seconds:.4f}s vs "
           "concurrent {service_seconds:.4f}s ({speedup:.2f}x)"
           .format(**record))
@@ -1657,9 +1631,8 @@ def test_perf_service_matches_sequential_bit_for_bit(bench_telemetry):
     assert record["speedup"] >= effective_speedup_floor(record)
 
 
-def test_perf_pipeline_dispatch_overhead_is_small(bench_telemetry):
-    record = run_pipeline_workload(bench_telemetry,
-                                   **SMOKE_SCALE["pipeline"])
+def test_perf_pipeline_dispatch_overhead_is_small():
+    record = run_pipeline_workload(**SMOKE_SCALE["pipeline"])
     print("\npipeline {pipeline_seconds:.4f}s vs direct "
           "{direct_seconds:.4f}s ({overhead_fraction:+.2%} overhead, "
           "gate < {gate_max_overhead:.0%})".format(**record))
@@ -1668,9 +1641,8 @@ def test_perf_pipeline_dispatch_overhead_is_small(bench_telemetry):
     assert record["overhead_fraction"] < record["gate_max_overhead"]
 
 
-def test_perf_metrics_guard_is_cheap_when_off(bench_telemetry):
-    record = run_metrics_overhead_workload(bench_telemetry,
-                                           **SMOKE_SCALE["metrics"])
+def test_perf_metrics_guard_is_cheap_when_off():
+    record = run_metrics_overhead_workload(**SMOKE_SCALE["metrics"])
     print("\nmetrics-off overhead: sa {sa_overhead:+.2%}, batch "
           "{batch_overhead:+.2%}, dispatch {dispatch_overhead:+.2%}, "
           "frontdoor {frontdoor_overhead:+.2%} "
@@ -1679,9 +1651,8 @@ def test_perf_metrics_guard_is_cheap_when_off(bench_telemetry):
     assert record["overhead_fraction"] < record["gate_max_overhead"]
 
 
-def test_perf_server_soak_backpressure_and_cache(bench_telemetry):
-    record = run_server_workload(bench_telemetry,
-                                 **SMOKE_SCALE["server"])
+def test_perf_server_soak_backpressure_and_cache():
+    record = run_server_workload(**SMOKE_SCALE["server"])
     print("\nserver soak {requests_total} req in {soak_seconds:.3f}s "
           "(p50 {request_p50_seconds:.4f}s, p95 "
           "{request_p95_seconds:.4f}s), {stream_rows} stream rows, "
@@ -1696,9 +1667,8 @@ def test_perf_server_soak_backpressure_and_cache(bench_telemetry):
     assert record["stream_rows"] > 0
 
 
-def test_perf_obs_stack_is_cheap_when_on(bench_telemetry):
-    record = run_obs_overhead_workload(bench_telemetry,
-                                       **SMOKE_SCALE["obs"])
+def test_perf_obs_stack_is_cheap_when_on():
+    record = run_obs_overhead_workload(**SMOKE_SCALE["obs"])
     print("\nobs-on overhead: plain {plain_seconds:.4f}s vs observed "
           "{observed_seconds:.4f}s ({overhead_fraction:+.2%}, gate < "
           "{gate_max_overhead:.0%})".format(**record))
@@ -1708,9 +1678,8 @@ def test_perf_obs_stack_is_cheap_when_on(bench_telemetry):
     assert record["overhead_fraction"] < record["gate_max_overhead"]
 
 
-def test_perf_qaoa_eval_matches_circuit(bench_telemetry):
-    record = run_qaoa_eval_workload(bench_telemetry,
-                                    **SMOKE_SCALE["qaoa"])
+def test_perf_qaoa_eval_matches_circuit():
+    record = run_qaoa_eval_workload(**SMOKE_SCALE["qaoa"])
     print("\nQAOA eval circuit {circuit_seconds:.4f}s vs diagonal "
           "{diagonal_seconds:.4f}s (slowest cell {speedup:.1f}x, gate "
           ">= {gate_min_speedup:.1f}x)".format(**record))
@@ -1720,9 +1689,8 @@ def test_perf_qaoa_eval_matches_circuit(bench_telemetry):
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
-def test_perf_qml_gradient_matches_per_row(bench_telemetry):
-    record = run_qml_gradient_workload(bench_telemetry,
-                                       **SMOKE_SCALE["qml"])
+def test_perf_qml_gradient_matches_per_row():
+    record = run_qml_gradient_workload(**SMOKE_SCALE["qml"])
     print("\nQML gradient per-row {per_row_seconds:.4f}s vs batched "
           "{batched_seconds:.4f}s (4-qubit cell {speedup:.1f}x, gate "
           ">= {gate_min_speedup:.1f}x)".format(**record))
@@ -1731,9 +1699,8 @@ def test_perf_qml_gradient_matches_per_row(bench_telemetry):
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
-def test_perf_sa_sweep_matches_parent(bench_telemetry):
-    record = run_sa_sweep_workload(bench_telemetry,
-                                   **SMOKE_SCALE["sa_sweep"])
+def test_perf_sa_sweep_matches_parent():
+    record = run_sa_sweep_workload(**SMOKE_SCALE["sa_sweep"])
     print("\nSA sweep previous {parent_seconds:.4f}s vs shipped "
           "{kernel_seconds:.4f}s (headline cell {speedup:.2f}x, gate "
           ">= {gate_min_speedup:.1f}x)".format(**record))
@@ -1743,9 +1710,8 @@ def test_perf_sa_sweep_matches_parent(bench_telemetry):
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
-def test_perf_vqc_fit_matches_parent(bench_telemetry):
-    record = run_vqc_fit_workload(bench_telemetry,
-                                  **SMOKE_SCALE["vqc_fit"])
+def test_perf_vqc_fit_matches_parent():
+    record = run_vqc_fit_workload(**SMOKE_SCALE["vqc_fit"])
     print("\nVQC fit per-row {parent_seconds:.4f}s vs template "
           "{shipped_seconds:.4f}s (4-qubit cell {speedup:.2f}x, gate "
           ">= {gate_min_speedup:.1f}x)".format(**record))
@@ -1761,9 +1727,7 @@ def test_perf_vqc_fit_matches_parent(bench_telemetry):
 def main():
     scale_name = os.environ.get("REPRO_PERF_SCALE", "full")
     scale = SMOKE_SCALE if scale_name == "smoke" else FULL_SCALE
-    collector = telemetry.enable()
-    runs = run_workloads(scale, collector)
-    telemetry.disable()
+    runs = run_workloads(scale)
     document = {
         "schema": BENCH_SCHEMA,
         "provenance": telemetry.collect_provenance(

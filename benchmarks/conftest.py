@@ -7,8 +7,8 @@ prints the same table the full experiment produces (visible with
 the result — who wins, and roughly by how much — mirroring the
 tutorial's qualitative claims.
 
-Every benchmark runs with telemetry enabled (a fresh collector per
-test), and the session writes the collected per-test metrics to a
+Every benchmark runs with a fresh metrics registry, and the session
+writes each test's ``repro-metrics/v1`` snapshot to a
 ``BENCH_*.json`` trajectory file — the format future PRs diff against
 to spot perf regressions. Set ``REPRO_BENCH_JSON`` to choose the
 output path (default: ``BENCH_telemetry.json`` at the repo root); set
@@ -41,18 +41,17 @@ def show_table():
 
 @pytest.fixture(autouse=True)
 def bench_telemetry(request):
-    """Fresh collector per benchmark; snapshot recorded at teardown."""
-    collector = telemetry.enable()
+    """Fresh registry per benchmark; snapshot recorded at teardown."""
+    registry = telemetry.enable_metrics()
     started = time.perf_counter()
-    yield collector
+    yield registry
     elapsed = time.perf_counter() - started
-    snapshot = collector.snapshot()
-    telemetry.disable()
-    if snapshot["counters"] or snapshot["spans"]:
+    telemetry.disable_metrics()
+    if registry.instrument_names():
         _BENCH_RUNS.append({
             "test": request.node.nodeid,
             "duration_seconds": elapsed,
-            **snapshot,
+            "metrics": registry.snapshot(include_reservoir=False),
         })
 
 

@@ -22,9 +22,10 @@ Opportunities for Database Research":
 * :mod:`repro.datasets` — synthetic dataset generators.
 * :mod:`repro.experiments` — runners regenerating every experiment in
   DESIGN.md.
-* :mod:`repro.telemetry` — spans, counters/gauges, and run-provenance
-  records across all of the above (off by default; see
-  ``repro.telemetry.enable`` / ``REPRO_TELEMETRY=1``).
+* :mod:`repro.telemetry` — one metrics registry (counters, gauges,
+  histograms, span timings), event tracing and run-provenance records
+  across all of the above (off by default; see
+  ``repro.telemetry.enable_metrics`` / ``REPRO_METRICS=1``).
 """
 
 # Single source of truth for the package version; pyproject.toml reads

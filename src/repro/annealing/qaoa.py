@@ -25,7 +25,8 @@ from scipy import optimize as scipy_optimize
 from .. import telemetry
 from ..quantum.circuit import Circuit
 from ..quantum.gates import rx_matrix
-from ..quantum.statevector import apply_matrix
+from ..quantum.statevector import apply_matrix, count_shots
+from ..telemetry import metrics as _metrics
 from ..telemetry.progress import ProgressTrace
 from .ising import IsingModel
 from .qubo import QUBO
@@ -175,7 +176,6 @@ class QAOASolver:
                 )
             return value
 
-        collector = telemetry.get_collector()
         best_angles: Optional[np.ndarray] = None
         best_value = math.inf
         with telemetry.span("annealing.qaoa.solve"):
@@ -193,14 +193,12 @@ class QAOASolver:
                 if result.fun < best_value:
                     best_value = float(result.fun)
                     best_angles = np.asarray(result.x)
-                if collector is not None:
-                    collector.record("annealing.qaoa.best_expectation",
-                                     best_value)
-        if collector is not None:
-            collector.count("annealing.qaoa.energy_evaluations", nfev)
-            collector.count("annealing.qaoa.restarts", self.restarts)
-            collector.gauge("annealing.problem_size", ising.num_spins)
-            collector.gauge("annealing.qaoa.depth", self.p)
+        registry = _metrics.get_registry()
+        if registry is not None:
+            registry.counter(
+                "qaoa_energy_evaluations_total",
+                "QAOA objective evaluations (state preparation plus "
+                "energy expectation)").inc(nfev)
 
         gammas, betas = best_angles[: self.p], best_angles[self.p:]
         final_state = _qaoa_state(energies, gammas, betas)
@@ -215,7 +213,7 @@ class QAOASolver:
 
     def _sample(self, probabilities: np.ndarray, energies: np.ndarray,
                 num_spins: int) -> SampleSet:
-        telemetry.count("quantum.shots", self.shots)
+        count_shots(self.shots)
         outcomes = self._rng.choice(
             probabilities.size, size=self.shots, p=probabilities
         )

@@ -88,7 +88,6 @@ class SimulatedAnnealingSolver:
         if len(betas) != self.num_sweeps:
             raise ValueError("beta_schedule length must equal num_sweeps")
 
-        collector = telemetry.get_collector()
         registry = _metrics.get_registry()
         progress = self.progress
         accepted_total = 0
@@ -125,21 +124,6 @@ class SimulatedAnnealingSolver:
                 Sample(tuple(spins_to_bits(row.astype(int))), float(energy))
                 for row, energy in zip(spins, energies)
             ]
-            if collector is not None:
-                for best in np.minimum.accumulate(energies):
-                    collector.record("annealing.sa.best_energy",
-                                     float(best))
-        if collector is not None:
-            sweeps = self.num_sweeps * self.num_reads
-            collector.count("annealing.sweeps", sweeps)
-            collector.count("annealing.sa.sweeps", sweeps)
-            collector.count("annealing.sa.reads", self.num_reads)
-            collector.count("annealing.sa.accepted_moves", accepted_total)
-            collector.count("annealing.sa.rejected_moves",
-                            sweeps * n - accepted_total)
-            collector.count("annealing.sa.energy_evaluations",
-                            self.num_reads)
-            collector.gauge("annealing.problem_size", n)
         if registry is not None:
             sweeps = self.num_sweeps * self.num_reads
             elapsed = time.perf_counter() - solve_start

@@ -107,7 +107,6 @@ class SimulatedQuantumAnnealingSolver:
         if len(gammas) != self.num_sweeps:
             raise ValueError("gamma_schedule length must equal num_sweeps")
 
-        collector = telemetry.get_collector()
         registry = _metrics.get_registry()
         progress = self.progress
         samples: List[Sample] = []
@@ -161,23 +160,6 @@ class SimulatedQuantumAnnealingSolver:
                     Sample(tuple(spins_to_bits(spins)),
                            float(read_energies[read]))
                 )
-            if collector is not None:
-                for best in np.minimum.accumulate(read_energies):
-                    collector.record("annealing.sqa.best_energy",
-                                     float(best))
-        if collector is not None:
-            sweeps = self.num_sweeps * self.num_reads
-            collector.count("annealing.sweeps", sweeps)
-            collector.count("annealing.sqa.sweeps", sweeps)
-            collector.count("annealing.sqa.reads", self.num_reads)
-            collector.count("annealing.sqa.accepted_local_moves",
-                            accepted_local)
-            collector.count("annealing.sqa.accepted_worldline_moves",
-                            accepted_global)
-            collector.count("annealing.sqa.energy_evaluations",
-                            self.num_reads * p)
-            collector.gauge("annealing.problem_size", n)
-            collector.gauge("annealing.sqa.num_slices", p)
         if registry is not None:
             sweeps = self.num_sweeps * self.num_reads
             registry.counter(
@@ -193,6 +175,10 @@ class SimulatedQuantumAnnealingSolver:
             moves.labels(solver=self.solver_name,
                          outcome="rejected").inc(
                              sweeps * p * n - accepted_local)
+            registry.counter(
+                "sqa_worldline_moves_accepted_total",
+                "accepted moves flipping one spin in every Trotter "
+                "slice").inc(accepted_global)
         return SampleSet(samples)
 
     def _interslice_coupling(self, gamma: float) -> float:

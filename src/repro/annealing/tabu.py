@@ -57,20 +57,9 @@ class TabuSearchSolver:
         q = model.matrix()
         q_sym = q + q.T  # for fast flip deltas; diagonal handled apart
         diagonal = np.diag(q)
-        collector = telemetry.get_collector()
         samples: List[Sample] = []
         with telemetry.span("annealing.tabu.solve"):
             self._solve_restarts(model, n, tenure, q_sym, diagonal, samples)
-        if collector is not None:
-            iterations = self.num_restarts * self.max_iterations
-            collector.count("annealing.tabu.restarts", self.num_restarts)
-            collector.count("annealing.tabu.iterations", iterations)
-            # Every iteration scores the full single-flip neighborhood.
-            collector.count("annealing.tabu.move_evaluations",
-                            iterations * n)
-            collector.record("annealing.tabu.best_energy",
-                             min(s.energy for s in samples))
-            collector.gauge("annealing.problem_size", n)
         return SampleSet(samples)
 
     def _solve_restarts(self, model: QUBO, n: int, tenure: int,

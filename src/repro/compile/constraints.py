@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import telemetry
+from ..telemetry import metrics as _metrics
 from ..annealing.ising import IsingModel
 from ..annealing.qubo import QUBO
 from .ir import CompiledProblem, VariableRegistry
@@ -212,12 +212,15 @@ class ProblemBuilder:
         """Replay the recorded ops into a model and assemble the IR."""
         if self.num_variables < 1:
             raise ValueError("no variables registered")
-        for kind in self._constraint_counts:
-            telemetry.count(
-                f"compile.constraints.{kind}",
-                self._constraint_counts[kind],
-            )
-        telemetry.count("compile.problems")
+        registry = _metrics.get_registry()
+        if registry is not None:
+            constraints = registry.counter(
+                "compile_constraints_total",
+                "constraints compiled into problems, by kind", ("kind",))
+            for kind, count in self._constraint_counts.items():
+                constraints.labels(kind=kind).inc(count)
+            registry.counter("compile_problems_total",
+                             "problems compiled").inc()
         model = (self._build_qubo() if self.mode == "qubo"
                  else self._build_ising())
         info: Dict[str, Any] = {

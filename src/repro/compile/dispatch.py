@@ -351,11 +351,17 @@ def run_registry_backend(model: Model, solver_name: str,
     registry = _metrics.get_registry()
     if registry is None:
         return _REGISTRY[solver_name].run(model, config, progress)
-    with registry.histogram(
-            "solver_solve_seconds",
-            "backend execution wall clock per registered solver",
-            ("solver",)).labels(solver=solver_name).time():
+    with _solve_seconds(registry).labels(solver=solver_name).time():
         return _REGISTRY[solver_name].run(model, config, progress)
+
+
+def _solve_seconds(registry: "_metrics.MetricsRegistry"):
+    """The backend-run histogram both :func:`solve` and the service
+    workers (:func:`run_registry_backend`) observe into."""
+    return registry.histogram(
+        "solver_solve_seconds",
+        "backend execution wall clock per registered solver",
+        ("solver",))
 
 
 def decode_samples(problem: CompiledProblem,
@@ -381,7 +387,11 @@ def select_best_solution(problem: CompiledProblem,
             best, best_score = candidate, score
     if repair and problem.repair is not None:
         best = problem.repair(best)
-        telemetry.count("compile.repair.applied")
+        registry = _metrics.get_registry()
+        if registry is not None:
+            registry.counter("compile_repairs_total",
+                             "best solutions passed through a problem's "
+                             "repair hook").inc()
     return best
 
 
@@ -398,9 +408,12 @@ def assemble_result(problem: CompiledProblem, solver_name: str,
     runs the backend in a worker and assembles here in the parent, so
     both paths produce bit-for-bit identical results).
     """
-    telemetry.count("compile.solve.runs")
-    telemetry.count(f"compile.solve.{solver_name}.runs")
-    telemetry.count("compile.solve.reads", len(samples))
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter(
+            "compile_decoded_samples_total",
+            "distinct samples decoded into solutions, per solver",
+            ("solver",)).labels(solver=solver_name).inc(len(samples))
 
     best = select_best_solution(problem, solutions, repair=repair)
 
@@ -525,14 +538,13 @@ def solve(problem: CompiledProblem,
                 samples = run(problem.model, config, progress)
         else:
             samples = run(problem.model, config, progress)
+        backend_seconds = time.perf_counter() - start
         solutions = decode_samples(problem, samples)
     duration = time.perf_counter() - start
     registry = _metrics.get_registry()
     if registry is not None:
-        registry.histogram(
-            "solver_solve_seconds",
-            "backend execution wall clock per registered solver",
-            ("solver",)).labels(solver=solver_name).observe(duration)
+        _solve_seconds(registry).labels(solver=solver_name).observe(
+            backend_seconds)
     if progress is not None:
         progress.note_truncation()
     provenance_extra = None

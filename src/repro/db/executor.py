@@ -18,6 +18,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .. import telemetry
+from ..telemetry import metrics as _metrics
 from .catalog import Catalog
 from .cost import selectivity_from_stats
 from .query import JoinGraph, JoinTree
@@ -124,15 +125,19 @@ class HashJoinExecutor:
         actual_cost = float(sum(
             size for relations, size in sizes.items() if len(relations) > 1
         ))
-        collector = telemetry.get_collector()
-        if collector is not None:
-            collector.count("db.plans_executed")
-            collector.count(
-                "db.joins",
-                sum(1 for relations in sizes if len(relations) > 1),
-            )
-            collector.count("db.intermediate_rows", int(actual_cost))
-            collector.count("db.output_rows", count)
+        registry = _metrics.get_registry()
+        if registry is not None:
+            registry.counter("db_plans_executed_total",
+                             "join plans executed").inc()
+            registry.counter(
+                "db_joins_total", "joins executed").inc(
+                    sum(1 for relations in sizes if len(relations) > 1))
+            registry.counter(
+                "db_intermediate_rows_total",
+                "rows materialized by intermediate joins",
+            ).inc(int(actual_cost))
+            registry.counter("db_output_rows_total",
+                             "rows returned by executed plans").inc(count)
         return ExecutionResult(
             row_count=count,
             intermediate_sizes=sizes,

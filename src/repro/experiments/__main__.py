@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments                 # list experiments
     python -m repro.experiments E8              # run one at full scale
     python -m repro.experiments E8 E12          # run several
-    python -m repro.experiments E8 --telemetry  # + spans/counters report
+    python -m repro.experiments E8 --telemetry  # + metrics report
     python -m repro.experiments E8 --telemetry --json-out e8.json
     python -m repro.experiments E8 --set "sizes=(4,)" --set seed=1
     python -m repro.experiments E8 --solver sqa  # swap the backend
@@ -22,17 +22,18 @@ and the A1/A2 ablations — leaving solver-specific experiments (E12,
 E14, A3) untouched.
 ``--set key=value`` forwards keyword overrides to every experiment run
 (values are parsed as Python literals, falling back to strings), which
-is how CI runs experiments at reduced scale. ``--json-out`` writes one
-record per experiment with the result rows, a provenance block
-(experiment id, kwargs, seed, version, git SHA, duration) and the
-metrics snapshot — the same schema as the ``BENCH_*.json`` trajectory
-files written by ``benchmarks/conftest.py``.
+is how CI runs experiments at reduced scale. ``--telemetry`` gives
+each experiment a fresh metrics registry and prints its dashboard;
+``--json-out`` writes one record per experiment with the result rows,
+a provenance block (experiment id, kwargs, seed, version, git SHA,
+duration) and the ``repro-metrics/v1`` snapshot of that run, inside a
+``repro-telemetry/v1`` document.
 
 ``--trace FILE`` additionally records an event-level timeline (spans,
 per-gate events, solver convergence rows, memory samples) and writes
 it as Chrome ``trace_event`` JSON — open the file in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``. It implies
-``--telemetry`` so span mirroring has spans to mirror.
+``--telemetry``.
 
 ``bench-compare`` is a subcommand, not a flag: it diffs two
 ``repro-bench/v1`` documents and exits nonzero when the candidate
@@ -140,7 +141,7 @@ def main(argv) -> int:
     parser.add_argument("ids", nargs="*", metavar="ID",
                         help="experiment ids (e.g. E8 A1); none lists all")
     parser.add_argument("--telemetry", action="store_true",
-                        help="collect spans/counters/provenance and print "
+                        help="record metrics/spans/provenance and print "
                              "a report per experiment")
     parser.add_argument("--json-out", metavar="FILE",
                         help="write results + provenance + metrics as JSON "
@@ -192,17 +193,17 @@ def main(argv) -> int:
         print(str(error), file=sys.stderr)
         return 2
 
-    use_telemetry = (args.telemetry or args.json_out is not None
-                     or args.trace is not None or telemetry.is_enabled())
+    # run_experiment scopes each run's metrics to a fresh registry
+    # and folds it into this one.
+    if (args.telemetry or args.json_out is not None
+            or args.trace is not None):
+        telemetry.enable_metrics()
     tracer = (telemetry.enable_tracing() if args.trace is not None
               else None)
     trace_path = (os.path.abspath(args.trace)
                   if args.trace is not None else None)
     records: List[Dict[str, Any]] = []
     for experiment_id in args.ids:
-        # One fresh collector per experiment so counters, spans and the
-        # attached metrics snapshot are scoped to that run alone.
-        collector = telemetry.enable() if use_telemetry else None
         kwargs = dict(overrides)
         if (args.solver is not None
                 and experiment_accepts(experiment_id, "solver")):
@@ -216,18 +217,14 @@ def main(argv) -> int:
         if result.provenance is not None and trace_path is not None:
             result.provenance["trace_path"] = trace_path
         print(format_table(result))
-        if collector is not None:
-            span_path = f"experiment.{experiment_id}"
-            span = collector.snapshot()["spans"].get(span_path, {})
-            print(f"[{span.get('total_seconds', elapsed):.1f}s]")
+        print(f"[{elapsed:.1f}s]")
+        if result.metrics is not None:
             print(telemetry.render_report(
-                collector, provenance=result.provenance
+                result.metrics, provenance=result.provenance
             ))
-            print()
             records.append(_experiment_record(result))
-            telemetry.disable()
-        else:
-            print(f"[{elapsed:.1f}s]\n")
+        print()
+    telemetry.disable_metrics()
     if tracer is not None:
         tracer.write_chrome_trace(trace_path, metadata={
             "schema": "repro-trace/v1",

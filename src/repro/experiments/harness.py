@@ -17,16 +17,17 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
+from ..telemetry import metrics as _metrics
 
 
 @dataclass
 class ExperimentResult:
     """One experiment's output table.
 
-    When telemetry is enabled, :func:`run_experiment` also attaches a
-    run-provenance record and the metrics collected during the run
-    (counter deltas, span timings, gauges, series); both stay ``None``
-    otherwise.
+    When the metrics registry is enabled, :func:`run_experiment` also
+    attaches a run-provenance record and the ``repro-metrics/v1``
+    snapshot of the metrics recorded during the run (counters, gauges,
+    histograms and span timings); both stay ``None`` otherwise.
     """
 
     experiment_id: str
@@ -94,17 +95,22 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
             f"unknown experiment {experiment_id!r}; available: "
             f"{sorted(_REGISTRY)}"
         )
-    collector = telemetry.get_collector()
+    outer = _metrics.get_registry()
     tracer = telemetry.get_tracer()
-    if collector is None and tracer is None:
+    if outer is None and tracer is None:
         return _REGISTRY[experiment_id](**kwargs)
-    counters_before = (collector.counters_snapshot()
-                       if collector is not None else None)
+    # A fresh registry scopes the metrics to this run; it folds into
+    # the caller's registry once the run ends.
+    registry = (_metrics.enable_metrics() if outer is not None
+                else None)
     start = time.perf_counter()
-    # telemetry.span aggregates on the collector (mirroring onto the
-    # tracer's timeline) or, tracer-only, emits a bare begin/end pair.
-    with telemetry.span(f"experiment.{experiment_id}"):
-        result = _REGISTRY[experiment_id](**kwargs)
+    try:
+        with telemetry.span(f"experiment.{experiment_id}"):
+            result = _REGISTRY[experiment_id](**kwargs)
+    finally:
+        if outer is not None:
+            _metrics.enable_metrics(outer)
+            outer.merge_snapshot(registry.snapshot())
     duration = time.perf_counter() - start
     if tracer is not None:
         for index, row in enumerate(result.rows):
@@ -115,7 +121,7 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
                       **{key: value for key, value in row.items()
                          if isinstance(value, (bool, int, float, str))}},
             )
-    if collector is not None:
+    if registry is not None:
         provenance = telemetry.collect_provenance(
             experiment_id, kwargs, duration_seconds=duration,
             title=_TITLES[experiment_id],
@@ -123,9 +129,7 @@ def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:
         if tracer is not None:
             provenance["trace_events"] = tracer.event_count
         result.provenance = provenance
-        result.metrics = collector.snapshot(
-            counters_since=counters_before
-        )
+        result.metrics = registry.snapshot(include_reservoir=False)
     return result
 
 

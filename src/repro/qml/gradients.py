@@ -28,6 +28,7 @@ from ..quantum.statevector import (
     _structurally_identical,
     gate_angles,
 )
+from ..telemetry import metrics as _metrics
 
 _SHIFT = math.pi / 2.0
 _FD_EPS = 1e-6
@@ -151,7 +152,11 @@ def _shift_gradients(sim: StatevectorSimulator, template: Circuit,
     built once; angle row ``b * terms + t`` is row ``b``'s bound angles
     with term ``t``'s shift added at its slot.
     """
-    telemetry.count("qml.gradient_evaluations", len(bound_angles))
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter("qml_gradient_evaluations_total",
+                         "parameter-shift gradients evaluated (one per "
+                         "point)").inc(len(bound_angles))
     index = {id(p): k for k, p in enumerate(params)}
     plan = []  # (parameter index, slot, shift, chain-rule weight)
     for k, slot, scale, name in sorted(

@@ -20,7 +20,17 @@ import numpy as np
 
 from .. import telemetry
 from ..baselines.svm import SVM
+from ..quantum.statevector import count_shots
+from ..telemetry import metrics as _metrics
 from .encoding import Encoding, IQPEncoding
+
+
+def _count_entries(entries: int) -> None:
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter("qml_kernel_entries_total",
+                         "quantum kernel Gram-matrix entries computed"
+                         ).inc(entries)
 
 
 class FidelityQuantumKernel:
@@ -61,10 +71,10 @@ class FidelityQuantumKernel:
             states_z = states_x if Z is None else self.encoded_states(Z)
             overlaps = states_x @ states_z.conj().T
             exact = np.abs(overlaps) ** 2
-            telemetry.count("qml.kernel_entries", exact.size)
+            _count_entries(exact.size)
             if self.shots is None:
                 return exact
-            telemetry.count("quantum.shots", self.shots * exact.size)
+            count_shots(self.shots * exact.size)
             symmetric = Z is None
             return self._sampled_gram(exact, symmetric)
 
@@ -135,7 +145,7 @@ class ProjectedQuantumKernel:
             feats_z = feats_x if Z is None else self.features(Z)
             sq = ((feats_x[:, None, :]
                    - feats_z[None, :, :]) ** 2).sum(axis=2)
-            telemetry.count("qml.kernel_entries", sq.size)
+            _count_entries(sq.size)
             return np.exp(-self.gamma * sq)
 
 

@@ -19,10 +19,19 @@ from ..quantum.circuit import Circuit
 from ..quantum.operators import PauliSum, single_z
 from ..quantum.measurement import expectation_with_shots
 from ..quantum.statevector import StatevectorSimulator, gate_angles
+from ..telemetry import metrics as _metrics
 from .ansatz import build_ansatz
 from .encoding import AngleEncoding, Encoding
 from .gradients import parameter_shift_gradient
 from .optimizers import Adam, Optimizer, make_optimizer
+
+
+def _count_evaluations(circuits: int) -> None:
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter("qml_circuit_evaluations_total",
+                         "variational-model circuit evaluations"
+                         ).inc(circuits)
 
 
 def _is_count(value) -> bool:
@@ -127,7 +136,7 @@ class _VariationalModel:
 
     def _raw_output(self, x: Sequence[float],
                     weights: np.ndarray) -> float:
-        telemetry.count("qml.circuit_evaluations")
+        _count_evaluations(1)
         circuit = self._full_circuit(x).bind(
             dict(zip(self._weight_params, weights))
         )
@@ -150,7 +159,7 @@ class _VariationalModel:
             return np.array(
                 [self._raw_output(x, weights) for x in rows]
             )
-        telemetry.count("qml.circuit_evaluations", len(rows))
+        _count_evaluations(len(rows))
         if self._model_template is not None:
             states = self._sim.run_angles(self._model_template,
                                           self._angles(rows, weights))
@@ -213,7 +222,6 @@ class _VariationalModel:
         def resample(iteration: int, weights: np.ndarray,
                      value: float) -> None:
             self.loss_history_.append(value)
-            telemetry.record("qml.loss", value)
             rows_holder["rows"] = batch_rows()
 
         self.loss_history_ = []

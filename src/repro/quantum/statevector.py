@@ -10,7 +10,6 @@ rather than the naive ``O(4**n)`` matrix product.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
 from typing import Dict, Optional, Sequence
@@ -134,14 +133,29 @@ def apply_diagonal_batch(states: np.ndarray, diagonal: np.ndarray,
     return (psi * diag).reshape(batch, -1)
 
 
-def _record_run_metrics(registry, mode: str, gates: int,
+def _record_run_metrics(registry, mode: str,
+                        instructions: Sequence[Instruction], batch: int,
                         elapsed: float, state_bytes: int) -> None:
-    """Per-run live metrics: gate throughput counters, run-time
-    histogram and the peak statevector footprint gauge."""
+    """Per-run live metrics: circuit and gate counters (in total and
+    by gate name), the run-time histogram and the peak statevector
+    footprint gauge."""
+    registry.counter(
+        "quantum_circuit_evaluations_total",
+        "circuits executed by the statevector simulator",
+        ("mode",)).labels(mode=mode).inc(batch)
     registry.counter(
         "quantum_gate_applications_total",
         "gate applications executed by the statevector simulator",
-        ("mode",)).labels(mode=mode).inc(gates)
+        ("mode",)).labels(mode=mode).inc(batch * len(instructions))
+    tally: Dict[str, int] = {}
+    for inst in instructions:
+        tally[inst.name] = tally.get(inst.name, 0) + 1
+    by_gate = registry.counter(
+        "quantum_gates_total",
+        "gate applications executed by the statevector simulator, "
+        "by gate name", ("gate",))
+    for name, occurrences in tally.items():
+        by_gate.labels(gate=name).inc(occurrences * batch)
     registry.histogram(
         "quantum_run_seconds",
         "statevector simulator run wall clock",
@@ -149,6 +163,14 @@ def _record_run_metrics(registry, mode: str, gates: int,
     registry.gauge(
         "quantum_statevector_peak_bytes",
         "largest statevector allocation observed").set_max(state_bytes)
+
+
+def count_shots(shots: int) -> None:
+    """Add ``shots`` measurement samples to ``quantum_shots_total``."""
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter("quantum_shots_total",
+                         "measurement shots sampled").inc(shots)
 
 
 class StatevectorSimulator:
@@ -176,23 +198,14 @@ class StatevectorSimulator:
                 raise ValueError(
                     f"initial state must have length {2 ** n}"
                 )
-        collector = telemetry.get_collector()
         tracer = telemetry.get_tracer()
         registry = _metrics.get_registry()
-        if collector is None and tracer is None and registry is None:
-            # disabled: plain loop, zero accounting
+        run_start = time.perf_counter() if registry is not None else 0.0
+        if tracer is None:
             for inst in circuit.instructions:
                 state = apply_matrix(state, inst.matrix(), inst.qubits, n)
-            return state
-        run_start = time.perf_counter() if registry is not None else 0.0
-        if collector is not None:
-            span = collector.span("quantum.run")
-        elif tracer is not None:
-            span = tracer.span("quantum.run")
         else:
-            span = contextlib.nullcontext()
-        with span:
-            if tracer is not None:  # per-gate timeline events
+            with tracer.span("quantum.run"):  # per-gate timeline events
                 for inst in circuit.instructions:
                     start = tracer.timestamp_us()
                     state = apply_matrix(state, inst.matrix(),
@@ -201,26 +214,10 @@ class StatevectorSimulator:
                         f"gate.{inst.name}", start, category="gate",
                         args={"qubits": list(inst.qubits)},
                     )
-            else:
-                for inst in circuit.instructions:
-                    state = apply_matrix(state, inst.matrix(),
-                                         inst.qubits, n)
         if registry is not None:
-            _record_run_metrics(registry, "single",
-                                len(circuit.instructions),
-                                time.perf_counter() - run_start,
+            _record_run_metrics(registry, "single", circuit.instructions,
+                                1, time.perf_counter() - run_start,
                                 int(state.nbytes))
-        if collector is None:
-            return state
-        collector.count("quantum.circuit_evaluations")
-        collector.count("quantum.gate_applications",
-                        len(circuit.instructions))
-        tally: Dict[str, int] = {}
-        for inst in circuit.instructions:
-            tally[inst.name] = tally.get(inst.name, 0) + 1
-        for name, occurrences in tally.items():
-            collector.count(f"quantum.gate.{name}", occurrences)
-        collector.gauge("quantum.statevector_bytes", int(state.nbytes))
         return state
 
     def run_batch(self, circuits: Sequence[Circuit],
@@ -282,25 +279,17 @@ class StatevectorSimulator:
         n = template.num_qubits
         batch = angles.shape[0]
         states = _initial_states(batch, n, initial_states)
-        collector = telemetry.get_collector()
         tracer = telemetry.get_tracer()
         registry = _metrics.get_registry()
-        if collector is None and tracer is None and registry is None:
-            # disabled: plain loop, zero accounting
+        run_start = time.perf_counter() if registry is not None else 0.0
+        if tracer is None:
             for inst, column in zip(instructions, columns):
                 states = _apply_instruction_batch(
                     states, inst, angles[:, column], n
                 )
-            return states
-        run_start = time.perf_counter() if registry is not None else 0.0
-        if collector is not None:
-            span = collector.span("quantum.run_batch")
-        elif tracer is not None:
-            span = tracer.span("quantum.run_batch")
         else:
-            span = contextlib.nullcontext()
-        with span:
-            if tracer is not None:  # one event per template position
+            # One timeline event per template position.
+            with tracer.span("quantum.run_batch"):
                 for inst, column in zip(instructions, columns):
                     start = tracer.timestamp_us()
                     states = _apply_instruction_batch(
@@ -312,27 +301,10 @@ class StatevectorSimulator:
                         args={"qubits": list(inst.qubits),
                               "batch": batch},
                     )
-            else:
-                for inst, column in zip(instructions, columns):
-                    states = _apply_instruction_batch(
-                        states, inst, angles[:, column], n
-                    )
         if registry is not None:
-            _record_run_metrics(registry, "batch",
-                                batch * len(instructions),
+            _record_run_metrics(registry, "batch", instructions, batch,
                                 time.perf_counter() - run_start,
                                 int(states.nbytes))
-        if collector is None:
-            return states
-        collector.count("quantum.circuit_evaluations", batch)
-        collector.count("quantum.gate_applications",
-                        batch * len(instructions))
-        tally: Dict[str, int] = {}
-        for inst in instructions:
-            tally[inst.name] = tally.get(inst.name, 0) + 1
-        for name, occurrences in tally.items():
-            collector.count(f"quantum.gate.{name}", occurrences * batch)
-        collector.gauge("quantum.statevector_bytes", int(states.nbytes))
         return states
 
     def probabilities(self, circuit: Circuit) -> np.ndarray:
@@ -344,7 +316,7 @@ class StatevectorSimulator:
         """Sample measurement outcomes; keys are bitstrings, qubit 0 first."""
         if shots < 1:
             raise ValueError("shots must be positive")
-        telemetry.count("quantum.shots", shots)
+        count_shots(shots)
         probs = self.probabilities(circuit)
         n = circuit.num_qubits
         outcomes = self._rng.choice(len(probs), size=shots, p=_renorm(probs))

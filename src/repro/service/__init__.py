@@ -19,8 +19,8 @@ at once under latency budgets:
 * :func:`race` — portfolio mode: several registry solvers race the
   same problem, first feasible result wins, losers are cancelled.
 * Worker telemetry (spans, counters, trace events, convergence rows)
-  merges back into the parent collector/tracer, so one report and one
-  Perfetto timeline cover the whole pool.
+  merges back into the parent's metrics registry and tracer, so one
+  report and one Perfetto timeline cover the whole pool.
 
 Quick start::
 

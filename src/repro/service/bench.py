@@ -23,9 +23,10 @@ job and not just a demo.
 the worker processes' timelines merged onto the parent's — open it in
 Perfetto to see jobs fan out across worker pids.
 
-``--metrics`` enables the live-metrics registry for the service run
+``--metrics`` enables the metrics registry for the service run
 (queue-wait/exec-time histograms, cache and job counters, worker
-utilization) and prints a short summary; ``--metrics-out`` writes the
+utilization, span timings), merges the workers' registries at drain
+and prints the report plus a short summary; ``--metrics-out`` writes the
 Prometheus text exposition, ``--metrics-json`` the
 ``repro-metrics/v1`` snapshot (the input of ``metrics-report``),
 ``--metrics-jsonl`` streams periodic sampler snapshots during the run,
@@ -127,16 +128,14 @@ def main(argv) -> int:
     parser.add_argument("--portfolio", action="store_true",
                         help="additionally race sa/tabu/pt on the "
                              "first problem")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="print the merged telemetry report")
     parser.add_argument("--trace", metavar="FILE",
                         help="write a merged Chrome trace_event "
-                             "timeline (implies --telemetry)")
+                             "timeline")
     parser.add_argument("--json-out", metavar="FILE",
                         help="write the benchmark record as JSON")
     parser.add_argument("--metrics", action="store_true",
-                        help="enable the live-metrics registry and "
-                             "print a summary")
+                        help="enable the metrics registry and print "
+                             "the merged report")
     parser.add_argument("--metrics-out", metavar="FILE",
                         help="write the Prometheus text exposition "
                              "(implies --metrics)")
@@ -176,8 +175,6 @@ def main(argv) -> int:
                              "result provenance and the trace)")
     args = parser.parse_args(argv)
 
-    use_telemetry = args.telemetry or args.trace is not None
-    collector = telemetry.enable() if use_telemetry else None
     tracer = (telemetry.enable_tracing()
               if args.trace is not None else None)
     use_metrics = (args.metrics or args.slo
@@ -364,9 +361,6 @@ def main(argv) -> int:
                   f"{pool['dispatches_cold']} round trips, "
                   f"{pool['respawns']} respawns")
 
-    if collector is not None:
-        print()
-        print(telemetry.render_report(collector))
     if tracer is not None:
         trace_path = os.path.abspath(args.trace)
         worker_pids = {event.get("pid") for event in tracer.events()}
@@ -380,8 +374,6 @@ def main(argv) -> int:
         print(f"wrote trace {trace_path} ({tracer.event_count} events "
               f"across {len(worker_pids)} pids)")
         telemetry.disable_tracing()
-    if collector is not None:
-        telemetry.disable()
 
     metrics_snapshot = None
     if registry is not None:
@@ -390,6 +382,8 @@ def main(argv) -> int:
             print(f"wrote {samples} sampler snapshot(s) to "
                   f"{os.path.abspath(args.metrics_jsonl)}")
         metrics_snapshot = registry.snapshot()
+        print()
+        print(telemetry.render_report(metrics_snapshot, tracer=tracer))
         lookup = _health._SnapshotLookup(metrics_snapshot)
         try:
             queue_p95 = lookup.hist_quantile(

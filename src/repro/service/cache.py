@@ -14,9 +14,9 @@ The cache is one LRU ``OrderedDict`` under a single lock. The solve
 service looks entries up under its own submission lock, so splitting
 this lock could not remove contention on the hit path.
 
-Hits and misses are mirrored onto telemetry counters
-(``service.cache.hits`` / ``.misses`` / ``.evictions`` / ``.skips``)
-so cache effectiveness shows up in every report.
+Hits, misses, evictions and skips are counted in
+``service_cache_events_total{event}`` so cache effectiveness shows up
+in every report.
 """
 
 from __future__ import annotations
@@ -27,25 +27,19 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-from .. import telemetry
 from ..telemetry import metrics as _metrics
 from ..compile.dispatch import SolverConfig
 from ..compile.ir import CompiledProblem
 
 
 def _count_event(event: str, value: int = 1, *, registry: Any) -> None:
-    """Mirror one cache event onto both telemetry layers.
-
-    The collector keeps its historical flat counters
-    (``service.cache.<event>s``); the live-metrics registry gets the
-    labeled form (``service_cache_events_total{event=...}``) the SLO
-    rules and Prometheus exports consume.
+    """Count one cache event in ``service_cache_events_total{event}``,
+    the series the SLO rules and Prometheus exports consume.
 
     Cache methods fetch the registry guard **once per operation**
     (outside their lock) and pass it in, matching the cheap-when-off
     pattern of the service and solver layers.
     """
-    telemetry.count(f"service.cache.{event}s", value)
     if registry is not None:
         registry.counter(
             "service_cache_events_total",

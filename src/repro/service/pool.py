@@ -24,9 +24,10 @@ loop both service modes run.
   never hang the service (``service_worker_respawns_total`` counts
   replacements).
 * **Drain-time telemetry merge** — warm workers accumulate their
-  collector/tracer/metrics state across *all* their jobs and ship one
-  cumulative snapshot when the pool drains at shutdown, so each
-  worker's totals fold into the parent exactly once.
+  trace events and metrics registry across *all* their jobs and ship
+  one cumulative snapshot when the pool drains at shutdown, so each
+  worker's totals fold into the parent exactly once
+  (:meth:`~repro.telemetry.metrics.MetricsRegistry.merge_snapshot`).
 
 Compact results: a worker returns best-state bits as a ``uint8``
 matrix plus ``float64`` energies and ``int64`` occurrence counts —
@@ -53,7 +54,6 @@ from ..compile.dispatch import SolverConfig, run_registry_backend
 from ..telemetry import context as _tracectx
 from ..telemetry import metrics as _metrics
 from ..telemetry import profiler as _profiler
-from ..telemetry.collector import Collector
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.progress import ProgressTrace
 from ..telemetry.trace import Tracer
@@ -230,13 +230,11 @@ def run_inline(leader, members: List[Tuple[Any, ...]], model: Any,
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-def _capture_payload(collector, tracer, registry,
+def _capture_payload(tracer, registry,
                      jobs: Optional[List[Dict[str, Any]]] = None
                      ) -> Dict[str, Any]:
     return {
         "pid": os.getpid(),
-        "telemetry_snapshot": (collector.snapshot()
-                               if collector is not None else None),
         "trace_events": tracer.events() if tracer is not None else None,
         "trace_epoch_ns": (tracer.epoch_ns
                            if tracer is not None else None),
@@ -254,24 +252,20 @@ def _warm_worker_main(connection, index: int,
     """Worker-process entry: loop on tasks until drained.
 
     With the default ``fork`` start method the child inherits the
-    parent's live collector/tracer/registry objects; the first thing a
-    warm worker does is replace them with private instances so its
+    parent's live tracer/registry objects; the first thing a warm
+    worker does is replace them with private instances so its
     accounting never aliases the parent's (the parent folds the
     worker's cumulative snapshot in exactly once, at drain).
     """
-    telemetry.disable()
     telemetry.disable_tracing()
     _metrics.disable_metrics()
     _tracectx.disable_context()
     _profiler.disable_profiling()
-    collector: Optional[Collector] = None
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
 
     def ensure_capture(flags: Dict[str, bool]) -> None:
-        nonlocal collector, tracer, registry
-        if flags.get("telemetry") and collector is None:
-            collector = telemetry.enable(Collector())
+        nonlocal tracer, registry
         if flags.get("trace") and tracer is None:
             tracer = telemetry.enable_tracing(Tracer())
             tracer.instant("service.pool.worker_boot",
@@ -295,7 +289,7 @@ def _warm_worker_main(connection, index: int,
             if kind == "drain":
                 connection.send(
                     ("drained",
-                     _capture_payload(collector, tracer, registry,
+                     _capture_payload(tracer, registry,
                                       jobs=list(jobs_log))))
                 return
             _, task_id, flags, model, members = message
@@ -360,7 +354,6 @@ class WarmWorkerPool:
     # -- lifecycle -------------------------------------------------------
     def _capture_flags(self) -> Dict[str, bool]:
         return {
-            "telemetry": telemetry.get_collector() is not None,
             "trace": telemetry.get_tracer() is not None,
             "metrics": _metrics.get_registry() is not None,
             "context": _tracectx.get_context_state() is not None,
@@ -390,7 +383,6 @@ class WarmWorkerPool:
         with self._lock:
             self._workers[worker.index] = fresh
             self.respawns += 1
-        telemetry.count("service.pool.respawns")
         registry = _metrics.get_registry()
         if registry is not None:
             _respawns_counter(registry).inc()

@@ -20,6 +20,7 @@ import queue as _queue
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
+from ..telemetry import metrics as _metrics
 from ..compile.dispatch import SolveResult, SolverConfig
 from ..compile.ir import CompiledProblem
 from .queue import JobStatus
@@ -86,7 +87,10 @@ def race(service, problem: CompiledProblem,
             )
             handle.add_done_callback(completion.put)
             handles.append(handle)
-        telemetry.count("service.portfolio.races")
+        registry = _metrics.get_registry()
+        if registry is not None:
+            registry.counter("service_portfolio_races_total",
+                             "portfolio races started").inc()
 
         wait_timeout = (None if budget is None
                         else budget * len(entrants)
@@ -141,8 +145,11 @@ def race(service, problem: CompiledProblem,
                     f"no portfolio entrant completed on "
                     f"{problem.name!r} ({failures})"
                 )
-        telemetry.count("service.portfolio.winners")
-        telemetry.count(f"service.portfolio.win.{winner.solver}")
+        if registry is not None:
+            registry.counter(
+                "service_portfolio_wins_total",
+                "portfolio races won, by winning solver",
+                ("solver",)).labels(solver=winner.solver).inc()
 
     import dataclasses
 

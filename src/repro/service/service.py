@@ -24,10 +24,11 @@ call into a managed execution subsystem:
   (problem terms + solver + config + seed); repeat submissions hit the
   LRU cache and *identical in-flight* submissions coalesce onto the
   same job instead of re-executing.
-* **telemetry** — each warm worker's collector/tracer/metrics
-  accumulate across its whole life and merge into the parent's once,
-  at pool drain; every result's provenance carries a ``service`` block
-  (job id, worker pid, queue wait, cache and dispatch disposition).
+* **telemetry** — each warm worker's trace events and metrics
+  registry accumulate across its whole life and fold into the
+  parent's once, at pool drain; every result's provenance carries a
+  ``service`` block (job id, worker pid, queue wait, cache and
+  dispatch disposition).
 
 Results are bit-for-bit identical to sequential ``solve`` calls under
 fixed seeds: workers run only the registered backend on the bare
@@ -37,6 +38,7 @@ code path (:func:`repro.compile.assemble_result`).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import numbers
@@ -365,7 +367,6 @@ class SolveService:
                 if inflight is not None:
                     inflight.coalesced += 1
                     self._coalesced += 1
-                    telemetry.count("service.jobs.coalesced")
                     registry = _metrics.get_registry()
                     if registry is not None:
                         _jobs_total(registry).labels(
@@ -405,7 +406,6 @@ class SolveService:
                 if key is not None and self._inflight.get(key) is job:
                     del self._inflight[key]
             raise
-        telemetry.count("service.jobs.submitted")
         registry = _metrics.get_registry()
         if registry is not None:
             _jobs_total(registry).labels(status="submitted").inc()
@@ -571,7 +571,6 @@ class SolveService:
             if key is not None and self._inflight.get(key) is job:
                 del self._inflight[key]
             self._stats[JobStatus.CANCELLED] += 1
-        telemetry.count("service.jobs.cancelled")
         registry = _metrics.get_registry()
         if registry is not None:
             _jobs_total(registry).labels(status="cancelled").inc()
@@ -589,7 +588,6 @@ class SolveService:
                     if job.status.is_terminal():
                         continue
                     job.status = JobStatus.RUNNING
-                telemetry.count("service.jobs.started")
                 registry = _metrics.get_registry()
                 busy_since = time.perf_counter()
                 if registry is not None:
@@ -637,11 +635,9 @@ class SolveService:
                 if member.status.is_terminal():
                     continue  # cancelled after take; nothing owed
                 member.status = JobStatus.RUNNING
-            telemetry.count("service.jobs.started")
             members.append(member)
         folds = len(members) - 1
         if folds:
-            telemetry.count("service.jobs.batch_folds", folds)
             if registry is not None:
                 registry.counter(
                     "service_batch_folds_total",
@@ -676,11 +672,13 @@ class SolveService:
                              solver=job.solver, batched=len(members))
         wire_members = [(member.job_id, member.solver, member.config,
                          member.trace_id) for member in members]
+        tracer = telemetry.get_tracer()
+        span = (tracer.span(f"service.execute.{job.problem.name}")
+                if tracer is not None else contextlib.nullcontext())
         try:
             with _context.activate(job.trace_id, job_id=job.job_id,
                                    stage="dispatch"):
-                with telemetry.span(
-                        f"service.execute.{job.problem.name}"):
+                with span:
                     if self._pool is not None:
                         outcome = self._pool.execute(
                             index, job, wire_members, job.problem.model,
@@ -704,12 +702,12 @@ class SolveService:
         if registry is not None:
             execute_hist = registry.histogram(
                 "service_execute_seconds",
-                "wall clock from dispatch to resolution, per solver",
+                "wall clock of the dispatch's member loop (worker round "
+                "trip or inline run), per solver",
                 ("solver",))
             for member in members:
                 execute_hist.labels(solver=member.solver).observe(
                     elapsed)
-        tracer = telemetry.get_tracer()
         if outcome is not None and tracer is not None:
             for member in members:
                 tracer.instant(
@@ -831,11 +829,8 @@ class SolveService:
             if resolved:
                 self._stats[status] += 1
         if resolved:
-            telemetry.count(f"service.jobs.{status.value}")
             if registry is not None:
                 _jobs_total(registry).labels(status=status.value).inc()
-            if status is JobStatus.DONE:
-                telemetry.record("service.queue_seconds", queue_seconds)
             tracer = telemetry.get_tracer()
             if tracer is not None:
                 tracer.instant(
@@ -847,8 +842,8 @@ class SolveService:
                           "queue_seconds": queue_seconds})
 
     def _merge_drain_payload(self, payload: Dict[str, Any]) -> None:
-        """Fold one drained worker's cumulative telemetry/trace/metrics
-        into the parent.
+        """Fold one drained worker's cumulative trace events and
+        metrics snapshot into the parent.
 
         Warm workers accumulate across every job they ran, so each
         worker merges exactly once — at pool drain (merging cumulative
@@ -866,11 +861,6 @@ class SolveService:
             with self._lock:
                 self._drain_log.append({"pid": payload.get("pid"),
                                         "jobs": list(jobs)})
-        collector = telemetry.get_collector()
-        if (collector is not None
-                and payload.get("telemetry_snapshot") is not None):
-            collector.merge_snapshot(payload["telemetry_snapshot"])
-            telemetry.count("service.telemetry.merges")
         tracer = telemetry.get_tracer()
         if tracer is not None and payload.get("trace_events"):
             tracer.merge_events(payload["trace_events"],

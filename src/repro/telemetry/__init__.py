@@ -1,44 +1,43 @@
-"""repro.telemetry — spans, counters, and run provenance.
+"""repro.telemetry — one metrics store, spans, tracing and provenance.
 
 Zero-dependency instrumentation for the whole stack. The costs the
 tutorial reasons about — gate applications, circuit and gradient
 evaluations, annealing sweeps, accepted/rejected moves, shots — are
-collected into one in-process :class:`Collector` together with
-hierarchical span timings and a run-provenance record, and export to
-dict / JSON / JSONL / text report.
+labeled counters, gauges and histograms in one
+:class:`~repro.telemetry.metrics.MetricsRegistry`, which also holds
+span timings and exports Prometheus text and ``repro-metrics/v1``
+JSON. Worker processes keep a registry of their own and the parent
+folds each one in once, with :meth:`MetricsRegistry.merge_snapshot`.
 
-Telemetry is **off by default and cheap when off**: the module-level
-helpers and every instrumented hot path guard on a single attribute
-check (``get_collector() is None``) and fall through to no-ops, so the
-disabled overhead is one function call per *operation* (circuit run,
-anneal, Gram matrix), never per gate or per spin flip.
+Telemetry is **off by default and cheap when off**: instrumented hot
+paths fetch :func:`get_registry` once per *operation* (circuit run,
+anneal, Gram matrix) and fall through when it is ``None``, never per
+gate or per spin flip.
 
 Enable it one of three ways::
 
     from repro import telemetry
-    collector = telemetry.enable()          # 1. programmatically
-    # REPRO_TELEMETRY=1 python ...          # 2. environment variable
+    registry = telemetry.enable_metrics()   # 1. programmatically
+    # REPRO_METRICS=1 python ...            # 2. environment variable
     # python -m repro.experiments E8 --telemetry   # 3. CLI flag
 
     sim.run(circuit)                        # instrumented code runs
-    print(telemetry.render_report(collector))
-    collector.snapshot()                    # dict; .to_json(), .to_jsonl()
+    print(telemetry.render_report(registry.snapshot()))
+    registry.to_prometheus()                # or .to_json()
 
-Alongside the collector there is a *live metrics* layer
-(:mod:`repro.telemetry.metrics`): labeled counters/gauges/histograms
-with Prometheus-format export, SLO health evaluation
-(:mod:`repro.telemetry.health`) and a background JSONL sampler
-(:mod:`repro.telemetry.sampler`). It follows the same guard pattern
-(``get_registry() is None`` when off) and is enabled separately via
-``enable_metrics()`` or ``REPRO_METRICS=1``.
+:func:`span` times a stretch of code into the registry's
+``span_seconds{path}`` histogram and, when the event tracer
+(:mod:`repro.telemetry.trace`) is on, emits a begin/end pair on its
+timeline. SLO health evaluation (:mod:`repro.telemetry.health`) and a
+background JSONL sampler (:mod:`repro.telemetry.sampler`) read the
+same registry.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+import threading
+import time
 
-from .collector import Collector, SpanStats
 from .context import (
     ContextState,
     TraceContext,
@@ -98,7 +97,6 @@ from .trace import (
 from . import trace as _trace
 
 __all__ = [
-    "Collector",
     "ContextState",
     "Counter",
     "DEFAULT_SLO_RULES",
@@ -114,30 +112,23 @@ __all__ = [
     "ProgressTrace",
     "RunProvenance",
     "SLORule",
-    "SpanStats",
     "Timer",
     "TraceContext",
     "Tracer",
     "collect_provenance",
-    "count",
     "current_context",
-    "disable",
     "disable_context",
     "disable_flight",
     "disable_metrics",
     "disable_profiling",
     "disable_tracing",
-    "enable",
     "enable_context",
     "enable_flight",
-    "enable_from_env",
     "enable_metrics",
     "enable_profiling",
     "enable_tracing",
     "evaluate_rules",
     "flight_event",
-    "gauge",
-    "get_collector",
     "get_context_state",
     "get_flight_recorder",
     "get_profiler_config",
@@ -145,21 +136,20 @@ __all__ = [
     "get_tracer",
     "git_sha",
     "is_context_enabled",
-    "is_enabled",
     "is_flight_enabled",
     "is_metrics_enabled",
     "is_profiling_enabled",
     "is_tracing",
-    "record",
     "render_report",
     "span",
     "trace_instant",
     "validate_flight_document",
 ]
 
-ENV_VAR = "REPRO_TELEMETRY"
+#: The histogram every :func:`span` observes its seconds into.
+SPAN_METRIC = "span_seconds"
 
-_collector: Optional[Collector] = None
+_spans = threading.local()
 
 
 class _NoopSpan:
@@ -177,55 +167,67 @@ class _NoopSpan:
 _NOOP_SPAN = _NoopSpan()
 
 
-def enable(collector: Optional[Collector] = None) -> Collector:
-    """Install (and return) the global collector; metrics flow after this."""
-    global _collector
-    _collector = collector if collector is not None else Collector()
-    return _collector
+class _Span:
+    """One span activation.
 
-
-def disable() -> None:
-    """Remove the global collector; instrumented code reverts to no-ops."""
-    global _collector
-    _collector = None
-
-
-def is_enabled() -> bool:
-    return _collector is not None
-
-
-def get_collector() -> Optional[Collector]:
-    """The active collector, or None when telemetry is disabled.
-
-    Hot paths fetch this once per operation and branch on it, so the
-    disabled cost is a single call + identity check.
+    Entering pushes the span's full path onto the calling thread's
+    stack, so a span opened inside another records under the combined
+    path (``experiment.E8/annealing.sa.solve``). Exiting observes the
+    elapsed ``time.perf_counter`` seconds into the registry's span
+    histogram under that path. The registry and tracer are pinned at
+    creation, so disabling either mid-span cannot leave an unmatched
+    begin event.
     """
-    return _collector
+
+    __slots__ = ("name", "path", "_registry", "_tracer", "_start")
+
+    def __init__(self, name: str, registry, tracer):
+        self.name = name
+        self.path = name
+        self._registry = registry
+        self._tracer = tracer
+        self._start = 0.0
+
+    def __enter__(self) -> "_Span":
+        stack = getattr(_spans, "stack", None)
+        if stack is None:
+            stack = _spans.stack = []
+        if stack:
+            self.path = f"{stack[-1]}/{self.name}"
+        stack.append(self.path)
+        if self._tracer is not None:
+            self._tracer.begin(self.name, category="span",
+                               args={"path": self.path})
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed = time.perf_counter() - self._start
+        stack = _spans.stack
+        if stack and stack[-1] == self.path:
+            stack.pop()
+        if self._tracer is not None:
+            self._tracer.end(self.name, category="span")
+        if self._registry is not None:
+            self._registry.histogram(
+                SPAN_METRIC, "wall clock of telemetry spans, by nesting "
+                "path", ("path",)).labels(path=self.path).observe(elapsed)
+        return False
 
 
-def enable_from_env(env_var: str = ENV_VAR) -> Optional[Collector]:
-    """Enable telemetry when the environment variable opts in."""
-    if os.environ.get(env_var, "").strip().lower() in {"1", "true",
-                                                       "yes", "on"}:
-        return enable()
-    return None
-
-
-# -- module-level conveniences (each guards on the one attribute) -------
 def span(name: str):
-    """Span context manager; a shared no-op when telemetry is disabled.
+    """Span context manager; a shared no-op when both the metrics
+    registry and the tracer are off.
 
-    With a collector enabled, the span aggregates there (and mirrors
-    onto the event tracer's timeline when one is active). With only a
-    tracer enabled, the span becomes a bare begin/end event pair.
+    With the registry on, the span's seconds land in
+    ``span_seconds{path}``; with the tracer on, it emits a begin/end
+    event pair (category ``span``) on the timeline.
     """
-    collector = _collector
-    if collector is not None:
-        return collector.span(name)
+    registry = get_registry()
     tracer = _trace.get_tracer()
-    if tracer is not None:
-        return tracer.span(name)
-    return _NOOP_SPAN
+    if registry is None and tracer is None:
+        return _NOOP_SPAN
+    return _Span(name, registry, tracer)
 
 
 def trace_instant(name: str, category: str = "event",
@@ -234,26 +236,3 @@ def trace_instant(name: str, category: str = "event",
     tracer = _trace.get_tracer()
     if tracer is not None:
         tracer.instant(name, category=category, args=args)
-
-
-def count(name: str, value: float = 1) -> None:
-    collector = _collector
-    if collector is not None:
-        collector.count(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    collector = _collector
-    if collector is not None:
-        collector.gauge(name, value)
-
-
-def record(name: str, value: float) -> None:
-    collector = _collector
-    if collector is not None:
-        collector.record(name, value)
-
-
-# Honour REPRO_TELEMETRY=1 at import so library users (not just the
-# CLI) can turn on collection without touching code.
-enable_from_env()

@@ -20,7 +20,7 @@ This module fixes that with a minimal trace context:
   ``trace_id``/``job_id`` (see ``Tracer._emit``), which is what the
   ``obs-report`` CLI joins on.
 
-Like the collector, tracer, and metrics registry, the layer is
+Like the tracer and the metrics registry, the layer is
 **off by default** and cheap when off: the only cost on hot paths is
 one module-attribute read returning ``None``.  Enable explicitly with
 :func:`enable_context` or via ``REPRO_CONTEXT=1``.

@@ -1,9 +1,11 @@
-"""Live labeled metrics: counters, gauges, histograms, timers.
+"""The metrics store: labeled counters, gauges, histograms, timers.
 
-The :class:`Collector` (PR 1) aggregates *named scalars* — one number
-per key. Serving-layer questions ("p95 queue wait", "cache hit ratio
-by outcome", "per-solver execution time") need *labeled instruments
-with distributions*, which is what this module provides:
+Every number the stack records lives here — the tutorial's work
+counts (gate applications, circuit evaluations, sweeps, shots), span
+timings (``span_seconds{path}``, written by
+:func:`repro.telemetry.span`) and the serving layer's questions ("p95
+queue wait", "cache hit ratio by outcome", "per-solver execution
+time"):
 
 * :class:`Counter` — monotonically increasing totals, optionally
   split by label values (``service_jobs_total{status="timeout"}``).
@@ -16,25 +18,26 @@ with distributions*, which is what this module provides:
   histogram series.
 
 Everything hangs off a thread-safe :class:`MetricsRegistry` with
-snapshot/merge support (worker-process registries fold into the
-parent, mirroring :meth:`Collector.merge_snapshot`) and two export
-formats: the Prometheus text exposition format
-(:meth:`MetricsRegistry.to_prometheus`) and ``repro-metrics/v1`` JSON
-(:meth:`MetricsRegistry.to_json`) consumed by ``python -m
-repro.experiments metrics-report``.
+snapshot/merge support and two export formats: the Prometheus text
+exposition format (:meth:`MetricsRegistry.to_prometheus`) and
+``repro-metrics/v1`` JSON (:meth:`MetricsRegistry.to_json`) consumed
+by ``python -m repro.experiments metrics-report``.
+:meth:`MetricsRegistry.merge_snapshot` is the one merge: each warm
+worker process keeps its own registry and ships one snapshot when the
+pool drains, so ``service_metrics_merges_total`` counts drained
+workers, not jobs, and ``run_experiment`` folds each run's fresh
+registry into the caller's the same way.
 
-The warm-pool service layer (PR 7) contributes its own instrument
-family on top of the original job/queue/cache set:
-``service_worker_respawns_total`` (reap-and-replace events; exported
-as an explicit 0 on healthy runs) and ``service_batch_folds_total``
-(cross-job folds of same-model submissions). Worker registries merge
-at pool *drain*, so ``service_metrics_merges_total`` counts drained
-workers, not jobs.
+The warm-pool service layer contributes its own instrument family on
+top of the job/queue/cache set: ``service_worker_respawns_total``
+(reap-and-replace events; exported as an explicit 0 on healthy runs)
+and ``service_batch_folds_total`` (cross-job folds of same-model
+submissions).
 
-Like the collector and the tracer, metrics are **off by default and
-cheap when off**: instrumented hot paths fetch :func:`get_registry`
-once per *operation* (a solve, a batch run, a service dispatch) and
-fall through when it is ``None``, so the disabled cost is one function
+Like the tracer, metrics are **off by default and cheap when off**:
+instrumented hot paths fetch :func:`get_registry` once per
+*operation* (a solve, a batch run, a service dispatch) and fall
+through when it is ``None``, so the disabled cost is one function
 call + identity check per operation, never per sweep or per gate.
 
 Enable with ``REPRO_METRICS=1`` or::
@@ -788,7 +791,7 @@ def validate_prometheus_text(text: str) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Global registry (single-attribute guard, mirroring the collector)
+# Global registry (the single-attribute guard)
 # ----------------------------------------------------------------------
 _registry: Optional[MetricsRegistry] = None
 

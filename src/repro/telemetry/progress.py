@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+from . import metrics as _metrics
 from . import trace
 
 #: Per-trace row cap; further rows are dropped and counted.
@@ -93,19 +94,21 @@ class ProgressTrace:
         return [dict(row) for row in self._rows]
 
     def note_truncation(self) -> int:
-        """Mirror the dropped-row count onto the telemetry counters.
+        """Add the dropped-row count to the metrics registry.
 
         Truncation used to be recorded only on the trace object itself,
         where nothing downstream looked at it; callers that consume a
         finished trace (dispatch, the service workers) call this so the
-        loss shows up as ``progress.truncated_rows`` in the collector —
-        and therefore in ``render_report`` — instead of vanishing.
+        loss shows up as ``progress_truncated_rows_total`` — and
+        therefore in ``render_report`` — instead of vanishing.
         Returns the number of rows dropped (0 when nothing was lost).
         """
-        if self.truncated:
-            from . import count  # deferred: this module loads first
-
-            count("progress.truncated_rows", self.truncated)
+        registry = _metrics.get_registry()
+        if self.truncated and registry is not None:
+            registry.counter(
+                "progress_truncated_rows_total",
+                "convergence rows dropped past the per-trace cap",
+            ).inc(self.truncated)
         return self.truncated
 
     def __len__(self) -> int:

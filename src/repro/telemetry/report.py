@@ -1,133 +1,48 @@
-"""Text rendering of a metrics snapshot.
+"""Text rendering of one run's metrics.
 
-``render_report`` turns a :meth:`Collector.snapshot` dict (or a live
-collector) into the aligned text block the experiments CLI prints after
-each ``--telemetry`` run.
+``render_report`` turns a registry snapshot into the text block the
+experiments CLI prints after each ``--telemetry`` run: the
+:func:`~repro.telemetry.metrics_report.render_dashboard` view of the
+snapshot, the event tracer's ring-buffer line and the run's
+provenance.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, List, Mapping, Optional, Union
 
-from .collector import Collector
 from . import trace as _trace
+from .metrics_report import _aligned, render_dashboard
 
 
-def _format_seconds(value: float) -> str:
-    if value >= 1.0:
-        return f"{value:.2f}s"
-    if value >= 1e-3:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value * 1e6:.1f}us"
-
-
-def _format_number(value: float) -> str:
-    if isinstance(value, float) and not value.is_integer():
-        return f"{value:.4g}"
-    return f"{int(value):,}"
-
-
-def _aligned(rows: List[List[str]], indent: str = "  ") -> List[str]:
-    if not rows:
-        return []
-    widths = [max(len(row[i]) for row in rows)
-              for i in range(len(rows[0]))]
-    return [
-        indent + "  ".join(cell.ljust(widths[i])
-                           for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
-
-
-def render_report(metrics: Union[Collector, Mapping[str, Any], None],
+def render_report(metrics: Optional[Mapping[str, Any]],
                   provenance: Optional[Mapping[str, Any]] = None,
                   tracer: Union["_trace.Tracer", None, str] = "global"
                   ) -> str:
-    """Aligned, human-readable view of spans, counters, gauges, series.
+    """Aligned, human-readable view of a ``repro-metrics/v1`` snapshot.
 
-    Tolerates the degenerate inputs that show up in practice: ``None``
-    or an empty snapshot renders a valid "(no metrics collected)"
-    report, and ``provenance`` — when provided — is rendered as its own
-    section, skipping ``None``-valued and missing fields rather than
+    ``None`` or an empty snapshot renders a valid "(no metrics in
+    snapshot)" dashboard. ``provenance`` — when provided — is rendered
+    as its own section, skipping ``None``-valued fields rather than
     printing them.
 
-    Loss is reported, not swallowed: series rows carry a ``dropped``
-    column (values truncated past the per-series cap), and when event
-    tracing is active a ``trace:`` line reports the ring buffer's
-    buffered/dropped event counts. ``tracer`` defaults to the global
-    tracer; pass ``None`` to suppress the line or an explicit
-    :class:`Tracer` to report on that instance.
+    Loss is reported, not swallowed: when event tracing is active a
+    ``trace:`` line reports the ring buffer's buffered/dropped event
+    counts. ``tracer`` defaults to the global tracer; pass ``None`` to
+    suppress the line or an explicit :class:`Tracer` to report on that
+    instance.
     """
-    if metrics is None:
-        metrics = {}
-    elif isinstance(metrics, Collector):
-        metrics = metrics.snapshot()
     if tracer == "global":
         tracer = _trace.get_tracer()
-    lines: List[str] = ["telemetry report"]
-
-    spans: Dict[str, Dict[str, float]] = metrics.get("spans") or {}
-    if spans:
-        rows = [
-            [path,
-             _format_number(stats.get("count", 0)),
-             _format_seconds(stats.get("total_seconds", 0.0)),
-             _format_seconds(stats.get("mean_seconds", 0.0))]
-            for path, stats in sorted(
-                spans.items(),
-                key=lambda item: -item[1].get("total_seconds", 0.0),
-            )
-        ]
-        lines.append("spans (path  count  total  mean):")
-        lines.extend(_aligned(rows))
-
-    counters: Dict[str, float] = metrics.get("counters") or {}
-    if counters:
-        lines.append("counters:")
-        rows = [[name, _format_number(value)]
-                for name, value in sorted(counters.items())]
-        lines.extend(_aligned(rows))
-
-    gauges: Dict[str, float] = metrics.get("gauges") or {}
-    if gauges:
-        lines.append("gauges:")
-        rows = [[name, _format_number(value)]
-                for name, value in sorted(gauges.items())]
-        lines.extend(_aligned(rows))
-
-    series: Dict[str, Dict[str, Any]] = metrics.get("series") or {}
-    if series:
-        rows = []
-        for name, entry in sorted(series.items()):
-            values = entry.get("values") or []
-            if not values:
-                continue
-            rows.append([
-                name,
-                _format_number(len(values) + entry.get("truncated", 0)),
-                f"{values[0]:.4g}",
-                f"{values[-1]:.4g}",
-                f"{min(values):.4g}",
-                _format_number(entry.get("truncated", 0)),
-            ])
-        # Only emit the section header when at least one series has
-        # points; an all-empty series dict previously left a dangling
-        # header at the bottom of the report.
-        if rows:
-            lines.append(
-                "series (name  points  first  last  best  dropped):")
-            lines.extend(_aligned(rows))
+    lines: List[str] = [render_dashboard(metrics or {})]
 
     if tracer is not None and not isinstance(tracer, str):
         # Ring-buffer accounting: a truncated trace silently biases
         # any analysis done on it, so the report says when it happened.
         lines.append(
-            f"trace: {_format_number(tracer.event_count)} events "
-            f"buffered, {_format_number(tracer.dropped_events)} dropped"
+            f"trace: {tracer.event_count:,} events "
+            f"buffered, {tracer.dropped_events:,} dropped"
         )
-
-    if len(lines) == 1:
-        lines.append("  (no metrics collected)")
 
     if provenance:
         rows = [[str(key), _format_provenance_value(value)]

@@ -1,6 +1,6 @@
 """Event-level tracing: a timeline of *when* time was spent.
 
-The :class:`Collector` answers "how much, how often"; the
+The metrics registry answers "how much, how often"; the
 :class:`Tracer` answers "when, in what order, on which thread". It
 records timestamped begin/end span events, instant events, complete
 events and counter samples into a bounded ring buffer, and exports the
@@ -8,13 +8,13 @@ Chrome ``trace_event`` JSON format — load the file in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing`` to see the run as a
 flame chart — plus JSON lines for programmatic diffing.
 
-Like the collector, tracing is **off by default and cheap when off**:
-instrumented code fetches the global tracer once per operation
+Like the metrics registry, tracing is **off by default and cheap when
+off**: instrumented code fetches the global tracer once per operation
 (:func:`get_tracer`) and falls through to no-ops when it is ``None``.
-When a collector is also enabled, every :meth:`Collector.span`
-activation is mirrored as a begin/end event pair automatically, so the
-whole existing span hierarchy (experiments, solvers, simulator runs)
-lands on the timeline without touching call sites.
+While a tracer is on, every :func:`repro.telemetry.span` activation
+emits a begin/end event pair, so the whole span hierarchy
+(experiments, solvers, service workers) lands on the timeline without
+touching call sites.
 
 Memory is sampled at span boundaries (throttled): peak RSS via
 ``resource.getrusage`` and, when ``trace_malloc=True``, the
@@ -329,7 +329,7 @@ class Tracer:
 
 
 # ----------------------------------------------------------------------
-# Global tracer (the single-attribute guard, mirroring the collector)
+# Global tracer (the single-attribute guard)
 # ----------------------------------------------------------------------
 _tracer: Optional[Tracer] = None
 

@@ -238,27 +238,26 @@ def test_property_heuristics_never_beat_exact(seed):
 def test_vectorized_sa_reaches_optimum_with_telemetry(frustrated_qubo):
     """Lock-step reads still find the ground state, and the sweep and
     accept/reject counters stay populated."""
-    from repro import telemetry
+    from repro.telemetry import metrics
 
     exact = solve_qubo_exact(frustrated_qubo)
-    collector = telemetry.enable()
+    registry = metrics.enable_metrics()
     try:
         solver = SimulatedAnnealingSolver(num_sweeps=200, num_reads=10,
                                           seed=0)
         result = solver.solve(frustrated_qubo)
-        snapshot = collector.snapshot()
     finally:
-        telemetry.disable()
+        metrics.disable_metrics()
     assert result.best_energy == pytest.approx(exact.energy)
-    counters = snapshot["counters"]
-    assert counters["annealing.sa.sweeps"] == 200 * 10
-    assert counters["annealing.sa.reads"] == 10
-    assert counters["annealing.sa.accepted_moves"] > 0
-    assert (counters["annealing.sa.accepted_moves"]
-            + counters["annealing.sa.rejected_moves"]
+    moves = registry.get("solver_moves_total")
+    accepted = moves.labels(solver="sa", outcome="accepted").value
+    rejected = moves.labels(solver="sa", outcome="rejected").value
+    assert registry.get("solver_sweeps_total").value == 200 * 10
+    assert accepted > 0
+    assert (accepted + rejected
             == 200 * 10 * frustrated_qubo.num_variables)
-    assert len(snapshot["series"]["annealing.sa.best_energy"]["values"]) == 10
-    assert "annealing.sa.solve" in snapshot["spans"]
+    spans = registry.get("span_seconds")
+    assert spans.labels(path="annealing.sa.solve").count == 1
 
 
 def test_vectorized_sa_returns_one_sample_per_read(frustrated_qubo):
@@ -268,24 +267,22 @@ def test_vectorized_sa_returns_one_sample_per_read(frustrated_qubo):
 
 
 def test_vectorized_sqa_reaches_optimum_with_telemetry(frustrated_qubo):
-    from repro import telemetry
+    from repro.telemetry import metrics
 
     exact = solve_qubo_exact(frustrated_qubo)
-    collector = telemetry.enable()
+    registry = metrics.enable_metrics()
     try:
         solver = SimulatedQuantumAnnealingSolver(
             num_sweeps=200, num_reads=8, num_slices=10, seed=4
         )
         result = solver.solve(frustrated_qubo)
-        snapshot = collector.snapshot()
     finally:
-        telemetry.disable()
+        metrics.disable_metrics()
     assert result.best_energy <= exact.energy + 0.5
-    counters = snapshot["counters"]
-    assert counters["annealing.sqa.sweeps"] == 200 * 8
-    assert counters["annealing.sqa.accepted_local_moves"] > 0
-    assert counters["annealing.sqa.energy_evaluations"] == 8 * 10
-    assert len(snapshot["series"]["annealing.sqa.best_energy"]["values"]) == 8
+    moves = registry.get("solver_moves_total")
+    assert registry.get("solver_sweeps_total").value == 200 * 8
+    assert moves.labels(solver="sqa", outcome="accepted").value > 0
+    assert registry.get("sqa_worldline_moves_accepted_total").value >= 0
 
 
 # ----------------------------------------------------------------------
@@ -357,23 +354,23 @@ _PARITY_CASES = [
 def _traced_solve(solver_cls, model, num_sweeps, num_reads, seed,
                   convergence, beta_schedule=None):
     """Samples, convergence rows and move counters of one solve."""
-    from repro import telemetry
+    from repro.telemetry import metrics
 
     progress = ProgressTrace() if convergence else None
-    collector = telemetry.enable()
+    registry = metrics.enable_metrics()
     try:
         samples = solver_cls(num_sweeps=num_sweeps, num_reads=num_reads,
                              beta_schedule=beta_schedule, seed=seed,
                              progress=progress).solve(model)
-        counters = collector.snapshot()["counters"]
     finally:
-        telemetry.disable()
+        metrics.disable_metrics()
+    moves = registry.get("solver_moves_total")
     # repr keeps the sign of zero and every bit of each float.
     return repr((
         [(s.assignment, s.energy, s.num_occurrences) for s in samples],
         None if progress is None else progress.rows(),
-        counters["annealing.sa.accepted_moves"],
-        counters["annealing.sa.rejected_moves"],
+        moves.labels(solver="sa", outcome="accepted").value,
+        moves.labels(solver="sa", outcome="rejected").value,
     ))
 
 

@@ -22,10 +22,10 @@ SMOKE_CONFIG = SolverConfig(num_sweeps=40, num_reads=2, seed=3,
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    telemetry.disable()
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
     yield
-    telemetry.disable()
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
 
 

@@ -277,19 +277,19 @@ def test_minibatch_gradient_telemetry_matches_per_row_counts():
     targets = np.where(y == 1, 1.0, -1.0)
     model = VariationalClassifier(2, num_layers=2, seed=0)
     weights = np.linspace(-1.0, 1.0, model.num_weights)
-    counts = []
+    registries = []
     for gradient in (model._minibatch_gradient,
                      lambda *args: per_row_gradient(model, *args)):
-        collector = telemetry.enable()
+        registry = telemetry.enable_metrics()
         try:
             value = gradient(X, targets, weights)
-            counts.append(collector.snapshot()["counters"])
         finally:
-            telemetry.disable()
+            telemetry.disable_metrics()
+        registries.append(registry)
         assert value.shape == (model.num_weights,)
     rows = len(X)
-    for snapshot in counts:  # batched, then the per-row reference
-        assert snapshot["qml.gradient_evaluations"] == rows
-        assert snapshot["qml.circuit_evaluations"] == rows
-        assert (snapshot["quantum.circuit_evaluations"]
+    for registry in registries:  # batched, then the per-row reference
+        assert registry.get("qml_gradient_evaluations_total").value == rows
+        assert registry.get("qml_circuit_evaluations_total").value == rows
+        assert (registry.get("quantum_circuit_evaluations_total").value
                 == rows * (2 * model.num_weights + 1))

@@ -12,7 +12,6 @@ is compared with ``np.array_equal``, not a tolerance.
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.qml import (
     AmplitudeEncoding,
     AngleEncoding,
@@ -24,6 +23,7 @@ from repro.qml import (
     parameter_shift_gradient,
 )
 from repro.qml import gradients
+from repro.qml.models import _count_evaluations
 from repro.quantum import (
     Circuit,
     Parameter,
@@ -45,7 +45,7 @@ class PerRowMethods:
             )
         binding = dict(zip(self._weight_params, weights))
         circuits = [self._full_circuit(x).bind(binding) for x in rows]
-        telemetry.count("qml.circuit_evaluations", len(circuits))
+        _count_evaluations(len(circuits))
         states = self._sim.run_batch(circuits)
         return self._observable.expectation(states, self.encoding.num_qubits)
 

@@ -265,18 +265,19 @@ def test_pauli_expectation_of_stack_matches_rows():
 
 def test_run_batch_telemetry_counters():
     circuits = [iqp_like_circuit([0.1 * k] * 4) for k in range(4)]
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
     try:
         SIM.run_batch(circuits)
-        snapshot = collector.snapshot()
     finally:
-        telemetry.disable()
+        telemetry.disable_metrics()
     gates_per_circuit = len(circuits[0].instructions)
-    assert snapshot["counters"]["quantum.circuit_evaluations"] == 4
-    assert (snapshot["counters"]["quantum.gate_applications"]
-            == 4 * gates_per_circuit)
-    assert snapshot["counters"]["quantum.gate.h"] == 16
-    assert "quantum.run_batch" in snapshot["spans"]
+    assert registry.get("quantum_circuit_evaluations_total").labels(
+        mode="batch").value == 4
+    assert (registry.get("quantum_gate_applications_total").labels(
+        mode="batch").value == 4 * gates_per_circuit)
+    assert registry.get("quantum_gates_total").labels(gate="h").value == 16
+    assert registry.get("quantum_run_seconds").labels(
+        mode="batch").count == 1
 
 
 @settings(max_examples=15, deadline=None)

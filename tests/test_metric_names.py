@@ -20,8 +20,8 @@ from repro.server.testing import Client, ServerThread
 from repro.service import SolveService
 from repro.telemetry import metrics as _metrics
 
-#: The families the scenario exported before the registry became the
-#: only metrics store.
+#: The families the scenario exported while a second store kept the
+#: work counts and span timings.
 BASELINE = [
     ("pipeline_stage_seconds", "histogram", ("stage", "formulation")),
     ("quantum_gate_applications_total", "counter", ("mode",)),
@@ -49,9 +49,19 @@ BASELINE = [
     ("solver_sweeps_total", "counter", ("solver",)),
 ]
 
-#: Families added since, each a fact that used to live outside the
-#: registry.
-ADDED = []
+#: Families added when the registry became the only store, each a fact
+#: that used to be kept outside the registry.
+ADDED = [
+    ("compile_constraints_total", "counter", ("kind",)),
+    ("compile_decoded_samples_total", "counter", ("solver",)),
+    ("compile_problems_total", "counter", ()),
+    ("qaoa_energy_evaluations_total", "counter", ()),
+    ("quantum_circuit_evaluations_total", "counter", ("mode",)),
+    ("quantum_gates_total", "counter", ("gate",)),
+    ("quantum_shots_total", "counter", ()),
+    ("span_seconds", "histogram", ("path",)),
+    ("sqa_worldline_moves_accepted_total", "counter", ()),
+]
 
 
 @pytest.fixture(autouse=True)

@@ -260,10 +260,10 @@ def test_solver_records_metrics_only_when_enabled():
     assert accepted + rejected == 20 * 8  # sweeps * spins
 
 
-def test_statevector_and_dispatch_record_metrics():
-    import numpy as np
+def test_statevector_and_dispatch_record_metrics(monkeypatch):
+    import time
 
-    from repro.compile import SolverConfig, solve
+    from repro.compile import SolverConfig, dispatch
     from repro.db import JoinOrderQUBO, random_join_graph
     from repro.quantum import Circuit, StatevectorSimulator
 
@@ -273,8 +273,17 @@ def test_statevector_and_dispatch_record_metrics():
     qc.cx(0, 1)
     state = StatevectorSimulator().run(qc)
     problem = JoinOrderQUBO(random_join_graph(4, "chain", seed=0)).compile()
-    solve(problem, "sa", config=SolverConfig(num_sweeps=20, num_reads=2,
-                                             seed=1))
+    # solver_solve_seconds times the backend run alone: a slow decode
+    # shows in the result's duration, never in the histogram.
+    decode = dispatch.decode_samples
+
+    def slow_decode(problem, samples):
+        time.sleep(0.05)
+        return decode(problem, samples)
+
+    monkeypatch.setattr(dispatch, "decode_samples", slow_decode)
+    result = dispatch.solve(problem, "sa", config=SolverConfig(
+        num_sweeps=20, num_reads=2, seed=1))
     snap = registry.snapshot()
     gates = snap["counters"]["quantum_gate_applications_total"]["series"]
     assert gates == [{"labels": {"mode": "single"}, "value": 2.0}]
@@ -283,6 +292,8 @@ def test_statevector_and_dispatch_record_metrics():
     solve_hist = snap["histograms"]["solver_solve_seconds"]["series"]
     assert solve_hist[0]["labels"] == {"solver": "sa"}
     assert solve_hist[0]["count"] == 1
+    assert solve_hist[0]["sum"] < 0.05
+    assert result.provenance["duration_seconds"] >= 0.05
 
 
 # -- health / SLO rules ------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for repro.telemetry: spans, counters, provenance, CLI wiring."""
+"""Tests for repro.telemetry: spans, the one metrics store, provenance,
+CLI wiring."""
 
 import json
 import threading
@@ -10,16 +11,28 @@ import pytest
 from repro import telemetry
 from repro.quantum import Circuit, StatevectorSimulator
 from repro.quantum.statevector import apply_matrix
+from repro.telemetry import metrics as metrics_mod
 
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    """Every test starts and ends with telemetry (and tracing) disabled."""
-    telemetry.disable()
+    """Every test starts and ends with metrics (and tracing) disabled."""
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
     yield
-    telemetry.disable()
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
+
+
+def _span_series(registry, path):
+    """The ``span_seconds`` series of one nesting path."""
+    return registry.get(telemetry.SPAN_METRIC).labels(path=path)
+
+
+def _total(snapshot, name):
+    """A counter's value summed over its label sets."""
+    return sum(series["value"]
+               for series in snapshot["counters"][name]["series"])
 
 
 def _representative_circuit(num_qubits=5, layers=4) -> Circuit:
@@ -34,170 +47,137 @@ def _representative_circuit(num_qubits=5, layers=4) -> Circuit:
 
 # -- enable/disable ----------------------------------------------------
 def test_disabled_by_default_and_noop():
-    assert telemetry.get_collector() is None
-    assert not telemetry.is_enabled()
-    # Module helpers must be safe no-ops while disabled.
-    telemetry.count("x")
-    telemetry.gauge("x", 1.0)
-    telemetry.record("x", 1.0)
+    assert telemetry.get_registry() is None
+    assert telemetry.get_tracer() is None
     with telemetry.span("x"):
         pass
-    # The shared no-op span is reused, never a fresh allocation per call.
+    # With both the registry and the tracer off, every span is the one
+    # shared no-op object, never a fresh allocation per call.
     assert telemetry.span("a") is telemetry.span("b")
 
 
 def test_enable_disable_cycle():
-    collector = telemetry.enable()
-    assert telemetry.is_enabled()
-    assert telemetry.get_collector() is collector
-    telemetry.count("c", 2)
-    assert collector.snapshot()["counters"]["c"] == 2
-    telemetry.disable()
-    assert telemetry.get_collector() is None
-    telemetry.count("c", 5)  # dropped
-    assert collector.snapshot()["counters"]["c"] == 2
+    # Registry only: one observation in the span histogram, nothing on
+    # a timeline.
+    registry = telemetry.enable_metrics()
+    with telemetry.span("c"):
+        pass
+    assert telemetry.get_tracer() is None
+    assert _span_series(registry, "c").count == 1
+    telemetry.disable_metrics()
+    with telemetry.span("c"):  # dropped
+        pass
+    assert _span_series(registry, "c").count == 1
 
 
 def test_enable_from_env(monkeypatch):
-    monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
-    assert telemetry.enable_from_env() is None
-    assert not telemetry.is_enabled()
-    monkeypatch.setenv(telemetry.ENV_VAR, "1")
-    collector = telemetry.enable_from_env()
-    assert collector is not None
-    assert telemetry.get_collector() is collector
+    monkeypatch.delenv(metrics_mod.ENV_VAR, raising=False)
+    assert metrics_mod.enable_from_env() is None
+    assert not telemetry.is_metrics_enabled()
+    monkeypatch.setenv(metrics_mod.ENV_VAR, "1")
+    registry = metrics_mod.enable_from_env()
+    assert registry is not None
+    assert telemetry.get_registry() is registry
 
 
-# -- counters / gauges / series ---------------------------------------
+# -- counters / gauges ------------------------------------------------
 def test_counter_totals():
-    collector = telemetry.enable()
-    collector.count("hits")
-    collector.count("hits", 4)
-    collector.count("other", 2.5)
-    counters = collector.snapshot()["counters"]
-    assert counters["hits"] == 5
-    assert counters["other"] == 2.5
+    registry = telemetry.enable_metrics()
+    hits = registry.counter("hits_total")
+    hits.inc()
+    hits.inc(4)
+    registry.counter("other_total").inc(2.5)
+    snapshot = registry.snapshot()
+    assert _total(snapshot, "hits_total") == 5
+    assert _total(snapshot, "other_total") == 2.5
 
 
 def test_counters_are_thread_safe():
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
 
     def work():
         for _ in range(1000):
-            collector.count("parallel")
+            registry.counter("parallel_total").inc()
 
     threads = [threading.Thread(target=work) for _ in range(8)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
-    assert collector.snapshot()["counters"]["parallel"] == 8000
+    assert registry.get("parallel_total").value == 8000
 
 
 def test_gauge_last_write_wins():
-    collector = telemetry.enable()
-    collector.gauge("bytes", 10)
-    collector.gauge("bytes", 99)
-    assert collector.snapshot()["gauges"]["bytes"] == 99
-
-
-def test_series_bounded():
-    collector = telemetry.enable()
-    for value in range(telemetry.collector.MAX_SERIES_POINTS + 7):
-        collector.record("trajectory", value)
-    entry = collector.snapshot()["series"]["trajectory"]
-    assert len(entry["values"]) == telemetry.collector.MAX_SERIES_POINTS
-    assert entry["truncated"] == 7
+    registry = telemetry.enable_metrics()
+    registry.gauge("bytes").set(10)
+    registry.gauge("bytes").set(99)
+    assert registry.get("bytes").value == 99
 
 
 # -- spans -------------------------------------------------------------
 def test_span_nesting_builds_paths():
-    collector = telemetry.enable()
-    with collector.span("outer"):
-        assert collector.current_span_path() == "outer"
-        with collector.span("inner"):
-            assert collector.current_span_path() == "outer/inner"
-        with collector.span("inner"):
+    registry = telemetry.enable_metrics()
+    with telemetry.span("outer"):
+        with telemetry.span("inner"):
             pass
-    spans = collector.snapshot()["spans"]
-    assert spans["outer"]["count"] == 1
-    assert spans["outer/inner"]["count"] == 2
-    assert spans["outer"]["total_seconds"] >= 0.0
-    assert (spans["outer/inner"]["min_seconds"]
-            <= spans["outer/inner"]["max_seconds"])
+        with telemetry.span("inner"):
+            pass
+    assert _span_series(registry, "outer").count == 1
+    assert _span_series(registry, "outer/inner").count == 2
+    assert (_span_series(registry, "outer").sum
+            >= _span_series(registry, "outer/inner").sum)
 
 
 def test_span_records_duration():
-    collector = telemetry.enable()
-    with collector.span("sleepy"):
+    registry = telemetry.enable_metrics()
+    with telemetry.span("sleepy"):
         time.sleep(0.01)
-    stats = collector.snapshot()["spans"]["sleepy"]
-    assert stats["total_seconds"] >= 0.009
+    assert _span_series(registry, "sleepy").sum >= 0.009
 
 
 def test_span_survives_exception():
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
     with pytest.raises(RuntimeError):
-        with collector.span("boom"):
+        with telemetry.span("boom"):
             raise RuntimeError("x")
-    assert collector.snapshot()["spans"]["boom"]["count"] == 1
-    assert collector.current_span_path() is None
+    assert _span_series(registry, "boom").count == 1
+    # The failed span left the nesting stack: the next one is top-level.
+    with telemetry.span("after"):
+        pass
+    assert _span_series(registry, "after").count == 1
 
 
 # -- export ------------------------------------------------------------
-def test_json_roundtrip():
-    collector = telemetry.enable()
-    collector.count("a", 3)
-    collector.gauge("g", 1.5)
-    collector.record("s", 2.0)
-    with collector.span("t"):
-        pass
-    restored = json.loads(collector.to_json())
-    assert restored == collector.snapshot()
-    # JSONL: every line is standalone JSON with a type tag.
-    lines = [json.loads(line) for line in collector.to_jsonl().splitlines()]
-    assert {entry["type"] for entry in lines} == {
-        "counter", "gauge", "span", "series"
-    }
-
-
-def test_counters_snapshot_delta():
-    collector = telemetry.enable()
-    collector.count("x", 10)
-    before = collector.counters_snapshot()
-    collector.count("x", 5)
-    collector.count("y", 1)
-    delta = collector.snapshot(counters_since=before)["counters"]
-    assert delta == {"x": 5, "y": 1}
-
-
 def test_reset_clears_metrics():
-    collector = telemetry.enable()
-    collector.count("x")
-    collector.reset()
-    snap = collector.snapshot()
-    assert snap["counters"] == {} and snap["spans"] == {}
+    registry = telemetry.enable_metrics()
+    registry.counter("x_total").inc()
+    with telemetry.span("t"):
+        pass
+    registry.reset()
+    snap = registry.snapshot()
+    assert snap["counters"] == {} and snap["histograms"] == {}
 
 
 def test_render_report_mentions_metrics():
-    collector = telemetry.enable()
-    collector.count("quantum.gate_applications", 12)
-    with collector.span("quantum.run"):
+    registry = telemetry.enable_metrics()
+    registry.counter("quantum_gate_applications_total").inc(12)
+    with telemetry.span("quantum.run"):
         pass
-    text = telemetry.render_report(collector)
-    assert "quantum.gate_applications" in text
-    assert "quantum.run" in text
+    text = telemetry.render_report(registry.snapshot())
+    assert "quantum_gate_applications_total" in text
+    assert "span_seconds{path=quantum.run}" in text
 
 
 def test_render_report_degenerate_inputs():
     # None and {} must render a valid placeholder report, not crash.
     for metrics in (None, {}):
         text = telemetry.render_report(metrics)
-        assert text.startswith("telemetry report")
-        assert "(no metrics collected)" in text
-    # A live-but-empty collector behaves the same.
-    collector = telemetry.enable()
-    assert "(no metrics collected)" in telemetry.render_report(collector)
+        assert text.startswith("metrics report")
+        assert "(no metrics in snapshot)" in text
+    # A live-but-empty registry behaves the same.
+    registry = telemetry.enable_metrics()
+    assert "(no metrics in snapshot)" in telemetry.render_report(
+        registry.snapshot())
 
 
 def test_render_report_skips_none_provenance_values():
@@ -214,70 +194,49 @@ def test_render_report_skips_none_provenance_values():
     assert "provenance" not in text
 
 
-def test_render_report_shows_series_truncation_column():
-    # The series table must surface how many convergence rows each
-    # series dropped, not silently render the kept points as if they
-    # were everything.
-    text = telemetry.render_report({
-        "series": {"annealing.sa.best_energy": {
-            "values": [5.0, 4.0, 3.0],
-            "truncated": 17,
-        }},
-    })
-    assert "dropped" in text
-    line = next(row for row in text.splitlines()
-                if "annealing.sa.best_energy" in row)
-    assert line.rstrip().endswith("17")
-    # Series without truncation report zero in the same column.
-    text = telemetry.render_report({
-        "series": {"s": {"values": [1.0], "truncated": 0}},
-    })
-    line = next(row for row in text.splitlines() if row.startswith("  s"))
-    assert line.rstrip().endswith("0")
-
-
 def test_render_report_includes_tracer_drop_line():
     from repro.telemetry.trace import Tracer
 
-    collector = telemetry.enable()
-    collector.count("c", 1)
+    registry = telemetry.enable_metrics()
+    registry.counter("c_total").inc()
     tracer = telemetry.enable_tracing(Tracer(max_events=2))
     for index in range(5):
         tracer.instant(f"event.{index}")
-    text = telemetry.render_report(collector)
+    snapshot = registry.snapshot()
+    text = telemetry.render_report(snapshot)
     assert "trace: 2 events buffered, 3 dropped" in text
     # Explicitly passing tracer=None suppresses the line even while a
     # global tracer is active.
-    assert "trace:" not in telemetry.render_report(collector,
+    assert "trace:" not in telemetry.render_report(snapshot,
                                                    tracer=None)
     telemetry.disable_tracing()
-    assert "trace:" not in telemetry.render_report(collector)
+    assert "trace:" not in telemetry.render_report(snapshot)
 
 
 def test_render_report_no_dangling_series_header():
-    # Series that exist but hold no points must not leave a bare
-    # "series (...)" header at the bottom of the report.
-    text = telemetry.render_report({
-        "series": {"annealing.sa.best_energy": {"values": [],
-                                                "truncated": 0}},
-    })
-    assert "series" not in text
-    assert "(no metrics collected)" in text
+    # A histogram that exists but holds no series must not leave a
+    # bare "histograms:" header in the report.
+    registry = telemetry.enable_metrics()
+    registry.histogram("idle_seconds")
+    text = telemetry.render_report(registry.snapshot())
+    assert "histograms:" not in text
+    assert "(no metrics in snapshot)" in text
 
 
 # -- instrumentation of the hot layers ---------------------------------
 def test_statevector_counts_gates_when_enabled():
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
     sim = StatevectorSimulator(seed=0)
     qc = _representative_circuit(num_qubits=3, layers=2)
     sim.run(qc)
     sim.sample_counts(qc, shots=64)
-    counters = collector.snapshot()["counters"]
-    assert counters["quantum.gate_applications"] == 2 * len(qc.instructions)
-    assert counters["quantum.circuit_evaluations"] == 2
-    assert counters["quantum.shots"] == 64
-    assert counters["quantum.gate.cx"] > 0
-    assert collector.snapshot()["gauges"]["quantum.statevector_bytes"] == (
+    snapshot = registry.snapshot()
+    assert (_total(snapshot, "quantum_gate_applications_total")
+            == 2 * len(qc.instructions))
+    assert _total(snapshot, "quantum_circuit_evaluations_total") == 2
+    assert _total(snapshot, "quantum_shots_total") == 64
+    assert registry.get("quantum_gates_total").labels(gate="cx").value > 0
+    assert registry.get("quantum_statevector_peak_bytes").value == (
         2 ** 3 * 16
     )
 
@@ -286,7 +245,7 @@ def test_statevector_identical_results_enabled_vs_disabled():
     qc = _representative_circuit(num_qubits=4, layers=3)
     sim = StatevectorSimulator(seed=0)
     disabled_state = sim.run(qc)
-    telemetry.enable()
+    telemetry.enable_metrics()
     enabled_state = sim.run(qc)
     np.testing.assert_allclose(disabled_state, enabled_state)
 
@@ -294,20 +253,14 @@ def test_statevector_identical_results_enabled_vs_disabled():
 def test_annealer_counts_sweeps_and_trajectory():
     from repro.annealing import IsingModel, SimulatedAnnealingSolver
 
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
     model = IsingModel(2, h={0: 0.5, 1: -0.5}, j={(0, 1): 1.0})
     solver = SimulatedAnnealingSolver(num_sweeps=30, num_reads=4, seed=0)
     solver.solve(model)
-    snap = collector.snapshot()
-    assert snap["counters"]["annealing.sweeps"] == 120
-    assert snap["counters"]["annealing.sa.reads"] == 4
-    moves = (snap["counters"]["annealing.sa.accepted_moves"]
-             + snap["counters"]["annealing.sa.rejected_moves"])
-    assert moves == 120 * model.num_spins
-    assert len(snap["series"]["annealing.sa.best_energy"]["values"]) == 4
-    # Trajectory is monotonically non-increasing (running best).
-    values = snap["series"]["annealing.sa.best_energy"]["values"]
-    assert all(b <= a for a, b in zip(values, values[1:]))
+    snap = registry.snapshot()
+    assert _total(snap, "solver_sweeps_total") == 120
+    assert _total(snap, "solver_moves_total") == 120 * model.num_spins
+    assert _span_series(registry, "annealing.sa.solve").count == 1
 
 
 def test_gradient_counter():
@@ -315,15 +268,15 @@ def test_gradient_counter():
     from repro.qml.gradients import parameter_shift_gradient
     from repro.quantum.circuit import Parameter
 
-    collector = telemetry.enable()
+    registry = telemetry.enable_metrics()
     theta = Parameter("theta")
     qc = Circuit(1).ry(theta, 0)
     observable = PauliSum([single_z(0, 1)])
     parameter_shift_gradient(qc, observable, [0.3])
-    counters = collector.snapshot()["counters"]
-    assert counters["qml.gradient_evaluations"] == 1
+    snapshot = registry.snapshot()
+    assert _total(snapshot, "qml_gradient_evaluations_total") == 1
     # Each shift-rule term costs two circuit evaluations.
-    assert counters["quantum.circuit_evaluations"] == 2
+    assert _total(snapshot, "quantum_circuit_evaluations_total") == 2
 
 
 # -- provenance --------------------------------------------------------
@@ -351,20 +304,28 @@ def test_provenance_sanitizes_exotic_kwargs():
 def test_run_experiment_attaches_provenance_and_metrics():
     from repro.experiments import run_experiment
 
-    collector = telemetry.enable()
-    result = run_experiment("E14", cluster_sizes=(3,), num_reads=3,
-                            num_sweeps=20, seed=0)
+    registry = telemetry.enable_metrics()
+    results = [run_experiment("E14", cluster_sizes=(3,), num_reads=3,
+                              num_sweeps=sweeps, seed=0)
+               for sweeps in (20, 30)]
+    result = results[0]
     assert result.provenance is not None
     assert result.provenance["experiment_id"] == "E14"
     assert result.provenance["seed"] == 0
     assert result.provenance["version"]
     assert result.provenance["duration_seconds"] > 0
-    assert result.metrics["counters"]["annealing.sweeps"] > 0
-    assert "experiment.E14" in result.metrics["spans"]
+    assert result.metrics["schema"] == "repro-metrics/v1"
+    paths = {series["labels"]["path"]: series["count"] for series
+             in result.metrics["histograms"]["span_seconds"]["series"]}
+    assert paths["experiment.E14"] == 1
     # Annealer spans nest under the experiment span.
-    assert any(path.startswith("experiment.E14/")
-               for path in result.metrics["spans"])
-    assert collector.snapshot()["counters"]["annealing.sweeps"] > 0
+    assert any(path.startswith("experiment.E14/") for path in paths)
+    # Each result holds only its own run's sweeps; the caller's
+    # registry holds the sum.
+    sweeps = [_total(r.metrics, "solver_sweeps_total") for r in results]
+    assert 0 < sweeps[0] < sweeps[1]
+    assert _total(registry.snapshot(), "solver_sweeps_total") == sum(sweeps)
+    assert _span_series(registry, "experiment.E14").count == 2
 
 
 def test_run_experiment_without_telemetry_has_no_records():
@@ -388,14 +349,15 @@ def test_cli_json_out(tmp_path, capsys):
     ])
     assert code == 0
     printed = capsys.readouterr().out
-    assert "telemetry report" in printed
+    assert "metrics report" in printed
     document = json.loads(out_file.read_text())
     assert document["schema"] == "repro-telemetry/v1"
     (record,) = document["experiments"]
     assert record["provenance"]["experiment_id"] == "E14"
     assert record["provenance"]["seed"] == 0
-    assert record["metrics"]["counters"]["annealing.sweeps"] > 0
-    assert not telemetry.is_enabled()  # CLI cleans up after itself
+    assert record["metrics"]["schema"] == "repro-metrics/v1"
+    assert _total(record["metrics"], "solver_sweeps_total") > 0
+    assert not telemetry.is_metrics_enabled()  # CLI cleans up after itself
 
 
 def test_cli_rejects_bad_set(capsys):
@@ -409,8 +371,9 @@ def test_disabled_overhead_is_small():
     """With telemetry disabled the instrumented simulator must stay
     close to a raw uninstrumented apply loop.
 
-    Locally the gap is well under 5% (the disabled path costs one
-    ``get_collector()`` call per run); the assertion bound is loose
+    Locally the gap is well under 5% (the disabled path costs a
+    ``get_registry()`` and a ``get_tracer()`` call per run); the
+    assertion bound is loose
     (50%) because shared CI machines jitter far more than the
     instrumentation costs.
     """
@@ -437,7 +400,7 @@ def test_disabled_overhead_is_small():
 
     raw_run()          # warm caches
     sim.run(qc)
-    assert telemetry.get_collector() is None
+    assert telemetry.get_registry() is None
     baseline = timed(raw_run)
     instrumented = timed(lambda: sim.run(qc))
     assert instrumented <= baseline * 1.5 + 1e-3

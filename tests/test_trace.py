@@ -21,11 +21,11 @@ from repro.telemetry.trace import Tracer
 
 @pytest.fixture(autouse=True)
 def _clean_tracing():
-    """Every test starts and ends with tracing and telemetry off."""
-    telemetry.disable()
+    """Every test starts and ends with tracing and metrics off."""
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
     yield
-    telemetry.disable()
+    telemetry.disable_metrics()
     telemetry.disable_tracing()
 
 
@@ -152,12 +152,12 @@ def test_memory_sampling_is_throttled():
     assert len(memory) < 100
 
 
-# -- collector span mirroring ------------------------------------------
-def test_collector_spans_mirror_onto_timeline():
-    collector = telemetry.enable()
+# -- span mirroring ----------------------------------------------------
+def test_spans_mirror_onto_timeline():
+    registry = telemetry.enable_metrics()
     tracer = telemetry.enable_tracing(sample_memory=False)
-    with collector.span("experiment"):
-        with collector.span("solver"):
+    with telemetry.span("experiment"):
+        with telemetry.span("solver"):
             pass
     phases = [(e["ph"], e["name"]) for e in tracer.events()]
     assert phases == [
@@ -167,12 +167,16 @@ def test_collector_spans_mirror_onto_timeline():
     begin = next(e for e in tracer.events() if e["name"] == "solver"
                  and e["ph"] == "B")
     assert begin["args"]["path"] == "experiment/solver"
+    assert {e["cat"] for e in tracer.events()} == {"span"}
+    # Both layers on: the registry times the same activations.
+    spans = registry.get(telemetry.SPAN_METRIC)
+    assert spans.labels(path="experiment/solver").count == 1
 
 
 def test_disable_between_enter_and_exit_keeps_pairs():
-    collector = telemetry.enable()
+    telemetry.enable_metrics()
     tracer = telemetry.enable_tracing(sample_memory=False)
-    handle = collector.span("pinned")
+    handle = telemetry.span("pinned")
     handle.__enter__()
     telemetry.disable_tracing()  # mid-span disable
     handle.__exit__(None, None, None)
@@ -182,11 +186,11 @@ def test_disable_between_enter_and_exit_keeps_pairs():
 
 def test_telemetry_span_tracer_only():
     tracer = telemetry.enable_tracing(sample_memory=False)
-    assert telemetry.get_collector() is None
+    assert telemetry.get_registry() is None
     with telemetry.span("bare"):
         pass
-    phases = [(e["ph"], e["name"]) for e in tracer.events()]
-    assert phases == [("B", "bare"), ("E", "bare")]
+    phases = [(e["ph"], e["name"], e["cat"]) for e in tracer.events()]
+    assert phases == [("B", "bare", "span"), ("E", "bare", "span")]
 
 
 # -- simulator gate events ---------------------------------------------
@@ -256,14 +260,14 @@ def test_concurrent_spans_stay_consistent():
     every thread's B/E sequence is properly nested and the export is
     globally ts-sorted."""
     tracer = telemetry.enable_tracing(sample_memory=False)
-    collector = telemetry.enable()
+    telemetry.enable_metrics()
     errors = []
 
     def worker(worker_id):
         try:
             for index in range(50):
-                with collector.span(f"w{worker_id}"):
-                    with collector.span("inner"):
+                with telemetry.span(f"w{worker_id}"):
+                    with telemetry.span("inner"):
                         pass
         except Exception as error:  # pragma: no cover - failure path
             errors.append(error)
@@ -298,7 +302,7 @@ def test_concurrent_spans_stay_consistent():
 def test_concurrent_enable_disable_never_crashes():
     """Flipping tracing on/off while other threads emit events must
     never raise — the pinned-reference pattern guarantees it."""
-    collector = telemetry.enable()
+    telemetry.enable_metrics()
     errors = []
     stop = threading.Event()
 
@@ -313,7 +317,7 @@ def test_concurrent_enable_disable_never_crashes():
     def emitter():
         try:
             while not stop.is_set():
-                with collector.span("work"):
+                with telemetry.span("work"):
                     telemetry.trace_instant("tick")
         except Exception as error:  # pragma: no cover - failure path
             errors.append(error)
@@ -332,9 +336,9 @@ def test_concurrent_enable_disable_never_crashes():
 
 # -- disabled overhead (satellite) -------------------------------------
 def test_disabled_tracer_overhead_is_small():
-    """With tracing (and telemetry) disabled the instrumented simulator
-    must stay close to a raw apply loop — same budget as the collector
-    overhead guard in test_telemetry.py."""
+    """With tracing (and metrics) disabled the instrumented simulator
+    must stay close to a raw apply loop — same budget as the
+    disabled-overhead guard in test_telemetry.py."""
     qc = Circuit(6)
     for layer in range(6):
         for q in range(6):
@@ -362,7 +366,7 @@ def test_disabled_tracer_overhead_is_small():
     raw_run()
     sim.run(qc)
     assert telemetry.get_tracer() is None
-    assert telemetry.get_collector() is None
+    assert telemetry.get_registry() is None
     baseline = timed(raw_run)
     instrumented = timed(lambda: sim.run(qc))
     assert instrumented <= baseline * 1.5 + 1e-3
