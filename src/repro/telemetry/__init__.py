@@ -35,6 +35,7 @@ same registry.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -149,7 +150,23 @@ __all__ = [
 #: The histogram every :func:`span` observes its seconds into.
 SPAN_METRIC = "span_seconds"
 
-_spans = threading.local()
+class _SpanStack(threading.local):
+    """Each thread's stack of open span paths."""
+
+    def __init__(self):
+        self.stack = []
+
+
+_spans = _SpanStack()
+
+
+def _reset_spans_after_fork() -> None:
+    """A forked worker starts its own span nesting, as it starts its
+    own registry: spans open in the forking thread never close there."""
+    _spans.stack = []
+
+
+os.register_at_fork(after_in_child=_reset_spans_after_fork)
 
 
 class _NoopSpan:
@@ -189,9 +206,7 @@ class _Span:
         self._start = 0.0
 
     def __enter__(self) -> "_Span":
-        stack = getattr(_spans, "stack", None)
-        if stack is None:
-            stack = _spans.stack = []
+        stack = _spans.stack
         if stack:
             self.path = f"{stack[-1]}/{self.name}"
         stack.append(self.path)

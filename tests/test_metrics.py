@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro import telemetry
 from repro.telemetry import health as health_mod
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.health import (
@@ -440,9 +441,14 @@ def test_service_metrics_cover_jobs_and_merge_worker_registries(mode):
         config = SolverConfig(num_sweeps=40, num_reads=2,
                               seed=50 + index, convergence=False)
         specs.append((JoinOrderQUBO(graph).compile(), "sa", config))
-    with SolveService(max_workers=2, mode=mode) as service:
-        service.solve_many(specs)
+    # Workers forked inside an open span start their own nesting, so
+    # worker span paths read the same in both modes.
+    with telemetry.span("outer"):
+        with SolveService(max_workers=2, mode=mode) as service:
+            service.solve_many(specs)
     snap = registry.snapshot()
+    worker_spans = registry.get(telemetry.SPAN_METRIC)
+    assert worker_spans.labels(path="service.worker.sa").count == 3
 
     jobs = {entry["labels"]["status"]: entry["value"]
             for entry in snap["counters"]["service_jobs_total"]["series"]}
