@@ -26,8 +26,9 @@ Perfetto to see jobs fan out across worker pids.
 ``--metrics`` enables the metrics registry for the service run
 (queue-wait/exec-time histograms, cache and job counters, worker
 utilization, span timings), merges the workers' registries at drain
-and prints the report plus a short summary; ``--metrics-out`` writes the
-Prometheus text exposition, ``--metrics-json`` the
+and prints the report, with p50/p95/p99 per histogram;
+``--metrics-out`` writes the Prometheus text exposition,
+``--metrics-json`` the
 ``repro-metrics/v1`` snapshot (the input of ``metrics-report``),
 ``--metrics-jsonl`` streams periodic sampler snapshots during the run,
 and ``--slo`` evaluates the default health ruleset — a ``fail``
@@ -384,18 +385,6 @@ def main(argv) -> int:
         metrics_snapshot = registry.snapshot()
         print()
         print(telemetry.render_report(metrics_snapshot, tracer=tracer))
-        lookup = _health._SnapshotLookup(metrics_snapshot)
-        try:
-            queue_p95 = lookup.hist_quantile(
-                "service_queue_wait_seconds", 0.95, {})
-            exec_p95 = lookup.hist_quantile(
-                "service_execute_seconds", 0.95,
-                {"solver": args.solver})
-            print(f"metrics: queue wait p95 {queue_p95 * 1e3:.2f}ms, "
-                  f"execute p95 {exec_p95 * 1e3:.1f}ms "
-                  f"({args.solver})")
-        except Exception:
-            pass
         if args.metrics_out is not None:
             text = registry.to_prometheus()
             problems = _metrics.validate_prometheus_text(text)

@@ -153,7 +153,7 @@ def test_memory_sampling_is_throttled():
 
 
 # -- span mirroring ----------------------------------------------------
-def test_spans_mirror_onto_timeline():
+def test_collector_spans_mirror_onto_timeline():
     registry = telemetry.enable_metrics()
     tracer = telemetry.enable_tracing(sample_memory=False)
     with telemetry.span("experiment"):
