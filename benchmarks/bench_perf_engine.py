@@ -74,7 +74,18 @@ reference workloads:
   per-row methods, which build and bind one circuit per row. Per
   qubit count the record keeps median seconds over interleaved
   repeats with telemetry off; loss histories and predictions must be
-  identical. Its ``speedup`` is the 4-qubit cell's.
+  identical. Its ``speedup`` is the 4-qubit cell's;
+* **batch gates** — ``StatevectorSimulator.run_angles`` on the
+  ``qml_train`` model template (angle encoding plus 2 ansatz layers)
+  with the amplitude-major kernels (row gathers, phase multiplies and
+  ``2**k``-group updates on one ``(2**n, batch)`` stack) vs the
+  previous batched path, kept verbatim, which moved the gate axes of
+  a ``(batch, 2**n)`` stack to the back and ran one stacked matmul or
+  broadcast phase multiply per gate. Cells are a 24-row output pass
+  and a 768-row gradient block at 4 qubits plus gradient blocks of
+  ``2**14`` amplitudes at 8 and 12 qubits; per cell the record keeps
+  median seconds over interleaved repeats with telemetry off and the
+  largest amplitude difference. Its ``speedup`` is the 768-row cell's.
 
 Timings come from ``time.perf_counter``. Run as a script to write the
 committed perf trajectory::
@@ -120,8 +131,15 @@ from repro.qml import (
 )
 from repro.qml.models import _count_evaluations
 from repro.quantum import StatevectorSimulator
+from repro.quantum.gates import (
+    GATE_NUM_PARAMS,
+    batch_gate_diagonal,
+    batch_gate_matrix,
+    gate_diagonal,
+    gate_matrix,
+)
 from repro.quantum.statevector import (
-    _apply_instruction_batch,
+    _apply_gate,
     _structurally_identical,
     gate_angles,
 )
@@ -169,6 +187,9 @@ FULL_SCALE = {
                            ("ising", 64, 500, 100, False)),
                  "headline": 8, "repeats": 5},
     "vqc_fit": {"qubits": (4, 6, 8), "repeats": 7},
+    "batch_gates": {"cells": ((4, 24, False), (4, 768, True),
+                              (8, 64, True), (12, 4, True)),
+                    "repeats": 15},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -196,6 +217,8 @@ SMOKE_SCALE = {
                            ("join", 5, 50, 10, True)),
                  "headline": 5, "repeats": 5},
     "vqc_fit": {"qubits": (4,), "repeats": 5},
+    "batch_gates": {"cells": ((4, 24, False), (4, 768, True)),
+                    "repeats": 7},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -232,6 +255,13 @@ SA_SWEEP_MIN_SPEEDUP = 1.4
 #: because simulation dominates there. A fall back to building one
 #: circuit per row reads about 1x.
 VQC_FIT_MIN_SPEEDUP = 1.2
+
+#: Floor on the 768-row, 4-qubit batch-gates cell (one ``qml_train``
+#: gradient block), about half the measured gain: a 2-vCPU host read
+#: 3.09x there at full scale and 3.14x at smoke scale (the 24-row cell
+#: 1.19x, the 8- and 12-qubit cells 1.51x and 1.50x). A fall back to
+#: the moveaxis-and-matmul path reads about 1x.
+BATCH_GATES_MIN_SPEEDUP = 1.5
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -348,6 +378,100 @@ class FullSweepSolver(SimulatedAnnealingSolver):
                     energies[accept] += delta[accept]
                 accepted += int(accept.sum())
         return accepted
+
+
+def parent_apply_matrix_batch(states, matrix, qubits, num_qubits):
+    """``apply_matrix_batch`` before the amplitude-major kernels."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2:
+        raise ValueError("states must be a (batch, 2**n) matrix")
+    batch = states.shape[0]
+    k = len(qubits)
+    mat = np.asarray(matrix, dtype=complex)
+    psi = states.reshape((batch,) + (2,) * num_qubits)
+    # Move the target-qubit axes to the back, flatten everything else,
+    # and hit the whole batch with one (batched) matmul.
+    axes = tuple(q + 1 for q in qubits)
+    back = tuple(range(num_qubits + 1 - k, num_qubits + 1))
+    psi = np.moveaxis(psi, axes, back)
+    shuffled_shape = psi.shape
+    psi = np.ascontiguousarray(psi).reshape(batch, -1, 2 ** k)
+    if mat.ndim == 2:
+        psi = psi @ mat.T
+    elif mat.ndim == 3:
+        if mat.shape[0] != batch:
+            raise ValueError("per-element matrix stack must match batch size")
+        psi = np.matmul(psi, np.swapaxes(mat, -1, -2))
+    else:
+        raise ValueError("matrix must be 2-D (shared) or 3-D (per-element)")
+    psi = psi.reshape(shuffled_shape)
+    psi = np.moveaxis(psi, back, axes)
+    return np.ascontiguousarray(psi).reshape(batch, -1)
+
+
+def parent_apply_diagonal_batch(states, diagonal, qubits, num_qubits):
+    """``apply_diagonal_batch`` before the amplitude-major kernels."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2:
+        raise ValueError("states must be a (batch, 2**n) matrix")
+    batch = states.shape[0]
+    k = len(qubits)
+    diag = np.asarray(diagonal, dtype=complex)
+    if diag.ndim == 1:
+        diag = diag.reshape((1,) + (2,) * k)
+    elif diag.ndim == 2:
+        if diag.shape[0] != batch:
+            raise ValueError("per-element diagonal must match batch size")
+        diag = diag.reshape((batch,) + (2,) * k)
+    else:
+        raise ValueError("diagonal must be 1-D (shared) or 2-D (per-element)")
+    # Pad trailing singleton axes then move the gate axes onto the
+    # target qubit axes so the multiply broadcasts across the rest.
+    diag = diag.reshape(diag.shape + (1,) * (num_qubits - k))
+    diag = np.moveaxis(diag, range(1, k + 1), [q + 1 for q in qubits])
+    psi = states.reshape((batch,) + (2,) * num_qubits)
+    return (psi * diag).reshape(batch, -1)
+
+
+def parent_apply_instruction_batch(states, inst, values, num_qubits):
+    """The per-instruction step of ``run_angles`` before the
+    amplitude-major kernels: a ``(batch, 2**n)`` stack, a broadcast
+    phase multiply for diagonal gates and a stacked matmul otherwise."""
+    name, qubits = inst.name, inst.qubits
+    if GATE_NUM_PARAMS[name] == 0:
+        diag = gate_diagonal(name)
+        if diag is not None:
+            return parent_apply_diagonal_batch(states, diag, qubits,
+                                               num_qubits)
+        return parent_apply_matrix_batch(states, gate_matrix(name), qubits,
+                                         num_qubits)
+    if np.all(values == values[0]):  # one shared matrix for the batch
+        diag = gate_diagonal(name, values[0])
+        if diag is not None:
+            return parent_apply_diagonal_batch(states, diag, qubits,
+                                               num_qubits)
+        return parent_apply_matrix_batch(states,
+                                         gate_matrix(name, values[0]),
+                                         qubits, num_qubits)
+    diag = batch_gate_diagonal(name, values)
+    if diag is not None:
+        return parent_apply_diagonal_batch(states, diag, qubits, num_qubits)
+    return parent_apply_matrix_batch(states, batch_gate_matrix(name, values),
+                                     qubits, num_qubits)
+
+
+def parent_run_angles(template, angles):
+    """``run_angles`` (telemetry off) on the previous batched path."""
+    num_qubits = template.num_qubits
+    states = np.zeros((len(angles), 2 ** num_qubits), dtype=complex)
+    states[:, 0] = 1.0
+    column = 0
+    for inst in template.instructions:
+        width = len(inst.params)
+        states = parent_apply_instruction_batch(
+            states, inst, angles[:, column:column + width], num_qubits)
+        column += width
+    return states
 
 
 # ----------------------------------------------------------------------
@@ -649,15 +773,19 @@ def bare_run_batch(circuits, num_qubits):
     if not _structurally_identical(circuits):
         raise ValueError("metrics workload expects a template batch")
     angles = gate_angles(circuits)
-    states = np.zeros((len(circuits), 2 ** num_qubits), dtype=complex)
-    states[:, 0] = 1.0
+    psi, out, scratch = np.empty((3, 2 ** num_qubits, len(circuits)),
+                                 dtype=complex)
+    psi[...] = 0.0
+    psi[0] = 1.0
+    gathers = {}
     column = 0
     for inst in circuits[0].instructions:
         width = len(inst.params)
-        states = _apply_instruction_batch(
-            states, inst, angles[:, column:column + width], num_qubits)
+        _apply_gate(psi, out, scratch, inst,
+                    angles[:, column:column + width], num_qubits, gathers)
+        psi, out = out, psi
         column += width
-    return states
+    return psi.T.copy()
 
 
 def bare_frontdoor_solve(problem, config):
@@ -1562,6 +1690,92 @@ def run_vqc_fit_workload(qubits, repeats, seed=41):
     }
 
 
+def _batch_gates_angles(num_qubits, rows, shifted, rng):
+    """The ``qml_train`` model template at ``num_qubits`` and ``rows``
+    angle rows: an output pass (data angles per row, the ansatz bound
+    once) or, when ``shifted``, the leading rows of a gradient block
+    (each point's angles once per +-pi/2 shift of each weight)."""
+    model = VariationalRegressor(AngleEncoding(num_qubits, scaling=1.5),
+                                 num_layers=2, seed=0)
+    terms = 2 * model.num_weights if shifted else 1
+    points = -(-rows // terms)
+    X = rng.uniform(-1.0, 1.0, size=(points, num_qubits))
+    weights = rng.uniform(-math.pi, math.pi, size=model.num_weights)
+    bound = model._angles(X, weights)
+    shifts = np.zeros((terms, bound.shape[1]))
+    if shifted:
+        for k in range(model.num_weights):
+            shifts[2 * k, num_qubits + k] = math.pi / 2
+            shifts[2 * k + 1, num_qubits + k] = -math.pi / 2
+    angles = (bound[:, None, :] + shifts[None]).reshape(-1, bound.shape[1])
+    return model._model_template, angles[:rows]
+
+
+def _batch_gates_cell(num_qubits, rows, shifted, repeats, rng):
+    """One cell: both batched paths over the same angle matrix,
+    interleaved."""
+    template, angles = _batch_gates_angles(num_qubits, rows, shifted, rng)
+    simulator = StatevectorSimulator()
+    parent = parent_run_angles(template, angles)
+    shipped = simulator.run_angles(template, angles)
+    repeat = simulator.run_angles(template, angles)
+    parent_seconds, kernel_seconds = _interleaved_medians(
+        lambda: parent_run_angles(template, angles),
+        lambda: simulator.run_angles(template, angles),
+        repeats)
+    return {
+        "num_qubits": num_qubits,
+        "rows": rows,
+        "shifted": shifted,
+        "gates": len(template.instructions),
+        "parent_seconds": parent_seconds,
+        "kernel_seconds": kernel_seconds,
+        "speedup": parent_seconds / kernel_seconds,
+        "max_abs_diff": float(np.abs(shipped - parent).max()),
+        "deterministic": bool(np.array_equal(shipped, repeat)),
+    }
+
+
+def run_batch_gates_workload(cells, repeats, seed=43):
+    """``run_angles`` on the ``qml_train`` template: the amplitude-major
+    kernels vs the previous moveaxis-and-matmul path.
+
+    Every ``(qubits, rows, shifted)`` cell times both paths over one
+    angle matrix, ``repeats`` interleaved runs with the order
+    alternating, and keeps the medians. The global metrics registry is
+    parked while timing, so both sides run the telemetry-off path
+    training takes by default. ``speedup`` is the 4-qubit 768-row
+    cell's (one ``qml_train`` gradient block).
+    """
+    rng = np.random.default_rng(seed)
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
+    try:
+        records = [_batch_gates_cell(*cell, repeats=repeats, rng=rng)
+                   for cell in cells]
+    finally:
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
+    (headline,) = [c for c in records
+                   if c["num_qubits"] == 4 and c["rows"] == 768]
+    return {
+        "name": "batch_gates",
+        "params": {
+            "cells": [list(cell) for cell in cells],
+            "repeats": repeats,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "parent_seconds": sum(c["parent_seconds"] for c in records),
+        "kernel_seconds": sum(c["kernel_seconds"] for c in records),
+        "cells": records,
+        "speedup": headline["speedup"],
+        "gate_min_speedup": BATCH_GATES_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in records),
+        "deterministic": all(c["deterministic"] for c in records),
+    }
+
+
 def run_workloads(scale):
     return [
         run_kernel_workload(**scale["kernel"]),
@@ -1576,6 +1790,7 @@ def run_workloads(scale):
         run_qml_gradient_workload(**scale["qml"]),
         run_sa_sweep_workload(**scale["sa_sweep"]),
         run_vqc_fit_workload(**scale["vqc_fit"]),
+        run_batch_gates_workload(**scale["batch_gates"]),
     ]
 
 
@@ -1721,6 +1936,16 @@ def test_perf_vqc_fit_matches_parent():
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
+def test_perf_batch_gates_match_parent():
+    record = run_batch_gates_workload(**SMOKE_SCALE["batch_gates"])
+    print("\nbatch gates previous {parent_seconds:.4f}s vs kernels "
+          "{kernel_seconds:.4f}s (768-row cell {speedup:.2f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["max_abs_diff"] < MAX_BATCHED_ABS_DIFF
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -1792,6 +2017,11 @@ def main():
         elif record["name"] == "vqc_fit":
             print("{name}: per-row {parent_seconds:.3f}s, template "
                   "{shipped_seconds:.3f}s -> 4-qubit cell "
+                  "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
+                  .format(**record))
+        elif record["name"] == "batch_gates":
+            print("{name}: previous {parent_seconds:.3f}s, kernels "
+                  "{kernel_seconds:.3f}s -> 768-row cell "
                   "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
                   .format(**record))
         elif record["name"] == "server_throughput":

@@ -232,6 +232,10 @@ DIAGONAL_GATES = frozenset(
     {"i", "z", "s", "sdg", "t", "tdg", "cz", "rz", "p", "cp", "crz", "rzz"}
 )
 
+#: Gates whose matrix permutes the computational basis. The batched
+#: simulator applies these as row gathers, with no arithmetic.
+PERMUTATION_GATES = frozenset({"x", "cx", "swap", "ccx", "cswap"})
+
 
 @lru_cache(maxsize=4096)
 def _cached_gate_matrix(key: str, params: Tuple[float, ...]) -> Matrix:

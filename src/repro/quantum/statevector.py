@@ -6,6 +6,18 @@ qubit 0 is the **most significant** bit of the basis-state index
 ``sum(q_i << (n - 1 - i))``. Gates are applied with tensor contractions
 over the reshaped ``(2,) * n`` array, which costs ``O(2**n)`` per gate
 rather than the naive ``O(4**n)`` matrix product.
+
+Batches are held amplitude-major: one ``(2**n, batch)`` array, so row
+``i`` holds basis amplitude ``i`` of every batch element and the batch
+is the contiguous inner axis. :meth:`StatevectorSimulator.run_angles`
+transposes once on the way in and once on the way out, and applies
+each gate with one of three kernels: a row gather for permutation
+gates, an elementwise phase multiply for diagonal gates, and for the
+rest a combination of the ``2**k`` amplitude groups (the amplitudes
+whose gate-local index is ``j``) with scalar or per-row ``(batch,)``
+matrix entries. :func:`apply_matrix_batch` and
+:func:`apply_diagonal_batch` are transposing wrappers over the same
+kernels for ``(batch, 2**n)`` stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from .. import telemetry
 from ..telemetry import metrics as _metrics
 from .circuit import Circuit, Instruction
 from .gates import (
-    GATE_NUM_PARAMS,
+    PERMUTATION_GATES,
     batch_gate_diagonal,
     batch_gate_matrix,
     gate_diagonal,
@@ -67,38 +79,26 @@ def apply_matrix(state: np.ndarray, matrix: np.ndarray,
 
 def apply_matrix_batch(states: np.ndarray, matrix: np.ndarray,
                        qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply a gate to a *batch* of statevectors in one contraction.
+    """Apply a gate to a *batch* of statevectors.
 
     ``states`` has shape ``(batch, 2**num_qubits)``. ``matrix`` is
     either one shared ``(2**k, 2**k)`` unitary or a stack of
     per-element unitaries ``(batch, 2**k, 2**k)``. Returns a new
     ``(batch, 2**num_qubits)`` array; the input is not modified.
     """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2:
-        raise ValueError("states must be a (batch, 2**n) matrix")
-    batch = states.shape[0]
-    k = len(qubits)
+    psi = _batch_major(states, num_qubits)
     mat = np.asarray(matrix, dtype=complex)
-    psi = states.reshape((batch,) + (2,) * num_qubits)
-    # Move the target-qubit axes to the back, flatten everything else,
-    # and hit the whole batch with one (batched) matmul.
-    axes = tuple(q + 1 for q in qubits)
-    back = tuple(range(num_qubits + 1 - k, num_qubits + 1))
-    psi = np.moveaxis(psi, axes, back)
-    shuffled_shape = psi.shape
-    psi = np.ascontiguousarray(psi).reshape(batch, -1, 2 ** k)
-    if mat.ndim == 2:
-        psi = psi @ mat.T
-    elif mat.ndim == 3:
-        if mat.shape[0] != batch:
+    if mat.ndim == 3:
+        if mat.shape[0] != psi.shape[1]:
             raise ValueError("per-element matrix stack must match batch size")
-        psi = np.matmul(psi, np.swapaxes(mat, -1, -2))
+        mat = mat.transpose(1, 2, 0)
+    elif mat.ndim == 2:
+        mat = mat[..., None]
     else:
         raise ValueError("matrix must be 2-D (shared) or 3-D (per-element)")
-    psi = psi.reshape(shuffled_shape)
-    psi = np.moveaxis(psi, back, axes)
-    return np.ascontiguousarray(psi).reshape(batch, -1)
+    out, scratch = np.empty((2,) + psi.shape, dtype=complex)
+    _apply_dense(psi, out, scratch, mat, qubits)
+    return out.T.copy()
 
 
 def apply_diagonal_batch(states: np.ndarray, diagonal: np.ndarray,
@@ -111,26 +111,117 @@ def apply_diagonal_batch(states: np.ndarray, diagonal: np.ndarray,
     path for rz/p/cp/crz/rzz-style phase gates (IQP feature maps): a
     broadcast multiply instead of a contraction.
     """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim != 2:
-        raise ValueError("states must be a (batch, 2**n) matrix")
-    batch = states.shape[0]
-    k = len(qubits)
+    psi = _batch_major(states, num_qubits)
     diag = np.asarray(diagonal, dtype=complex)
-    if diag.ndim == 1:
-        diag = diag.reshape((1,) + (2,) * k)
-    elif diag.ndim == 2:
-        if diag.shape[0] != batch:
+    if diag.ndim == 2:
+        if diag.shape[0] != psi.shape[1]:
             raise ValueError("per-element diagonal must match batch size")
-        diag = diag.reshape((batch,) + (2,) * k)
-    else:
+        diag = diag.T
+    elif diag.ndim != 1:
         raise ValueError("diagonal must be 1-D (shared) or 2-D (per-element)")
-    # Pad trailing singleton axes then move the gate axes onto the
-    # target qubit axes so the multiply broadcasts across the rest.
-    diag = diag.reshape(diag.shape + (1,) * (num_qubits - k))
-    diag = np.moveaxis(diag, range(1, k + 1), [q + 1 for q in qubits])
-    psi = states.reshape((batch,) + (2,) * num_qubits)
-    return (psi * diag).reshape(batch, -1)
+    out = np.empty_like(psi)
+    _apply_diagonal(psi, out, diag, qubits)
+    return out.T.copy()
+
+
+def _batch_major(states: np.ndarray, num_qubits: int) -> np.ndarray:
+    """``states`` as an amplitude-major ``(2**n, batch)`` stack."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] != 2 ** num_qubits:
+        raise ValueError(
+            f"states must be a (batch, {2 ** num_qubits}) matrix")
+    return np.ascontiguousarray(states.T)
+
+
+# ----------------------------------------------------------------------
+# Kernels over an amplitude-major ``(2**n, batch)`` stack. Each writes
+# its result into ``out``, a C-contiguous stack of the same shape that
+# shares no memory with ``psi``, so a run allocates no state-sized
+# array per gate. Matrix entries hold one value for the whole batch or
+# one per row.
+# ----------------------------------------------------------------------
+def _inner(psi: np.ndarray, qubits: Sequence[int]) -> int:
+    """Rows of ``psi`` per innermost run of a gate on ``qubits``, for
+    per-row entries tiled to the run: a power of two, at most the rows
+    below the last gate qubit, grown until a run holds 256 amplitudes.
+    Small batches then keep numpy's inner loops long; states under 64
+    rows are too short for the tiling to pay."""
+    below = psi.shape[0] >> (max(qubits) + 1)
+    rows = 1
+    if psi.shape[0] >= 64:
+        while rows < below and rows * psi.shape[1] < 256:
+            rows *= 2
+    return rows
+
+
+def _groups(psi: np.ndarray, qubits: Sequence[int], rows: int) -> list:
+    """Views of ``psi``, one per gate-local index ``j``: the amplitudes
+    whose bits on ``qubits`` spell ``j`` (the first qubit the most
+    significant), each ending in runs of ``rows`` whole rows."""
+    last = max(qubits)
+    shaped = psi.reshape((2,) * (last + 1) + (-1, rows * psi.shape[1]))
+    k = len(qubits)
+    views = []
+    for j in range(2 ** k):
+        index = [slice(None)] * (last + 1)
+        for position, qubit in enumerate(qubits):
+            index[qubit] = (j >> (k - 1 - position)) & 1
+        views.append(shaped[tuple(index)])
+    return views
+
+
+def _apply_dense(psi: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 entries: np.ndarray, qubits: Sequence[int]) -> None:
+    """Group ``i`` of ``out`` is ``sum_j entries[i, j] * group j`` of
+    ``psi``, summed in ``scratch`` (as large as ``psi``). ``entries``
+    is ``(2**k, 2**k, batch)``, or ``(2**k, 2**k, 1)`` for one matrix
+    shared by every row; entries that are zero for every row are
+    skipped."""
+    rows = _inner(psi, qubits) if entries.shape[-1] > 1 else 1
+    if rows > 1:
+        entries = np.tile(entries, rows)
+    groups = _groups(psi, qubits, rows)
+    size, shape = groups[0].size, groups[0].shape
+    total = scratch.reshape(-1)[:size].reshape(shape)
+    term = scratch.reshape(-1)[size:2 * size].reshape(shape)
+    for view, row, live in zip(_groups(out, qubits, rows), entries,
+                               entries.any(axis=-1)):
+        terms = [(group, entry) for group, entry, keep
+                 in zip(groups, row, live) if keep] or [(groups[0], 0.0)]
+        np.multiply(*terms[0], out=total)
+        for group, entry in terms[1:]:
+            np.multiply(group, entry, out=term)
+            total += term
+        view[...] = total
+
+
+def _apply_diagonal(psi: np.ndarray, out: np.ndarray,
+                    diagonal: np.ndarray, qubits: Sequence[int]) -> None:
+    """One broadcast multiply by a ``(2**k,)`` or ``(2**k, batch)``
+    diagonal whose gate axes sit on the qubit axes."""
+    k, last = len(qubits), max(qubits)
+    rows = _inner(psi, qubits)
+    diag = diagonal.reshape((2,) * k + (1, -1))
+    if diag.shape[-1] > 1:  # per-row entries, tiled to the run
+        diag = np.tile(diag, rows)
+    diag = diag.reshape(diag.shape[:k] + (1,) * (last + 1 - k)
+                        + diag.shape[k:])
+    shape = (2,) * (last + 1) + (-1, rows * psi.shape[1])
+    np.multiply(psi.reshape(shape), np.moveaxis(diag, range(k), qubits),
+                out=out.reshape(shape))
+
+
+def _permutation_rows(matrix: np.ndarray, qubits: Sequence[int],
+                      num_qubits: int) -> np.ndarray:
+    """Row gather of a permutation gate: row ``r`` of the result is
+    row ``rows[r]`` of the input."""
+    rows = np.arange(2 ** num_qubits).reshape(-1, 1)
+    out = np.empty_like(rows)
+    sources = _groups(rows, qubits, 1)
+    for view, source in zip(_groups(out, qubits, 1),
+                            np.argmax(np.abs(matrix), axis=1)):
+        view[...] = sources[source]
+    return out.reshape(-1)
 
 
 def _record_run_metrics(registry, mode: str,
@@ -257,10 +348,11 @@ class StatevectorSimulator:
         ``j``-th gate parameter of ``template``, counted in instruction
         order (:func:`gate_angles` builds it from bound circuits). The
         template's own parameter values are never read, so it may be
-        symbolic. Every layer is applied to the whole batch in one
-        vectorized operation: one shared matrix when a column holds a
-        single value, a per-row stack otherwise, and a broadcast phase
-        multiply for diagonal gates. Returns ``(batch, 2**n)``.
+        symbolic. Every layer is applied to the whole batch at once, on
+        the amplitude-major ``(2**n, batch)`` stack (see the module
+        docstring), with one shared matrix when a column holds a single
+        value and per-row matrix entries otherwise. Returns
+        ``(batch, 2**n)``.
         """
         angles = np.asarray(angles, dtype=float)
         instructions = template.instructions
@@ -278,23 +370,27 @@ class StatevectorSimulator:
             raise ValueError("run_angles needs at least one angle row")
         n = template.num_qubits
         batch = angles.shape[0]
-        states = _initial_states(batch, n, initial_states)
+        # The stack, the next gate's output and the dense kernel's
+        # scratch; psi and out swap after every gate.
+        psi, out, scratch = np.empty((3, 2 ** n, batch), dtype=complex)
+        psi[...] = _initial_states(batch, n, initial_states).T
+        gathers: Dict[tuple, np.ndarray] = {}  # this call's row gathers
         tracer = telemetry.get_tracer()
         registry = _metrics.get_registry()
         run_start = time.perf_counter() if registry is not None else 0.0
         if tracer is None:
             for inst, column in zip(instructions, columns):
-                states = _apply_instruction_batch(
-                    states, inst, angles[:, column], n
-                )
+                _apply_gate(psi, out, scratch, inst, angles[:, column], n,
+                            gathers)
+                psi, out = out, psi
         else:
             # One timeline event per template position.
             with tracer.span("quantum.run_batch"):
                 for inst, column in zip(instructions, columns):
                     start = tracer.timestamp_us()
-                    states = _apply_instruction_batch(
-                        states, inst, angles[:, column], n
-                    )
+                    _apply_gate(psi, out, scratch, inst, angles[:, column],
+                                n, gathers)
+                    psi, out = out, psi
                     tracer.complete(
                         f"gate_batch.{inst.name}", start,
                         category="gate_batch",
@@ -304,8 +400,8 @@ class StatevectorSimulator:
         if registry is not None:
             _record_run_metrics(registry, "batch", instructions, batch,
                                 time.perf_counter() - run_start,
-                                int(states.nbytes))
-        return states
+                                int(psi.nbytes))
+        return psi.T.copy()
 
     def probabilities(self, circuit: Circuit) -> np.ndarray:
         """Measurement probabilities over all ``2**n`` basis states."""
@@ -393,32 +489,37 @@ def _initial_states(batch: int, num_qubits: int,
     return states
 
 
-def _apply_instruction_batch(states: np.ndarray, inst: Instruction,
-                             values: np.ndarray,
-                             num_qubits: int) -> np.ndarray:
-    """Apply one template instruction to the batch.
+def _apply_gate(psi: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                inst: Instruction, values: np.ndarray, num_qubits: int,
+                gathers: Dict[tuple, np.ndarray]) -> None:
+    """Apply one template instruction to the amplitude-major stack.
 
     ``values`` is the instruction's ``(batch, params)`` slice of the
-    angle matrix (empty for fixed gates).
+    angle matrix (empty for fixed gates). ``gathers`` keeps the row
+    gather of each permutation gate and qubit tuple seen so far.
     """
     name, qubits = inst.name, inst.qubits
-    if GATE_NUM_PARAMS[name] == 0:
-        diag = gate_diagonal(name)
-        if diag is not None:
-            return apply_diagonal_batch(states, diag, qubits, num_qubits)
-        return apply_matrix_batch(states, gate_matrix(name), qubits,
-                                  num_qubits)
-    if np.all(values == values[0]):  # one shared matrix for the batch
+    if name in PERMUTATION_GATES:
+        rows = gathers.get((name, qubits))
+        if rows is None:
+            rows = gathers[name, qubits] = _permutation_rows(
+                gate_matrix(name), qubits, num_qubits)
+        np.take(psi, rows, axis=0, out=out, mode="clip")
+    elif np.all(values == values[0]):  # one shared gate for the batch
         diag = gate_diagonal(name, values[0])
         if diag is not None:
-            return apply_diagonal_batch(states, diag, qubits, num_qubits)
-        return apply_matrix_batch(states, gate_matrix(name, values[0]),
-                                  qubits, num_qubits)
-    diag = batch_gate_diagonal(name, values)
-    if diag is not None:
-        return apply_diagonal_batch(states, diag, qubits, num_qubits)
-    return apply_matrix_batch(states, batch_gate_matrix(name, values),
-                              qubits, num_qubits)
+            _apply_diagonal(psi, out, diag, qubits)
+        else:
+            _apply_dense(psi, out, scratch,
+                         gate_matrix(name, values[0])[..., None], qubits)
+    else:
+        diag = batch_gate_diagonal(name, values)
+        if diag is not None:
+            _apply_diagonal(psi, out, diag.T, qubits)
+        else:
+            _apply_dense(psi, out, scratch,
+                         batch_gate_matrix(name, values).transpose(1, 2, 0)
+                         .copy(), qubits)
 
 
 def _renorm(probs: np.ndarray) -> np.ndarray:

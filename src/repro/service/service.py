@@ -700,14 +700,13 @@ class SolveService:
             raised = exc
         elapsed = time.perf_counter() - execute_start
         if registry is not None:
-            execute_hist = registry.histogram(
+            # Once per dispatch: a folded batch shares one solver.
+            registry.histogram(
                 "service_execute_seconds",
-                "wall clock of the dispatch's member loop (worker round "
-                "trip or inline run), per solver",
-                ("solver",))
-            for member in members:
-                execute_hist.labels(solver=member.solver).observe(
-                    elapsed)
+                "wall clock of one dispatch's member loop (worker round "
+                "trip or inline run), once per dispatch however many "
+                "jobs it folded, per solver",
+                ("solver",)).labels(solver=job.solver).observe(elapsed)
         if outcome is not None and tracer is not None:
             for member in members:
                 tracer.instant(

@@ -47,10 +47,10 @@ Enable with ``REPRO_METRICS=1`` or::
     ... instrumented code ...
     print(registry.to_prometheus())
 
-Run as a script to validate a Prometheus text file (the CI format
-checker)::
+:func:`main` validates a Prometheus text file; the package runs it
+(the CI format checker)::
 
-    python -m repro.telemetry.metrics metrics.prom
+    python -m repro.telemetry metrics.prom
 """
 
 from __future__ import annotations
@@ -842,7 +842,7 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     import sys
 
     parser = argparse.ArgumentParser(
-        prog="python -m repro.telemetry.metrics",
+        prog="python -m repro.telemetry",
         description="Validate a Prometheus text exposition file "
                     "(format + histogram invariants).",
     )
@@ -869,9 +869,3 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
 
 
 enable_from_env()
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    import sys
-
-    sys.exit(main())

@@ -5,6 +5,8 @@ The load-bearing property: every batched path is numerically identical
 replaces.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.quantum.gates import (
     DIAGONAL_GATES,
     GATE_ARITY,
     GATE_NUM_PARAMS,
+    PERMUTATION_GATES,
     batch_gate_diagonal,
     batch_gate_matrix,
     gate_diagonal,
@@ -148,6 +151,10 @@ def test_apply_batch_validates_shapes():
         apply_matrix_batch(states, np.zeros((3, 2, 2)), (0,), 2)
     with pytest.raises(ValueError):
         apply_diagonal_batch(states, np.zeros((3, 2)), (0,), 2)
+    with pytest.raises(ValueError):  # 2-qubit states, 3 qubits claimed
+        apply_matrix_batch(states, gate_matrix("h"), (0,), 3)
+    with pytest.raises(ValueError):
+        apply_diagonal_batch(states, gate_diagonal("z"), (0,), 3)
 
 
 # ----------------------------------------------------------------------
@@ -280,24 +287,125 @@ def test_run_batch_telemetry_counters():
         mode="batch").count == 1
 
 
+#: Batch sizes the kernel tests cycle through; 768 rows (a ``qml_train``
+#: gradient block) only up to 4 qubits.
+BATCHES = (1, 2, 3, 4, 5, 6, 7, 8, 9, 24, 768)
+
+
+def bind_angles(template, values):
+    """``template`` with its gate parameters replaced, in slot order."""
+    circuit = Circuit(template.num_qubits)
+    values = iter(values)
+    for inst in template.instructions:
+        circuit.append(inst.name, inst.qubits,
+                       [float(next(values)) for _ in inst.params])
+    return circuit
+
+
+def angle_matrix(rng, batch, slots, shared):
+    """Random angles; ``shared`` columns hold one value in every row."""
+    angles = rng.uniform(-np.pi, np.pi, size=(batch, slots))
+    angles[:, shared] = angles[:1, shared]
+    return angles
+
+
+def assert_rows_match_run(template, angles, initial=None, exact=False):
+    """Every ``run_angles`` row equals ``run`` of its bound circuit:
+    bit for bit when ``exact``, else within 1e-12."""
+    batched = SIM.run_angles(template, angles, initial_states=initial)
+    for index, (row, values) in enumerate(zip(batched, angles)):
+        start = None if initial is None else initial[index]
+        expected = SIM.run(bind_angles(template, values),
+                           initial_state=start)
+        if exact:
+            assert np.array_equal(row, expected), index
+        else:
+            assert np.abs(row - expected).max() < 1e-12, index
+
+
+@pytest.mark.parametrize("name", sorted(GATE_ARITY))
+def test_run_angles_every_gate_at_every_placement(name):
+    """Each gate at every ordered placement on 3 qubits (cx(2,0),
+    ccx(2,0,1), cswap(1,2,0), ...), on random states, with shared and
+    per-row angle columns."""
+    rng = np.random.default_rng(sorted(GATE_ARITY).index(name))
+    slots = GATE_NUM_PARAMS[name]
+    placements = itertools.permutations(range(3), GATE_ARITY[name])
+    for index, qubits in enumerate(placements):
+        template = Circuit(3).append(name, qubits, [0.0] * slots)
+        for shared in (True, False):
+            batch = BATCHES[(2 * index + shared) % len(BATCHES)]
+            assert_rows_match_run(
+                template,
+                angle_matrix(rng, batch, slots,
+                             np.full(slots, shared)),
+                random_states(batch, 3, seed=index),
+                exact=name in PERMUTATION_GATES)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_run_angles_one_qubit_gates_on_every_qubit(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    names = sorted(name for name, arity in GATE_ARITY.items() if arity == 1)
+    sizes = [b for b in BATCHES if b != 768 or num_qubits <= 4]
+    cases = itertools.product(names, range(num_qubits), (True, False))
+    for index, (name, qubit, shared) in enumerate(cases):
+        slots = GATE_NUM_PARAMS[name]
+        template = Circuit(num_qubits).append(name, [qubit], [0.0] * slots)
+        batch = sizes[index % len(sizes)]
+        assert_rows_match_run(
+            template,
+            angle_matrix(rng, batch, slots, np.full(slots, shared)),
+            random_states(batch, num_qubits, seed=index),
+            exact=name in PERMUTATION_GATES)
+
+
+def every_gate_template(num_qubits):
+    """One instruction of every gate, placed round the register."""
+    template = Circuit(num_qubits)
+    for index, name in enumerate(sorted(GATE_ARITY)):
+        qubits = [(index + offset) % num_qubits
+                  for offset in range(GATE_ARITY[name])]
+        template.append(name, qubits, [0.0] * GATE_NUM_PARAMS[name])
+    return template
+
+
+@pytest.mark.parametrize("num_qubits, batch",
+                         [(3, 9), (4, 24), (4, 768), (7, 5), (8, 64)])
+def test_run_angles_rows_do_not_depend_on_the_batch(num_qubits, batch):
+    """Row ``i`` of a batch is bit for bit the row run alone, whatever
+    kernel path (shared, per-row, tiled) the batch takes."""
+    rng = np.random.default_rng(batch)
+    template = every_gate_template(num_qubits)
+    slots = sum(len(inst.params) for inst in template.instructions)
+    angles = angle_matrix(rng, batch, slots, rng.random(slots) < 0.3)
+    batched = SIM.run_angles(template, angles)
+    for index in range(batch):
+        alone = SIM.run_angles(template, angles[index:index + 1])
+        assert np.array_equal(batched[index], alone[0]), index
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000),
-       num_qubits=st.integers(min_value=1, max_value=4),
-       batch=st.integers(min_value=1, max_value=6))
-def test_property_run_batch_equals_run(seed, num_qubits, batch):
-    """Random layered circuits, randomly re-parameterized per element."""
+       num_qubits=st.integers(min_value=1, max_value=6),
+       batch=st.sampled_from(BATCHES),
+       shared_share=st.sampled_from([0.0, 0.5, 1.0]))
+def test_property_run_batch_equals_run(seed, num_qubits, batch,
+                                       shared_share):
+    """Random layered circuits, re-parameterized per element or with
+    shared columns: ``run_batch`` rows match ``run`` within 1e-12 and
+    do not depend on the rest of the batch."""
+    if batch == 768 and num_qubits > 4:
+        batch = 24
     rng = np.random.default_rng(seed)
     template = random_layered_circuit(num_qubits, depth=3, seed=seed)
-    circuits = []
-    for _ in range(batch):
-        circuit = Circuit(num_qubits)
-        for inst in template.instructions:
-            params = tuple(
-                float(rng.uniform(-np.pi, np.pi))
-                for _ in inst.params
-            )
-            circuit.append(inst.name, inst.qubits, params)
-        circuits.append(circuit)
+    slots = sum(len(inst.params) for inst in template.instructions)
+    angles = angle_matrix(rng, batch, slots,
+                          rng.random(slots) < shared_share)
+    circuits = [bind_angles(template, row) for row in angles]
     batched = SIM.run_batch(circuits)
     sequential = np.stack([SIM.run(c) for c in circuits])
-    assert np.abs(batched - sequential).max() < 1e-10
+    assert np.abs(batched - sequential).max() < 1e-12
+    for index in range(batch):
+        alone = SIM.run_angles(template, angles[index:index + 1])
+        assert np.array_equal(batched[index], alone[0])

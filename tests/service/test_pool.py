@@ -11,6 +11,7 @@ import time
 import pytest
 
 import repro
+from repro import telemetry
 from repro.compile import SolverConfig
 from repro.compile import solve as dispatch_solve
 from repro.db import (
@@ -75,10 +76,14 @@ def test_same_model_jobs_fold_into_batches_with_parity():
     configs = [config(seed=200 + index) for index in range(10)]
     sequential = [dispatch_solve(shared, "sa", config=c)
                   for c in configs]
-    with SolveService(max_workers=1, batch_limit=4) as service:
-        handles = [service.submit(shared, "sa", c) for c in configs]
-        results = [handle.result(timeout=120) for handle in handles]
-        stats = service.stats()
+    registry = telemetry.enable_metrics()
+    try:
+        with SolveService(max_workers=1, batch_limit=4) as service:
+            handles = [service.submit(shared, "sa", c) for c in configs]
+            results = [handle.result(timeout=120) for handle in handles]
+            stats = service.stats()
+    finally:
+        telemetry.disable_metrics()
     assert all(results_equal(direct, result)
                for direct, result in zip(sequential, results))
     # 10 same-model jobs on 1 worker with batch_limit=4 cannot have
@@ -90,6 +95,10 @@ def test_same_model_jobs_fold_into_batches_with_parity():
     round_trips = round(sum(1 / size for size in batched))
     assert stats["pool"]["dispatches_cold"] == round_trips
     assert round_trips < 10
+    # The member loop is timed once per round trip, not once per
+    # folded member.
+    execute = registry.get("service_execute_seconds")
+    assert execute.labels(solver="sa").count == round_trips
 
 
 def test_batching_disabled_with_batch_limit_one():

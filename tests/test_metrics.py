@@ -2,10 +2,14 @@
 health rules, sampler, report CLI and hot-path instrumentation."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.telemetry import health as health_mod
 from repro.telemetry import metrics as metrics_mod
@@ -217,6 +221,27 @@ def test_prometheus_export_invariants_and_validation():
                for problem in validate_prometheus_text(broken))
     assert any("no # TYPE" in problem
                for problem in validate_prometheus_text("mystery 1\n"))
+
+
+def test_prometheus_checker_cli_runs_once(tmp_path):
+    """``python -m repro.telemetry FILE`` exits 0 on a valid file and 1
+    on an invalid one, and imports its module only once: runpy's
+    RuntimeWarning, raised as an error here, would exit 1 on both."""
+    registry = MetricsRegistry()
+    registry.counter("c_total", "a counter").inc()
+    valid = tmp_path / "valid.prom"
+    valid.write_text(registry.to_prometheus())
+    invalid = tmp_path / "invalid.prom"
+    invalid.write_text("mystery 1\n")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    for path, code in ((valid, 0), (invalid, 1)):
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             "repro.telemetry", str(path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == code, result.stderr
+        assert "RuntimeWarning" not in result.stderr
 
 
 def test_json_export_round_trips():
