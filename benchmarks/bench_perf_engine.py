@@ -85,7 +85,15 @@ reference workloads:
   and a 768-row gradient block at 4 qubits plus gradient blocks of
   ``2**14`` amplitudes at 8 and 12 qubits; per cell the record keeps
   median seconds over interleaved repeats with telemetry off and the
-  largest amplitude difference. Its ``speedup`` is the 768-row cell's.
+  largest amplitude difference. Its ``speedup`` is the 768-row cell's;
+* **shift fork** — one minibatch gradient with its outputs (the
+  ``qml_train`` model template, 24 rows) as ``parameter_shift_gradient``
+  computes it, one fork pass whose trunks give the outputs, vs the
+  previous pass, kept verbatim: one output pass through ``run_angles``,
+  then one ``run_angles`` row per shifted copy. Per ``(qubits, layers,
+  rows)`` cell the record keeps median seconds over interleaved repeats
+  with telemetry off; gradient rows and outputs must be identical. Its
+  ``speedup`` is the 4-qubit cell's.
 
 Timings come from ``time.perf_counter``. Run as a script to write the
 committed perf trajectory::
@@ -129,10 +137,18 @@ from repro.qml import (
     VariationalRegressor,
     parameter_shift_gradient,
 )
+from repro.qml.gradients import (
+    _FD_EPS,
+    _SHIFT,
+    _as_pauli_sum,
+    _parameters,
+    _symbolic_slots,
+)
 from repro.qml.models import _count_evaluations
 from repro.quantum import StatevectorSimulator
 from repro.quantum.gates import (
     GATE_NUM_PARAMS,
+    SHIFT_RULE_GATES,
     batch_gate_diagonal,
     batch_gate_matrix,
     gate_diagonal,
@@ -190,6 +206,8 @@ FULL_SCALE = {
     "batch_gates": {"cells": ((4, 24, False), (4, 768, True),
                               (8, 64, True), (12, 4, True)),
                     "repeats": 15},
+    "shift_fork": {"cells": ((4, 2, 24), (6, 2, 24), (8, 2, 24)),
+                   "repeats": 15},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -219,6 +237,7 @@ SMOKE_SCALE = {
     "vqc_fit": {"qubits": (4,), "repeats": 5},
     "batch_gates": {"cells": ((4, 24, False), (4, 768, True)),
                     "repeats": 7},
+    "shift_fork": {"cells": ((4, 2, 24), (6, 2, 24)), "repeats": 7},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -262,6 +281,13 @@ VQC_FIT_MIN_SPEEDUP = 1.2
 #: 1.19x, the 8- and 12-qubit cells 1.51x and 1.50x). A fall back to
 #: the moveaxis-and-matmul path reads about 1x.
 BATCH_GATES_MIN_SPEEDUP = 1.5
+
+#: Floor on the 4-qubit shift-fork cell (the ``qml_train`` minibatch),
+#: about 0.8x the measured gain: a 2-vCPU host read 1.51-1.66x there
+#: over six full-scale runs and 1.50x at smoke scale (the 6- and
+#: 8-qubit cells 1.9-2.0x). A fall back to one run per shifted copy
+#: plus an output pass reads about 1x.
+SHIFT_FORK_MIN_SPEEDUP = 1.2
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -472,6 +498,76 @@ def parent_run_angles(template, angles):
             states, inst, angles[:, column:column + width], num_qubits)
         column += width
     return states
+
+
+def parent_shift_gradients(sim, template, bound_angles, layout, params,
+                           obs):
+    """``_shift_gradients`` before the fork pass, verbatim but for its
+    ``2**14``-amplitude block: one ``run_angles`` row per shifted copy.
+
+    ``layout`` lists the template's symbolic slots. The shift plan is
+    built once; angle row ``b * terms + t`` is row ``b``'s bound angles
+    with term ``t``'s shift added at its slot.
+    """
+    registry = _metrics.get_registry()
+    if registry is not None:
+        registry.counter("qml_gradient_evaluations_total",
+                         "parameter-shift gradients evaluated (one per "
+                         "point)").inc(len(bound_angles))
+    index = {id(p): k for k, p in enumerate(params)}
+    plan = []  # (parameter index, slot, shift, chain-rule weight)
+    for k, slot, scale, name in sorted(
+            (index[id(p)], slot, scale, name)
+            for slot, p, scale, name in layout):
+        if name in SHIFT_RULE_GATES:
+            shift, factor = _SHIFT, 0.5
+        else:
+            shift, factor = _FD_EPS, 0.5 / _FD_EPS
+        plan.append((k, slot, +shift, scale * factor))
+        plan.append((k, slot, -shift, -scale * factor))
+    points = len(bound_angles)
+    gradients = np.zeros((points, len(params)))
+    if not plan:
+        return gradients
+    ks, slots, shifts, weights = (np.array(column) for column in zip(*plan))
+    terms = len(plan)
+    angles = np.repeat(bound_angles, terms, axis=0)
+    rows = np.arange(len(angles))
+    angles[rows, np.tile(slots, points)] += np.tile(shifts, points)
+    point_of_row = rows // terms
+    param_of_row = np.tile(ks, points)
+    weight_of_row = np.tile(weights, points)
+    num_qubits = template.num_qubits
+    block = max(1, (1 << 14) >> num_qubits)
+    with telemetry.span("qml.parameter_shift"):
+        for start in range(0, len(angles), block):
+            chunk = slice(start, start + block)
+            states = sim.run_angles(template, angles[chunk])
+            np.add.at(gradients,
+                      (point_of_row[chunk], param_of_row[chunk]),
+                      weight_of_row[chunk]
+                      * obs.expectation(states, num_qubits))
+    return gradients
+
+
+def parent_outputs_and_gradients(template, observable, values, angles,
+                                 simulator):
+    """A minibatch's gradient rows and outputs before the fork pass:
+    ``parameter_shift_gradient``'s angle-matrix form on
+    :func:`parent_shift_gradients`, then one output pass through
+    ``run_angles`` over the same angles."""
+    obs = _as_pauli_sum(observable)
+    layout = _symbolic_slots(template)
+    params = _parameters(layout)
+    bound = gate_angles([template.bind(dict(zip(params, values)))])[0]
+    angles = np.array(angles, dtype=float)
+    columns = [slot for slot, _, _, _ in layout]
+    angles[:, columns] = bound[columns]
+    rows = parent_shift_gradients(simulator, template, angles, layout,
+                                  params, obs)
+    outputs = obs.expectation(simulator.run_angles(template, angles),
+                              template.num_qubits)
+    return rows, outputs
 
 
 # ----------------------------------------------------------------------
@@ -1776,6 +1872,81 @@ def run_batch_gates_workload(cells, repeats, seed=43):
     }
 
 
+def _shift_fork_cell(num_qubits, num_layers, rows, repeats, rng):
+    """One ``(qubits, layers, rows)`` cell: both passes over the same
+    template, weights and angles, interleaved."""
+    model = VariationalRegressor(AngleEncoding(num_qubits, scaling=1.5),
+                                 num_layers=num_layers, seed=0)
+    X = rng.uniform(-1.0, 1.0, size=(rows, num_qubits))
+    weights = rng.uniform(-math.pi, math.pi, size=model.num_weights)
+    arguments = (model._model_template, model._observable, weights,
+                 model._angles(X, weights))
+    simulator = StatevectorSimulator()
+
+    def parent():
+        return parent_outputs_and_gradients(*arguments, simulator)
+
+    def fork():
+        return parameter_shift_gradient(*arguments[:3],
+                                        simulator=simulator,
+                                        angles=arguments[3],
+                                        return_expectations=True)
+
+    reference, shipped, repeat = (np.concatenate(pair, axis=None)
+                                  for pair in (parent(), fork(), fork()))
+    parent_seconds, fork_seconds = _interleaved_medians(parent, fork,
+                                                        repeats)
+    return {
+        "num_qubits": num_qubits,
+        "num_layers": num_layers,
+        "rows": rows,
+        "parent_seconds": parent_seconds,
+        "fork_seconds": fork_seconds,
+        "speedup": parent_seconds / fork_seconds,
+        "max_abs_diff": float(np.abs(shipped - reference).max()),
+        "deterministic": bool(np.array_equal(shipped, repeat)),
+    }
+
+
+def run_shift_fork_workload(cells, repeats, seed=47):
+    """Minibatch gradient rows plus outputs: the fork pass vs the
+    previous shifted copies plus output pass.
+
+    Every ``(qubits, layers, rows)`` cell draws angle-encoded rows and
+    weights for the ``qml_train`` model template, then times both
+    passes over ``repeats`` interleaved runs (order alternating) and
+    keeps the medians. The global metrics registry is parked while
+    timing, so both sides run the telemetry-off path training takes by
+    default. ``speedup`` is the 4-qubit cell's.
+    """
+    rng = np.random.default_rng(seed)
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
+    try:
+        records = [_shift_fork_cell(*cell, repeats=repeats, rng=rng)
+                   for cell in cells]
+    finally:
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
+    (headline,) = [c for c in records if c["num_qubits"] == 4]
+    return {
+        "name": "shift_fork",
+        "params": {
+            "cells": [list(cell) for cell in cells],
+            "repeats": repeats,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "parent_seconds": sum(c["parent_seconds"] for c in records),
+        "fork_seconds": sum(c["fork_seconds"] for c in records),
+        "cells": records,
+        "speedup": headline["speedup"],
+        "gate_min_speedup": SHIFT_FORK_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in records),
+        "deterministic": all(c["deterministic"] for c in records),
+    }
+
+
 def run_workloads(scale):
     return [
         run_kernel_workload(**scale["kernel"]),
@@ -1791,6 +1962,7 @@ def run_workloads(scale):
         run_sa_sweep_workload(**scale["sa_sweep"]),
         run_vqc_fit_workload(**scale["vqc_fit"]),
         run_batch_gates_workload(**scale["batch_gates"]),
+        run_shift_fork_workload(**scale["shift_fork"]),
     ]
 
 
@@ -1946,6 +2118,16 @@ def test_perf_batch_gates_match_parent():
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
+def test_perf_shift_fork_matches_parent():
+    record = run_shift_fork_workload(**SMOKE_SCALE["shift_fork"])
+    print("\nshift fork previous {parent_seconds:.4f}s vs fork pass "
+          "{fork_seconds:.4f}s (4-qubit cell {speedup:.2f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["max_abs_diff"] == 0.0
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -2022,6 +2204,11 @@ def main():
         elif record["name"] == "batch_gates":
             print("{name}: previous {parent_seconds:.3f}s, kernels "
                   "{kernel_seconds:.3f}s -> 768-row cell "
+                  "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
+                  .format(**record))
+        elif record["name"] == "shift_fork":
+            print("{name}: previous {parent_seconds:.3f}s, fork pass "
+                  "{fork_seconds:.3f}s -> 4-qubit cell "
                   "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
                   .format(**record))
         elif record["name"] == "server_throughput":

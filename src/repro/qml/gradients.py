@@ -16,6 +16,8 @@ back to central finite differences.
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -25,6 +27,8 @@ from ..quantum.circuit import Circuit, Parameter, ParameterExpression
 from ..quantum.gates import SHIFT_RULE_GATES
 from ..quantum.statevector import (
     StatevectorSimulator,
+    _apply_gate,
+    _record_run_metrics,
     _structurally_identical,
     gate_angles,
 )
@@ -33,13 +37,15 @@ from ..telemetry import metrics as _metrics
 _SHIFT = math.pi / 2.0
 _FD_EPS = 1e-6
 
-#: Amplitudes per ``run_angles`` call (``max(1, 2**14 >> n)`` rows).
-#: Larger stacks fall out of cache and lose to a per-row loop. A
-#: 24-row minibatch gradient (2 ansatz layers; 2-vCPU Xeon, 2 MiB L2
-#: per core) took 37/186 ms at 6/8 qubits in these blocks, 53/311 ms
-#: in 2**15-amplitude blocks and 79/240 ms one row at a time; 8 rows
-#: at 10 qubits took 350, 645 and 366 ms.
-_BLOCK_AMPLITUDES = 1 << 14
+#: Amplitudes per fork-pass block. Its unit is a point, the trunk and
+#: its forks: ``(terms + 1) * 2**n`` amplitudes, one point at least.
+#: Fewer, larger blocks share the per-gate Python cost; past a few MB
+#: the stack falls out of cache. A 24-row minibatch gradient with its
+#: outputs (2 ansatz layers; 2-vCPU Xeon, 2 MiB L2 per core) took
+#: 18.6/47.6/77.3 ms at 6/7/8 qubits in 2**14-amplitude blocks,
+#: 15.6/27.5/54.3 ms in 2**16 and 15.9/31.8/57.3 ms in 2**17; with all
+#: 24 points of the 8-qubit batch in one block it took 80 ms.
+_BLOCK_AMPLITUDES = 1 << 16
 
 
 def expectation_function(circuit: Circuit, observable,
@@ -63,18 +69,26 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
                              observable,
                              values: Sequence[float],
                              simulator: Optional[StatevectorSimulator] = None,
-                             angles: Optional[np.ndarray] = None
-                             ) -> np.ndarray:
+                             angles: Optional[np.ndarray] = None,
+                             *, return_expectations: bool = False):
     """Exact gradient of ``<O>`` w.r.t. every circuit parameter.
 
-    Cost: two circuit evaluations per shift-rule gate occurrence of
-    each parameter (the hardware-realistic gradient the tutorial
-    teaches). Every shifted evaluation differs from the bound circuit
-    in one gate angle only, so the whole set is one angle matrix —
-    the bound angles, with ``±shift`` added at the shifted slot — that
-    runs through :meth:`StatevectorSimulator.run_angles` in blocks of
-    at most ``2**14`` amplitudes, each block's expectations taken
-    before the next block runs.
+    Cost: two shifted circuit evaluations (terms) per shift-rule gate
+    occurrence of each parameter (the hardware-realistic gradient the
+    tutorial teaches), all taken from one fork pass. Every shifted
+    circuit differs from the bound circuit in one gate angle only, so
+    the pass runs each evaluation point once as a trunk, copies the
+    trunk's state into new columns just before each shifted gate,
+    applies that gate at ``angle ± shift`` there, and carries every
+    column through the rest of the circuit. For ``G`` gates, a point
+    costs ``G + sum(G - g_t)`` gate applications over the terms' gate
+    indices ``g_t``, not ``G`` per term. The pass runs in blocks of
+    whole points (a trunk and its forks, ``(terms + 1) * 2**n``
+    amplitudes), each block's expectations taken before the next block
+    runs. The result equals evaluating every shifted circuit on its
+    own, bit for bit. ``simulator`` is accepted for callers that hold
+    one; the pass applies the simulator's gate kernels itself and reads
+    no simulator state.
 
     ``circuit`` may also be a sequence of circuits that share one
     parameter list (the same :class:`Parameter` objects in the same
@@ -91,9 +105,11 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
     take the bound ``values``; the others are read as given. The
     result has one gradient row per angle row, and no circuit is
     built per row. The sequence form is this form applied to the
-    bound circuits' :func:`gate_angles`.
+    bound circuits' :func:`gate_angles`. With ``return_expectations``
+    the angle-matrix form returns ``(gradients, expectations)``, the
+    second the ``(rows,)`` values of ``<O>`` at the angle rows
+    themselves, read off the trunks.
     """
-    sim = simulator or StatevectorSimulator()
     obs = _as_pauli_sum(observable)
     if angles is not None:
         if not isinstance(circuit, Circuit):
@@ -111,7 +127,13 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
             raise ValueError("parameter_shift_gradient needs an angle row")
         columns = [slot for slot, _, _, _ in layout]
         angles[:, columns] = bound[columns]
-        return _shift_gradients(sim, circuit, angles, layout, params, obs)
+        gradients, expectations = _shift_gradients(
+            circuit, angles, layout, params, obs, return_expectations)
+        if return_expectations:
+            return gradients, expectations
+        return gradients
+    if return_expectations:
+        raise TypeError("return_expectations needs the angle-matrix form")
     single = isinstance(circuit, Circuit)
     circuits = [circuit] if single else list(circuit)
     if not circuits:
@@ -124,11 +146,11 @@ def parameter_shift_gradient(circuit: Union[Circuit, Sequence[Circuit]],
     bound = [c.bind(binding) for c in circuits]
     if (all(layout == layouts[0] for layout in layouts[1:])
             and _structurally_identical(bound)):
-        gradients = _shift_gradients(sim, bound[0], gate_angles(bound),
-                                     layouts[0], params, obs)
+        gradients, _ = _shift_gradients(bound[0], gate_angles(bound),
+                                        layouts[0], params, obs)
     else:  # e.g. amplitude encodings that drop near-zero rotations
         gradients = np.vstack([
-            _shift_gradients(sim, b, gate_angles([b]), layout, params, obs)
+            _shift_gradients(b, gate_angles([b]), layout, params, obs)[0]
             for b, layout in zip(bound, layouts)
         ])
     return gradients[0] if single else gradients
@@ -143,14 +165,23 @@ def _binding(params: List[Parameter], values: Sequence[float]) -> dict:
     return dict(zip(params, values))
 
 
-def _shift_gradients(sim: StatevectorSimulator, template: Circuit,
-                     bound_angles: np.ndarray, layout: List[tuple],
-                     params: List[Parameter], obs) -> np.ndarray:
-    """Gradient rows of ``template`` at every row of ``bound_angles``.
+def _shift_gradients(template: Circuit, bound_angles: np.ndarray,
+                     layout: List[tuple], params: List[Parameter], obs,
+                     count_trunks: bool = False) -> tuple:
+    """Gradient rows of ``template`` at every row of ``bound_angles``,
+    and every row's own ``<O>``, from one fork pass.
 
-    ``layout`` lists the template's symbolic slots. The shift plan is
-    built once; angle row ``b * terms + t`` is row ``b``'s bound angles
-    with term ``t``'s shift added at its slot.
+    ``layout`` lists the template's symbolic slots; the shift plan is
+    built once, one term per shifted evaluation. Each point (angle row)
+    runs once as a trunk and each term forks off it just before its
+    gate (see :func:`parameter_shift_gradient`), so a point costs
+    ``G + sum(G - g_t)`` gate applications for ``G`` gates and terms at
+    gate indices ``g_t``. The terms are summed in plan order, so the
+    rows equal one run per shifted copy, bit for bit. Blocks hold whole
+    points, ``(terms + 1) * 2**n`` amplitudes each, up to
+    ``_BLOCK_AMPLITUDES`` and one point at least.
+    ``quantum_circuit_evaluations_total`` counts the forks, plus the
+    trunks with ``count_trunks`` (the caller uses their values).
     """
     registry = _metrics.get_registry()
     if registry is not None:
@@ -168,29 +199,93 @@ def _shift_gradients(sim: StatevectorSimulator, template: Circuit,
             shift, factor = _FD_EPS, 0.5 / _FD_EPS
         plan.append((k, slot, +shift, scale * factor))
         plan.append((k, slot, -shift, -scale * factor))
-    points = len(bound_angles)
+    points, terms = len(bound_angles), len(plan)
+    ks, slots, shifts, weights = (
+        (np.array(column) for column in zip(*plan)) if plan
+        else np.zeros((4, 0), dtype=int))  # no symbolic slot: trunks only
+    # Forks are taken in slot (so gate) order, the terms of one slot in
+    # plan order: term ``t``'s forks are the points' columns in group
+    # ``1 + rank[t]`` of the stack, after the trunks' group 0.
+    rank = np.empty(terms, dtype=int)
+    rank[np.argsort(slots, kind="stable")] = np.arange(terms)
+    forked_at = Counter(slots.tolist())  # slot -> terms forked there
+    schedule = []  # (instruction, its angle columns, terms forked there)
+    slot = 0
+    for inst in template.instructions:
+        width = len(inst.params)
+        schedule.append((inst, slice(slot, slot + width),
+                         forked_at[slot] if width else 0))
+        slot += width
     gradients = np.zeros((points, len(params)))
-    if not plan:
-        return gradients
-    ks, slots, shifts, weights = (np.array(column) for column in zip(*plan))
-    terms = len(plan)
-    angles = np.repeat(bound_angles, terms, axis=0)
-    rows = np.arange(len(angles))
-    angles[rows, np.tile(slots, points)] += np.tile(shifts, points)
-    point_of_row = rows // terms
-    param_of_row = np.tile(ks, points)
-    weight_of_row = np.tile(weights, points)
+    trunk_values = np.empty(points)
     num_qubits = template.num_qubits
-    block = max(1, _BLOCK_AMPLITUDES >> num_qubits)
+    block = max(1, _BLOCK_AMPLITUDES // ((terms + 1) << num_qubits))
+    gathers: dict = {}  # row gathers of the permutation gates
     with telemetry.span("qml.parameter_shift"):
-        for start in range(0, len(angles), block):
-            chunk = slice(start, start + block)
-            states = sim.run_angles(template, angles[chunk])
-            np.add.at(gradients,
-                      (point_of_row[chunk], param_of_row[chunk]),
-                      weight_of_row[chunk]
-                      * obs.expectation(states, num_qubits))
-    return gradients
+        for start in range(0, points, block):
+            rows = bound_angles[start:start + block]
+            count = len(rows)
+            # Every column's angles: its point's row, shifted at the
+            # term's slot for a fork. ``forked[b, t]`` is the column of
+            # point ``b``'s fork for term ``t``.
+            forked = count * (1 + rank) + np.arange(count)[:, None]
+            table = np.tile(rows, (terms + 1, 1))
+            table[forked, slots] += shifts
+            run_start = time.perf_counter() if registry is not None else 0.0
+            states = _fork_pass(schedule, table, count, num_qubits, gathers)
+            elapsed = time.perf_counter() - run_start
+            column_values = obs.expectation(states, num_qubits)
+            trunk_values[start:start + count] = column_values[:count]
+            np.add.at(gradients[start:start + count], (slice(None), ks),
+                      weights * column_values[forked])
+            if registry is not None:
+                applied = count * (1 + np.cumsum(
+                    [forks for _, _, forks in schedule]))
+                _record_run_metrics(
+                    registry, "batch", template.instructions,
+                    count * (terms + count_trunks), elapsed,
+                    states.nbytes, applied.tolist())
+    return gradients, trunk_values
+
+
+def _fork_pass(schedule: List[tuple], table: np.ndarray, count: int,
+               num_qubits: int, gathers: dict) -> np.ndarray:
+    """Final states of ``count`` points' trunks and forks.
+
+    ``schedule`` lists each instruction with its angle columns and the
+    number of terms forked at it. Row ``c`` of ``table`` holds column
+    ``c``'s angles: the trunks first, then one group of ``count`` forks
+    per term, in the order the forks are taken. The stack starts as the
+    trunks' ``|0...0>`` columns; before each forking gate it grows by
+    the trunks' current states, copied once per term, and every gate is
+    one :func:`_apply_gate` call over all columns so far. The stack
+    grows into the other buffer of a pair, because a column slice of a
+    wider buffer would be a strided view, whose reshapes inside the
+    kernels can silently copy. Returns ``(columns, 2**n)`` states.
+    """
+    n = num_qubits
+    psi_flat, out_flat, scratch_flat = np.empty((3, len(table) << n),
+                                                dtype=complex)
+    width = count
+    psi, out, scratch = (flat[:width << n].reshape(-1, width)
+                         for flat in (psi_flat, out_flat, scratch_flat))
+    psi[...] = 0.0
+    psi[0] = 1.0
+    for inst, columns, forks in schedule:
+        if forks:  # copy the trunks into ``forks`` new column groups
+            width += count * forks
+            psi_flat, out_flat = out_flat, psi_flat
+            grown = psi_flat[:width << n].reshape(-1, width)
+            np.concatenate([psi] + [psi[:, :count]] * forks, axis=1,
+                           out=grown)
+            psi = grown
+            out = out_flat[:width << n].reshape(-1, width)
+            scratch = scratch_flat[:width << n].reshape(-1, width)
+        _apply_gate(psi, out, scratch, inst, table[:width, columns], n,
+                    gathers)
+        psi, out = out, psi
+        psi_flat, out_flat = out_flat, psi_flat
+    return psi.T.copy()
 
 
 def _as_pauli_sum(observable):

@@ -173,20 +173,30 @@ class _VariationalModel:
                             weights: np.ndarray) -> np.ndarray:
         """Gradient of the mean squared error over a minibatch.
 
-        One pass for the outputs, then one batched parameter-shift
-        call over every row: the model template with every row's
-        angles when the encoding has a template, else every row's
-        circuit. The weight parameters appear in template order in
-        each composed circuit because the encoding is fully bound, so
-        the rows share one parameter list.
+        One batched parameter-shift call over every row: the model
+        template with every row's angles when the encoding has a
+        template, else every row's circuit. Exact template models take
+        the outputs from the same fork pass (its trunks); the others
+        run one output pass first, and with ``shots`` the outputs stay
+        the shot estimator. The weight parameters appear in template
+        order in each composed circuit because the encoding is fully
+        bound, so the rows share one parameter list.
         """
-        outputs = self._batch_raw_outputs(rows, weights)
-        if self._model_template is not None:
+        if self._model_template is not None and self.shots is None:
+            _count_evaluations(len(rows))
+            row_gradients, outputs = parameter_shift_gradient(
+                self._model_template, self._observable, weights,
+                simulator=self._sim, angles=self._angles(rows, weights),
+                return_expectations=True,
+            )
+        elif self._model_template is not None:
+            outputs = self._batch_raw_outputs(rows, weights)
             row_gradients = parameter_shift_gradient(
                 self._model_template, self._observable, weights,
                 simulator=self._sim, angles=self._angles(rows, weights),
             )
         else:
+            outputs = self._batch_raw_outputs(rows, weights)
             row_gradients = parameter_shift_gradient(
                 [self._full_circuit(x) for x in rows], self._observable,
                 weights, simulator=self._sim,

@@ -18,6 +18,17 @@ from .gates import I2, PAULI_X, PAULI_Y, PAULI_Z
 
 _PAULI_MATRICES = {"I": I2, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 _VALID = frozenset("IXYZ")
+_DIAGONAL = frozenset("IZ")
+_SIGNS = {"I": np.array([1.0, 1.0]), "Z": np.array([1.0, -1.0])}
+
+
+def _z_signs(label: str) -> np.ndarray:
+    """The diagonal of an ``I``/``Z`` string: ``-1`` where an odd number
+    of its ``Z`` qubits are set, qubit 0 the most significant bit."""
+    signs = np.ones(1)
+    for char in label:
+        signs = (signs[:, None] * _SIGNS[char]).reshape(-1)
+    return signs
 
 
 @dataclass(frozen=True)
@@ -57,12 +68,16 @@ class PauliString:
         """Apply the string to a statevector in ``O(2**n)`` per factor.
 
         A ``(batch, 2**n)`` stack is transformed row by row in one
-        batched contraction per factor.
+        batched contraction per factor. A string of ``I`` and ``Z``
+        factors only is diagonal: it is one multiply by its ``±1`` sign
+        per basis state, equal bit for bit to applying the factors.
         """
         from .statevector import apply_matrix, apply_matrix_batch
 
         n = self.num_qubits
         out = np.asarray(state, dtype=complex)
+        if _DIAGONAL.issuperset(self.label):
+            return self.coefficient * (out * _z_signs(self.label))
         apply = apply_matrix if out.ndim == 1 else apply_matrix_batch
         for qubit, char in enumerate(self.label):
             if char != "I":

@@ -226,10 +226,15 @@ def _permutation_rows(matrix: np.ndarray, qubits: Sequence[int],
 
 def _record_run_metrics(registry, mode: str,
                         instructions: Sequence[Instruction], batch: int,
-                        elapsed: float, state_bytes: int) -> None:
+                        elapsed: float, state_bytes: int,
+                        applied: Optional[Sequence[int]] = None) -> None:
     """Per-run live metrics: circuit and gate counters (in total and
     by gate name), the run-time histogram and the peak statevector
-    footprint gauge."""
+    footprint gauge. ``batch`` circuits are counted; ``applied`` gives
+    the columns each instruction ran on when that is not ``batch``
+    for all (a gradient's fork pass grows its stack as it goes)."""
+    if applied is None:
+        applied = [batch] * len(instructions)
     registry.counter(
         "quantum_circuit_evaluations_total",
         "circuits executed by the statevector simulator",
@@ -237,16 +242,16 @@ def _record_run_metrics(registry, mode: str,
     registry.counter(
         "quantum_gate_applications_total",
         "gate applications executed by the statevector simulator",
-        ("mode",)).labels(mode=mode).inc(batch * len(instructions))
+        ("mode",)).labels(mode=mode).inc(sum(applied))
     tally: Dict[str, int] = {}
-    for inst in instructions:
-        tally[inst.name] = tally.get(inst.name, 0) + 1
+    for inst, columns in zip(instructions, applied):
+        tally[inst.name] = tally.get(inst.name, 0) + columns
     by_gate = registry.counter(
         "quantum_gates_total",
         "gate applications executed by the statevector simulator, "
         "by gate name", ("gate",))
-    for name, occurrences in tally.items():
-        by_gate.labels(gate=name).inc(occurrences * batch)
+    for name, count in tally.items():
+        by_gate.labels(gate=name).inc(count)
     registry.histogram(
         "quantum_run_seconds",
         "statevector simulator run wall clock",

@@ -125,6 +125,16 @@ def test_e14_smoke():
     assert 0.0 <= result.rows[0]["sa_hit_rate"] <= 1.0
 
 
+def test_e6_scores_zero_outputs_as_ties():
+    # From rate 0.1 on every depolarized <Z_0> is zero up to float
+    # rounding; each such tie counts half, so those rows read chance.
+    result = run_experiment("E6")
+    accuracy = dict(zip(result.column("error_rate"),
+                        result.column("accuracy")))
+    assert accuracy[0.1] == accuracy[0.2] == 0.5
+    assert [accuracy[rate] for rate in (0.0, 0.01, 0.03, 0.05)] == [0.85] * 4
+
+
 def test_e9_smoke():
     result = run_experiment("E9", query_counts=(3,), instances_per_cell=1,
                             seed=0)

@@ -246,11 +246,12 @@ def test_batched_gradient_amplitude_rows_differ_in_structure():
 def test_batched_gradient_spans_several_blocks():
     ansatz, params = hardware_efficient_ansatz(10, 1, rotations=("ry",))
     encoding = AngleEncoding(10)
-    rows = np.random.default_rng(6).uniform(-1, 1, size=(3, 10))
+    rows = np.random.default_rng(6).uniform(-1, 1, size=(7, 10))
     circuits = [encoding.circuit(x).compose(ansatz) for x in rows]
-    # 20 angle rows per circuit; blocks end inside a circuit's rows.
-    block_rows = gradients._BLOCK_AMPLITUDES >> 10
-    assert 20 % block_rows and 3 * 20 > 2 * block_rows
+    # A circuit's trunk and 20 forks are 21 columns of 2**10
+    # amplitudes; the blocks hold whole circuits, the last one fewer.
+    per_block = gradients._BLOCK_AMPLITUDES // (21 << 10)
+    assert 1 < per_block < len(circuits) and len(circuits) % per_block
     values = np.random.default_rng(7).uniform(-np.pi, np.pi, len(params))
     obs = PauliSum([single_z(0, 10), single_z(9, 10, 0.5)])
     assert_batch_matches_single(circuits, obs, values)

@@ -149,10 +149,11 @@ def test_ten_qubit_gradient_blocks_end_inside_a_rows_shifts():
         return cls(AngleEncoding(10, scaling=1.5), num_layers=1, seed=0)
 
     model, reference = make(VariationalRegressor), make(PerRowRegressor)
-    # 20 weights: 40 shift rows per data row in 16-row blocks.
-    shift_rows = 2 * model.num_weights
-    block_rows = gradients._BLOCK_AMPLITUDES >> 10
-    assert shift_rows % block_rows and shift_rows > block_rows
+    # 20 weights: a data row's trunk and 40 forks are 41 columns of
+    # 2**10 amplitudes, so a block holds one data row and the two rows
+    # run in separate blocks.
+    point_amplitudes = (2 * model.num_weights + 1) << 10
+    assert gradients._BLOCK_AMPLITUDES < 2 * point_amplitudes
     rng = np.random.default_rng(3)
     rows = rng.uniform(-1, 1, size=(2, 10))
     targets = rng.uniform(-0.9, 0.9, size=2)

@@ -1,5 +1,7 @@
 """Unit tests for Pauli observables."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,9 @@ from repro.quantum import (
     single_z,
     zz,
 )
+
+from repro.quantum.gates import PAULI_Z
+from repro.quantum.statevector import apply_matrix, apply_matrix_batch
 
 SIM = StatevectorSimulator()
 
@@ -79,6 +84,37 @@ def test_apply_matches_matrix():
     state /= np.linalg.norm(state)
     term = PauliString("XYZ", 0.7)
     assert np.allclose(term.apply(state), term.matrix() @ state)
+
+
+def dense_apply(term, state):
+    """``PauliString.apply`` as it was for every label: one dense 2x2
+    update per non-identity factor."""
+    out = np.asarray(state, dtype=complex)
+    apply = apply_matrix if out.ndim == 1 else apply_matrix_batch
+    for qubit, char in enumerate(term.label):
+        if char == "Z":
+            out = apply(out, PAULI_Z, (qubit,), term.num_qubits)
+    return term.coefficient * out
+
+
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4, 5])
+def test_z_strings_apply_as_the_dense_factors_do(num_qubits):
+    rng = np.random.default_rng(num_qubits)
+    dim = 2 ** num_qubits
+    single = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    batch = rng.normal(size=(6, dim)) + 1j * rng.normal(size=(6, dim))
+    for label in map("".join, itertools.product("IZ", repeat=num_qubits)):
+        coefficient = complex(*rng.normal(size=2))
+        for term in (PauliString(label), PauliString(label, coefficient)):
+            for state in (single, batch):
+                assert np.array_equal(term.apply(state),
+                                      dense_apply(term, state))
+            assert term.expectation(single) == float(
+                np.vdot(single, dense_apply(term, single)).real)
+            assert np.array_equal(
+                term.expectation(batch),
+                np.einsum("ij,ij->i", batch.conj(),
+                          dense_apply(term, batch)).real)
 
 
 def test_pauli_sum_qubit_mismatch():
