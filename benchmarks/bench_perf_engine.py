@@ -159,10 +159,7 @@ from repro.quantum.statevector import (
     _structurally_identical,
     gate_angles,
 )
-from repro.telemetry import context as _tracectx
-from repro.telemetry import flight as _flight
 from repro.telemetry import metrics as _metrics
-from repro.telemetry import profiler as _profiler
 from repro.telemetry.bench_schema import (
     BENCH_SCHEMA,
     MAX_BATCHED_ABS_DIFF,
@@ -967,25 +964,13 @@ def run_metrics_overhead_workload(num_spins, num_reads,
     accounting disabled and compared against bare replicas of the
     identical numerical work with the instrumentation stripped. ``overhead_fraction`` is the worst of the three and the
     record embeds ``gate_max_overhead`` so ``bench_schema --gates``
-    enforces the budget (2% at full scale). The global tracer and
-    metrics registry are parked for the duration so the timed
-    paths take their fully-disabled branch, then restored.
+    enforces the budget (2% at full scale). Telemetry runs at the
+    ``off`` level for the duration (``telemetry.observe("off")``), so
+    the timed paths take the fully-disabled branch of every layer;
+    the previous level is restored after.
     """
-    saved_tracer = telemetry.get_tracer()
-    saved_registry = _metrics.get_registry()
-    # Park the trace-context / flight / profiler globals too: the
-    # front-door pair below times the fully-disabled branch of every
-    # observability layer, not just metrics.
-    saved_context = _tracectx._state
-    saved_flight = _flight._recorder
-    saved_profiler = _profiler._config
-    _tracectx._state = None
-    _flight._recorder = None
-    _profiler._config = None
-    if saved_tracer is not None:
-        telemetry.disable_tracing()
-    if saved_registry is not None:
-        _metrics.disable_metrics()
+    previous = telemetry.observed_level()
+    telemetry.observe("off")
     try:
         ising = IsingModel.random(num_spins, density=0.5,
                                   field_scale=0.3, seed=seed)
@@ -1049,13 +1034,7 @@ def run_metrics_overhead_workload(num_spins, num_reads,
             lambda: dispatch_solve(compiled, "sa", config=config),
             repeats)
     finally:
-        _tracectx._state = saved_context
-        _flight._recorder = saved_flight
-        _profiler._config = saved_profiler
-        if saved_tracer is not None:
-            telemetry.enable_tracing(saved_tracer)
-        if saved_registry is not None:
-            _metrics.enable_metrics(saved_registry)
+        telemetry.observe(previous)
 
     overheads = {
         "sa_overhead": sa_over,
@@ -1094,16 +1073,17 @@ def run_metrics_overhead_workload(num_spins, num_reads,
 def run_obs_overhead_workload(num_jobs, num_relations,
                               num_sweeps, num_reads, workers, repeats,
                               gate_max_overhead, seed=29):
-    """Enabled-cost gate for the trace-context + flight-recorder stack.
+    """Enabled-cost gate for the ``flight`` telemetry level.
 
     The service-throughput batch (independent seeded join-order jobs
-    on the warm pool) runs once with the correlated-observability
-    layers *off* and once with trace contexts and the in-memory flight
-    recorder *on* — the configuration ``serve-bench --context
-    --flight`` ships. The enabled side pays context minting per job,
-    trace-id plumbing over the pipe protocol, ring-buffer recording
-    and drain attribution; the record's ``overhead_fraction`` caps
-    that cost at the embedded ``gate_max_overhead`` (5% at full
+    on the warm pool) runs once at ``telemetry.observe("off")`` and
+    once at ``telemetry.observe("flight")`` — the metrics registry,
+    trace contexts and the in-memory flight recorder, the level
+    ``serve-bench --flight`` ships. The enabled side pays registry
+    accounting and the workers' snapshot merge, context minting per
+    job, trace-id plumbing over the pipe protocol, ring-buffer
+    recording and drain attribution; the record's ``overhead_fraction``
+    caps that cost at the embedded ``gate_max_overhead`` (5% at full
     scale). ``matches_direct`` asserts the observed batch reproduces
     the plain batch bit for bit — observability never touches the
     answer — and ``traced_jobs`` counts the distinct trace ids minted
@@ -1116,19 +1096,20 @@ def run_obs_overhead_workload(num_jobs, num_relations,
                       seed)
     specs = [(problem, "sa", config) for problem, config in jobs]
 
-    def run_plain():
-        with SolveService(max_workers=workers) as service:
-            return service.solve_many(specs)
-
-    def run_observed():
-        _tracectx.enable_context()
-        _flight.enable_flight()
+    def run_at(level):
+        previous = telemetry.observed_level()
+        telemetry.observe(level)
         try:
             with SolveService(max_workers=workers) as service:
                 return service.solve_many(specs)
         finally:
-            _flight.disable_flight()
-            _tracectx.disable_context()
+            telemetry.observe(previous)
+
+    def run_plain():
+        return run_at("off")
+
+    def run_observed():
+        return run_at("flight")
 
     # Correctness first: the observed batch must reproduce the plain
     # batch bit for bit, and a second observed run must reproduce the

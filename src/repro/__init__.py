@@ -25,7 +25,7 @@ Opportunities for Database Research":
 * :mod:`repro.telemetry` — one metrics registry (counters, gauges,
   histograms, span timings), event tracing and run-provenance records
   across all of the above (off by default; see
-  ``repro.telemetry.enable_metrics`` / ``REPRO_METRICS=1``).
+  ``repro.telemetry.observe`` / ``REPRO_OBSERVE=metrics``).
 """
 
 # Single source of truth for the package version; pyproject.toml reads

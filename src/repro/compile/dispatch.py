@@ -481,8 +481,8 @@ def solve(problem: CompiledProblem,
 
     ``profile`` controls the sampling wall-clock profiler
     (:mod:`repro.telemetry.profiler`): ``True`` captures this call,
-    ``False`` never does, and the default ``None`` defers to
-    :func:`~repro.telemetry.enable_profiling` /``REPRO_PROFILE=1``.
+    ``False`` never does, and the default ``None`` profiles at the
+    ``trace`` level of :func:`~repro.telemetry.observe`.
     The aggregated stack summary lands in
     ``result.provenance["profile"]`` and mirrors onto the event trace.
     The sampler only *reads* frames from a helper thread — it never

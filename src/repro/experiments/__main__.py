@@ -30,10 +30,12 @@ duration) and the ``repro-metrics/v1`` snapshot of that run, inside a
 ``repro-telemetry/v1`` document.
 
 ``--trace FILE`` additionally records an event-level timeline (spans,
-per-gate events, solver convergence rows, memory samples) and writes
-it as Chrome ``trace_event`` JSON — open the file in Perfetto
-(https://ui.perfetto.dev) or ``chrome://tracing``. It implies
-``--telemetry``.
+per-gate events, solver convergence rows, memory samples, sampled
+solver profiles) and writes it as Chrome ``trace_event`` JSON — open
+the file in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
+It implies ``--telemetry``. ``--telemetry`` and ``--json-out`` run at
+the ``metrics`` level of :func:`repro.telemetry.observe`, ``--trace``
+at ``trace``; a higher ``REPRO_OBSERVE`` level stays in force.
 
 ``bench-compare`` is a subcommand, not a flag: it diffs two
 ``repro-bench/v1`` documents and exits nonzero when the candidate
@@ -195,11 +197,19 @@ def main(argv) -> int:
 
     # run_experiment scopes each run's metrics to a fresh registry
     # and folds it into this one.
-    if (args.telemetry or args.json_out is not None
-            or args.trace is not None):
-        telemetry.enable_metrics()
-    tracer = (telemetry.enable_tracing() if args.trace is not None
-              else None)
+    needed = ("trace" if args.trace is not None
+              else "metrics" if args.telemetry or args.json_out is not None
+              else "off")
+    previous = telemetry.observed_level()
+    telemetry.observe(max(needed, previous, key=telemetry.LEVELS.index))
+    try:
+        return _run(args, overrides)
+    finally:
+        telemetry.observe(previous)
+
+
+def _run(args, overrides: Dict[str, Any]) -> int:
+    tracer = telemetry.get_tracer()
     trace_path = (os.path.abspath(args.trace)
                   if args.trace is not None else None)
     records: List[Dict[str, Any]] = []
@@ -219,13 +229,13 @@ def main(argv) -> int:
         print(format_table(result))
         print(f"[{elapsed:.1f}s]")
         if result.metrics is not None:
-            print(telemetry.render_report(
-                result.metrics, provenance=result.provenance
+            print(telemetry.render_dashboard(
+                result.metrics, tracer=tracer,
+                provenance=result.provenance,
             ))
             records.append(_experiment_record(result))
         print()
-    telemetry.disable_metrics()
-    if tracer is not None:
+    if trace_path is not None:
         tracer.write_chrome_trace(trace_path, metadata={
             "schema": "repro-trace/v1",
             "experiments": list(args.ids),
@@ -234,7 +244,6 @@ def main(argv) -> int:
         print(f"wrote trace {trace_path} "
               f"({tracer.event_count} events, "
               f"{tracer.dropped_events} dropped)")
-        telemetry.disable_tracing()
     if args.json_out is not None:
         document = {
             "schema": "repro-telemetry/v1",

@@ -124,9 +124,10 @@ class OptimizationPipeline:
         formulation's deterministic default). ``provenance`` is merged
         into the plan's provenance (workload/instance keys).
 
-        With the trace-context layer enabled (``REPRO_CONTEXT=1``),
-        each call mints a pipeline-entry context: stage trace events,
-        service job events, and worker-side spans all carry the same
+        At the ``context`` telemetry level or above
+        (``telemetry.observe``, ``REPRO_OBSERVE``), each call mints a
+        pipeline-entry context: stage trace events, service job
+        events, and worker-side spans all carry the same
         ``trace_id``, which is also recorded in the plan's provenance.
         """
         context = self._mint_context()

@@ -412,8 +412,8 @@ class ReproServer:
         registry = _metrics.get_registry()
         if registry is None:
             await send_text(writer, 503,
-                            "# metrics disabled "
-                            "(start with --metrics / REPRO_METRICS=1)\n")
+                            "# metrics disabled (start with --observe "
+                            "metrics / REPRO_OBSERVE=metrics or above)\n")
             return 503, True
         text = registry.to_prometheus()
         await send_text(
@@ -521,8 +521,10 @@ class ReproServer:
     def _on_solve_done(self, job: ServerJob, handle) -> None:
         """Solve completion → journal + registry (dispatcher thread)."""
         journal = job.journal
+        outcome, document, error_doc = "failed", None, None
         try:
             status = handle.status
+            outcome = status.value
             if status is JobStatus.DONE:
                 result = handle.result()
                 service_block = result.provenance.get("service", {})
@@ -540,11 +542,6 @@ class ReproServer:
                 })
                 document = result_document(result)
                 journal.append("result", document)
-                journal.append("done",
-                               {"status": "done",
-                                "job_id": job.public_id},
-                               terminal=True)
-                job.finish("done", result=document)
             else:
                 error = handle.exception()
                 error_doc = {
@@ -558,23 +555,13 @@ class ReproServer:
                     "job_id": job.public_id,
                 })
                 journal.append("error", error_doc)
-                journal.append("done",
-                               {"status": status.value,
-                                "job_id": job.public_id},
-                               terminal=True)
-                job.finish(status.value, error=error_doc)
         except Exception as exc:  # noqa: BLE001 — dispatcher thread
+            outcome, document = "failed", None
             error_doc = {"type": type(exc).__name__,
                          "message": str(exc)}
             journal.append("error", error_doc)
-            journal.append("done",
-                           {"status": "failed",
-                            "job_id": job.public_id},
-                           terminal=True)
-            job.finish("failed", error=error_doc)
         finally:
-            self.admission.release(job.tenant)
-            self._count_job(job.status)
+            self._settle(job, outcome, result=document, error=error_doc)
 
     def _submit_workload(self, job: ServerJob,
                          submission: Submission) -> None:
@@ -641,6 +628,7 @@ class ReproServer:
         """Pipeline execution on an executor thread (blocks on solve)."""
         journal = job.journal
         job.mark_running()
+        outcome, document, error_doc = "failed", None, None
         try:
             with _context.activate(job.trace_id, stage="server"):
                 plan = pipeline.optimize(graph, config=config,
@@ -655,11 +643,9 @@ class ReproServer:
                 "job_id": job.public_id, "plan_status": plan.status,
             })
             journal.append("result", document)
-            journal.append("done",
-                           {"status": "done", "job_id": job.public_id},
-                           terminal=True)
-            job.finish("done", result=document)
+            outcome = "done"
         except Exception as exc:  # noqa: BLE001 — executor thread
+            document = None
             error_doc = {"type": type(exc).__name__,
                          "message": str(exc)}
             journal.append("lifecycle", {
@@ -667,13 +653,25 @@ class ReproServer:
                 "job_id": job.public_id,
             })
             journal.append("error", error_doc)
-            journal.append("done",
-                           {"status": "failed",
-                            "job_id": job.public_id},
-                           terminal=True)
-            job.finish("failed", error=error_doc)
         finally:
-            self.admission.release(job.tenant)
+            self._settle(job, outcome, result=document, error=error_doc)
+
+    def _settle(self, job: ServerJob, status: str, *,
+                result: Optional[Dict[str, Any]] = None,
+                error: Optional[Dict[str, Any]] = None) -> None:
+        """Free the tenant's admission slot, then make the job terminal.
+
+        The slot goes first: a client woken by the terminal state (the
+        journal's ``done`` entry or ``job.finish``) may submit again
+        at once and must not meet the old slot.
+        """
+        self.admission.release(job.tenant)
+        try:
+            job.journal.append("done", {"status": status,
+                                        "job_id": job.public_id},
+                               terminal=True)
+            job.finish(status, result=result, error=error)
+        finally:
             self._count_job(job.status)
 
     def _count_job(self, status: str) -> None:

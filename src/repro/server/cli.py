@@ -1,22 +1,21 @@
 """``python -m repro.experiments serve`` — run the HTTP front end.
 
-Telemetry layers default **on** for a server process (a long-running
-network service without metrics or trace context defeats the point of
-PRs 6–9); ``--no-metrics`` / ``--no-context`` opt out. Tracing and the
-flight recorder stay opt-in via their usual environment switches
-(``REPRO_TRACE_DIR`` is not consulted here; call ``enable_tracing``
-consumers as needed) plus ``--trace`` below.
+A server process defaults to the ``context`` telemetry level: the
+metrics registry behind ``/metrics`` plus trace-context ids on every
+request and job (a long-running network service without them defeats
+the point). ``--observe`` picks another level of
+:func:`repro.telemetry.observe`; without it, ``REPRO_OBSERVE`` wins
+when set. At ``flight`` the recorder writes its capsules (a failed
+job's, the SIGTERM drain's) to ``REPRO_FLIGHT_DIR``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 from typing import List, Optional
 
-from ..telemetry import context as _context
-from ..telemetry import flight as _flight
-from ..telemetry import metrics as _metrics
-from ..telemetry import trace as _trace
+from .. import telemetry
 from .app import ReproServer
 
 
@@ -46,27 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-inflight", type=int, default=16,
                         help="per-tenant concurrent-job cap")
     parser.add_argument("--drain-timeout", type=float, default=30.0)
-    parser.add_argument("--no-metrics", action="store_true",
-                        help="do not enable the metrics registry")
-    parser.add_argument("--no-context", action="store_true",
-                        help="do not enable trace-context propagation")
-    parser.add_argument("--trace", action="store_true",
-                        help="enable the in-process event tracer")
-    parser.add_argument("--flight", action="store_true",
-                        help="enable the failure flight recorder")
+    parser.add_argument("--observe", choices=telemetry.LEVELS[:-1],
+                        default=None,
+                        help=f"telemetry level (default: "
+                             f"${telemetry.ENV_VAR} when set, else "
+                             f"context)")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if not args.no_metrics:
-        _metrics.enable_metrics()
-    if not args.no_context:
-        _context.enable_context()
-    if args.trace:
-        _trace.enable_tracing()
-    if args.flight:
-        _flight.enable_flight()
+    if args.observe is not None:
+        telemetry.observe(args.observe)
+    elif not os.environ.get(telemetry.ENV_VAR, "").strip():
+        telemetry.observe("context")
     server = ReproServer(
         host=args.host, port=args.port, workers=args.workers,
         mode=args.mode, queue_capacity=args.queue_capacity,

@@ -23,16 +23,21 @@ job and not just a demo.
 the worker processes' timelines merged onto the parent's — open it in
 Perfetto to see jobs fan out across worker pids.
 
-``--metrics`` enables the metrics registry for the service run
+``--metrics`` prints the report of the service run's registry
 (queue-wait/exec-time histograms, cache and job counters, worker
-utilization, span timings), merges the workers' registries at drain
-and prints the report, with p50/p95/p99 per histogram;
-``--metrics-out`` writes the Prometheus text exposition,
-``--metrics-json`` the
+utilization, span timings), with the workers' registries merged at
+drain and p50/p95/p99 per histogram; ``--metrics-out`` writes the
+Prometheus text exposition, ``--metrics-json`` the
 ``repro-metrics/v1`` snapshot (the input of ``metrics-report``),
 ``--metrics-jsonl`` streams periodic sampler snapshots during the run,
 and ``--slo`` evaluates the default health ruleset — a ``fail``
 status fails the benchmark like any other check.
+
+The run observes at the highest telemetry level
+(:func:`repro.telemetry.observe`) its outputs need, and never below
+the level it started at: ``metrics`` for the ``--metrics*`` and
+``--slo`` outputs, ``flight`` for ``--flight DIR``, ``trace`` for
+``--trace FILE``. The starting level is restored on the way out.
 """
 
 from __future__ import annotations
@@ -47,11 +52,9 @@ from typing import Any, Dict, List
 import numpy as np
 
 from .. import telemetry
-from ..telemetry import context as _tracectx
 from ..telemetry import flight as _flight
 from ..telemetry import health as _health
 from ..telemetry import metrics as _metrics
-from ..telemetry import profiler as _profiler
 from ..telemetry.sampler import MetricsSampler
 from ..compile import SolverConfig, solve
 from ..db.joinorder import JoinOrderQUBO
@@ -155,45 +158,48 @@ def main(argv) -> int:
                         help="evaluate the default SLO ruleset against "
                              "the run's metrics; a fail status fails "
                              "the benchmark (implies --metrics)")
-    parser.add_argument("--context", action="store_true",
-                        help="enable trace-context propagation: every "
-                             "job gets a trace_id correlating queue, "
-                             "dispatch, worker and trace events "
-                             "(obs-report joins on it)")
     parser.add_argument("--flight", metavar="DIR",
                         help="enable the flight recorder, dumping "
                              "repro-flight/v1 capsules for failed/"
-                             "timed-out jobs into DIR (implies "
-                             "--context)")
+                             "timed-out jobs into DIR; with it every "
+                             "job gets a trace_id correlating queue, "
+                             "dispatch, worker and trace events "
+                             "(obs-report joins on it)")
     parser.add_argument("--force-timeout", action="store_true",
                         help="additionally submit one oversized job "
                              "with a tiny deadline so it is reaped — "
                              "exercises the TIMEOUT path and, with "
                              "--flight, asserts a capsule was dumped")
-    parser.add_argument("--profile", action="store_true",
-                        help="enable the sampling wall-clock profiler "
-                             "for every solve (summaries land in "
-                             "result provenance and the trace)")
     args = parser.parse_args(argv)
 
-    tracer = (telemetry.enable_tracing()
-              if args.trace is not None else None)
     use_metrics = (args.metrics or args.slo
                    or args.metrics_out is not None
                    or args.metrics_json is not None
                    or args.metrics_jsonl is not None)
-    registry = _metrics.enable_metrics() if use_metrics else None
+    needed = ("trace" if args.trace is not None
+              else "flight" if args.flight is not None
+              else "metrics" if use_metrics else "off")
+    previous = telemetry.observed_level()
+    telemetry.observe(max(needed, previous, key=telemetry.LEVELS.index),
+                      flight_dir=args.flight)
+    try:
+        return _run(args, use_metrics)
+    finally:
+        telemetry.observe(previous)
+
+
+def _run(args, use_metrics: bool) -> int:
+    tracer = telemetry.get_tracer() if args.trace is not None else None
+    registry = telemetry.get_registry() if use_metrics else None
+    context_state = telemetry.get_context_state()
+    recorder = telemetry.get_flight_recorder()
+    flight_dir = (os.path.abspath(args.flight)
+                  if args.flight is not None else None)
     sampler = None
     if args.metrics_jsonl is not None:
         sampler = MetricsSampler(args.metrics_jsonl,
                                  interval=args.metrics_interval,
                                  registry=registry).start()
-    use_context = args.context or args.flight is not None
-    context_state = _tracectx.enable_context() if use_context else None
-    recorder = (_flight.enable_flight(dump_dir=args.flight)
-                if args.flight is not None else None)
-    if args.profile:
-        _profiler.enable_profiling()
 
     jobs = build_jobs(args.jobs, args.relations, args.sweeps,
                       args.reads, args.seed)
@@ -326,7 +332,7 @@ def main(argv) -> int:
                             failures += 1
                 if not timed_out:
                     failures += 1
-                if recorder is not None and capsule_path is None:
+                if flight_dir is not None and capsule_path is None:
                     failures += 1
                 timeout_record = {
                     "job_id": handle.job_id,
@@ -374,7 +380,6 @@ def main(argv) -> int:
         })
         print(f"wrote trace {trace_path} ({tracer.event_count} events "
               f"across {len(worker_pids)} pids)")
-        telemetry.disable_tracing()
 
     metrics_snapshot = None
     if registry is not None:
@@ -384,7 +389,8 @@ def main(argv) -> int:
                   f"{os.path.abspath(args.metrics_jsonl)}")
         metrics_snapshot = registry.snapshot()
         print()
-        print(telemetry.render_report(metrics_snapshot, tracer=tracer))
+        print(telemetry.render_dashboard(metrics_snapshot,
+                                         tracer=tracer))
         if args.metrics_out is not None:
             text = registry.to_prometheus()
             problems = _metrics.validate_prometheus_text(text)
@@ -408,28 +414,19 @@ def main(argv) -> int:
             print(report.render())
             if report.status == "fail":
                 failures += 1
-        _metrics.disable_metrics()
 
     obs_record = None
-    if use_context:
+    if context_state is not None:
         obs_record = {
             "contexts_minted": context_state.minted,
-            "flight_dir": (os.path.abspath(args.flight)
-                           if args.flight is not None else None),
+            "flight_dir": flight_dir,
             "flight_capsules": (len(recorder.capsules)
                                 if recorder is not None else 0),
             "forced_timeout": timeout_record,
         }
         print(f"context: {context_state.minted} context(s) minted"
               + (f", {len(recorder.capsules)} flight capsule(s) in "
-                 f"{os.path.abspath(args.flight)}"
-                 if recorder is not None else ""))
-    if args.profile:
-        _profiler.disable_profiling()
-    if recorder is not None:
-        _flight.disable_flight()
-    if context_state is not None:
-        _tracectx.disable_context()
+                 f"{flight_dir}" if flight_dir is not None else ""))
 
     if args.json_out is not None:
         document = {

@@ -54,9 +54,7 @@ from ..compile.dispatch import SolverConfig, run_registry_backend
 from ..telemetry import context as _tracectx
 from ..telemetry import metrics as _metrics
 from ..telemetry import profiler as _profiler
-from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.progress import ProgressTrace
-from ..telemetry.trace import Tracer
 
 __all__ = [
     "WarmWorkerPool",
@@ -247,37 +245,27 @@ def _capture_payload(tracer, registry,
     }
 
 
-def _warm_worker_main(connection, index: int,
-                      capture: Dict[str, bool]) -> None:
+def _warm_worker_main(connection, index: int, level: str) -> None:
     """Worker-process entry: loop on tasks until drained.
 
     With the default ``fork`` start method the child inherits the
-    parent's live tracer/registry objects; the first thing a warm
-    worker does is replace them with private instances so its
-    accounting never aliases the parent's (the parent folds the
-    worker's cumulative snapshot in exactly once, at drain).
+    parent's live telemetry objects; the first thing a warm worker
+    does is drop them, then raise its own private level to each
+    task's, so its accounting never aliases the parent's (the parent
+    folds the worker's cumulative snapshot in exactly once, at drain).
     """
-    telemetry.disable_tracing()
-    _metrics.disable_metrics()
-    _tracectx.disable_context()
-    _profiler.disable_profiling()
-    tracer: Optional[Tracer] = None
-    registry: Optional[MetricsRegistry] = None
+    telemetry.observe("off")
 
-    def ensure_capture(flags: Dict[str, bool]) -> None:
-        nonlocal tracer, registry
-        if flags.get("trace") and tracer is None:
-            tracer = telemetry.enable_tracing(Tracer())
+    def raise_level(level: str) -> None:
+        booted = telemetry.get_tracer() is not None
+        telemetry.observe(max(level, telemetry.observed_level(),
+                              key=telemetry.LEVELS.index))
+        tracer = telemetry.get_tracer()
+        if tracer is not None and not booted:
             tracer.instant("service.pool.worker_boot",
                            args={"index": index})
-        if flags.get("metrics") and registry is None:
-            registry = _metrics.enable_metrics(MetricsRegistry())
-        if flags.get("context") and not _tracectx.is_context_enabled():
-            _tracectx.enable_context()
-        if flags.get("profile") and not _profiler.is_profiling_enabled():
-            _profiler.enable_profiling()
 
-    ensure_capture(capture)
+    raise_level(level)
     jobs_log: deque = deque(maxlen=WORKER_ATTRIBUTION_LOG)
     try:
         while True:
@@ -289,11 +277,12 @@ def _warm_worker_main(connection, index: int,
             if kind == "drain":
                 connection.send(
                     ("drained",
-                     _capture_payload(tracer, registry,
+                     _capture_payload(telemetry.get_tracer(),
+                                      _metrics.get_registry(),
                                       jobs=list(jobs_log))))
                 return
-            _, task_id, flags, model, members = message
-            ensure_capture(flags)
+            _, task_id, level, model, members = message
+            raise_level(level)
             results = _run_members(model, members)
             for (job_id, solver, _config, trace_id), result in zip(
                     members, results):
@@ -352,19 +341,11 @@ class WarmWorkerPool:
         ]
 
     # -- lifecycle -------------------------------------------------------
-    def _capture_flags(self) -> Dict[str, bool]:
-        return {
-            "trace": telemetry.get_tracer() is not None,
-            "metrics": _metrics.get_registry() is not None,
-            "context": _tracectx.get_context_state() is not None,
-            "profile": _profiler.get_profiler_config() is not None,
-        }
-
     def _spawn(self, index: int) -> _WarmWorker:
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_warm_worker_main,
-            args=(child_conn, index, self._capture_flags()),
+            args=(child_conn, index, telemetry.observed_level()),
             daemon=True,
             name=f"repro-warm-worker-{index}",
         )
@@ -429,7 +410,8 @@ class WarmWorkerPool:
         task_id = worker.task_counter
         try:
             worker.connection.send(
-                ("run", task_id, self._capture_flags(), model, members))
+                ("run", task_id, telemetry.observed_level(), model,
+                 members))
             reply = self._await_reply(worker, leader, task_id, deadline)
         except (WorkerTimeout, WorkerCancelled, WorkerCrashed):
             self._respawn(worker)

@@ -91,12 +91,15 @@ class Job:
         default_factory=list)
 
     def resolve(self, status: JobStatus, result: Any = None,
-                error: Optional[BaseException] = None) -> bool:
+                error: Optional[BaseException] = None,
+                announce: Optional[Callable[[], None]] = None) -> bool:
         """Transition to a terminal status exactly once.
 
         Returns False when the job was already terminal (e.g. a
         cancellation raced the worker finishing) — the first
-        resolution wins and later ones are dropped.
+        resolution wins and later ones are dropped. Only the winner
+        runs ``announce``, after the transition and before any waiter
+        wakes.
         """
         with self.lock:
             if self.status.is_terminal():
@@ -106,6 +109,8 @@ class Job:
             self.error = error
             self.finished_at = time.perf_counter()
             callbacks = list(self.callbacks)
+        if announce is not None:
+            announce()
         self.event.set()
         for callback in callbacks:
             callback(self)

@@ -94,6 +94,69 @@ def _queue_depth(registry: "_metrics.MetricsRegistry"):
                           "jobs queued but not yet dispatched")
 
 
+def _job_event(event: str, args: Dict[str, Any], *, count: bool = True,
+               instant: bool = True, record: bool = True,
+               record_only: Optional[Dict[str, Any]] = None,
+               capsule: Optional[Dict[str, Any]] = None) -> None:
+    """Report one job lifecycle fact to every telemetry layer that is on.
+
+    ``count`` bumps ``service_jobs_total{status=event}``. ``instant``
+    emits the tracer instant ``service.job.<event>`` with ``args`` (a
+    terminal status emits ``service.job.finish``). ``record`` appends
+    the flight record ``("job", event)`` with ``args`` plus
+    ``record_only``, whose ``trace_id``/``job_id`` file the record, and
+    ``capsule`` then dumps the ``job_<event>`` capsule with that detail.
+    """
+    registry = _metrics.get_registry()
+    tracer = telemetry.get_tracer()
+    recorder = _flight.get_flight_recorder()
+    if count and registry is not None:
+        _jobs_total(registry).labels(status=event).inc()
+    if instant and tracer is not None:
+        name = "finish" if event in _TERMINAL else event
+        tracer.instant(f"service.job.{name}", category="service",
+                       args=args)
+    if record and recorder is not None:
+        details = {**args, **(record_only or {})}
+        recorder.record("job", event, **details)
+        if capsule is not None:
+            recorder.dump(f"job_{event}", trace_id=details["trace_id"],
+                          job_id=details["job_id"], detail=capsule)
+
+
+_TERMINAL = frozenset(status.value for status in JobStatus
+                      if status.is_terminal())
+
+
+def _resolve(job: Job, status: JobStatus,
+             result: Optional[SolveResult] = None,
+             error: Optional[BaseException] = None) -> bool:
+    """Make ``job`` terminal, once; the winner reports it.
+
+    The report lands before waiters wake: a caller woken by
+    ``handle.result()`` must already find a failed or reaped job's
+    flight capsule on disk (CI and tests rely on it).
+    """
+    def announce() -> None:
+        queue_seconds = (job.started_at - job.submitted_at
+                         if job.started_at is not None else None)
+        message = str(error) if error is not None else None
+        capsule = None
+        if status in (JobStatus.FAILED, JobStatus.TIMEOUT):
+            # The black box: a failed or reaped job dumps its
+            # correlated recent history as a flight capsule.
+            capsule = {"solver": job.solver, "deadline": job.deadline,
+                       "queue_seconds": queue_seconds, "error": message}
+        _job_event(status.value, {
+            "trace_id": job.trace_id, "job_id": job.job_id,
+            "solver": job.solver, "status": status.value,
+            "queue_seconds": queue_seconds,
+        }, record_only={"error": message}, capsule=capsule)
+
+    return job.resolve(status, result=result, error=error,
+                       announce=announce)
+
+
 def _checked_deadline(deadline: Any) -> Optional[float]:
     """``deadline`` when it is ``None`` or a finite number of seconds
     above zero; :class:`ValueError` otherwise. NaN compares false with
@@ -367,26 +430,23 @@ class SolveService:
                 if inflight is not None:
                     inflight.coalesced += 1
                     self._coalesced += 1
+                    # A coalesced submission has no job of its own:
+                    # its flight record files under the leader's.
+                    _job_event("coalesced", {
+                        "trace_id": trace_id,
+                        "leader_job_id": inflight.job_id,
+                        "leader_trace_id": inflight.trace_id,
+                        "solver": solver,
+                    }, record_only={
+                        "trace_id": trace_id or inflight.trace_id,
+                        "job_id": inflight.job_id,
+                    })
                     registry = _metrics.get_registry()
                     if registry is not None:
-                        _jobs_total(registry).labels(
-                            status="coalesced").inc()
                         registry.counter(
                             "service_cache_events_total",
                             "result-cache lookup outcomes",
                             ("event",)).labels(event="coalesce").inc()
-                    tracer = telemetry.get_tracer()
-                    if tracer is not None:
-                        tracer.instant(
-                            "service.job.coalesced", category="service",
-                            args={"trace_id": trace_id,
-                                  "leader_job_id": inflight.job_id,
-                                  "leader_trace_id": inflight.trace_id,
-                                  "solver": solver})
-                    _flight.flight_event(
-                        "job", "coalesced",
-                        trace_id=trace_id or inflight.trace_id,
-                        job_id=inflight.job_id, solver=solver)
                     return JobHandle(inflight, self)
             if self._cache is not None:
                 self._cache.note_miss(key)
@@ -406,21 +466,13 @@ class SolveService:
                 if key is not None and self._inflight.get(key) is job:
                     del self._inflight[key]
             raise
+        _job_event("submitted", {
+            "trace_id": trace_id, "job_id": job.job_id,
+            "solver": solver, "priority": priority, "deadline": deadline,
+        })
         registry = _metrics.get_registry()
         if registry is not None:
-            _jobs_total(registry).labels(status="submitted").inc()
             _queue_depth(registry).set(len(self._queue))
-        tracer = telemetry.get_tracer()
-        if tracer is not None:
-            tracer.instant("service.job.submitted", category="service",
-                           args={"trace_id": trace_id,
-                                 "job_id": job.job_id,
-                                 "solver": solver,
-                                 "priority": priority,
-                                 "deadline": deadline})
-        _flight.flight_event("job", "submitted", trace_id=trace_id,
-                             job_id=job.job_id, solver=solver,
-                             deadline=deadline)
         return JobHandle(job, self)
 
     def _cache_hit_handle(self, problem: CompiledProblem, solver: str,
@@ -432,9 +484,6 @@ class SolveService:
 
         self._cache.note_hit(key)
         self._cache_hits_served += 1
-        registry = _metrics.get_registry()
-        if registry is not None:
-            _jobs_total(registry).labels(status="cache_hit").inc()
         service_block = {**cached.provenance.get("service", {}),
                          "cache": "hit"}
         if trace_id is not None:
@@ -450,14 +499,8 @@ class SolveService:
         job.result = result
         job.finished_at = time.perf_counter()
         job.event.set()
-        tracer = telemetry.get_tracer()
-        if tracer is not None:
-            tracer.instant("service.job.cache_hit", category="service",
-                           args={"trace_id": trace_id,
-                                 "job_id": job.job_id,
-                                 "solver": solver})
-        _flight.flight_event("job", "cache_hit", trace_id=trace_id,
-                             job_id=job.job_id, solver=solver)
+        _job_event("cache_hit", {"trace_id": trace_id,
+                                 "job_id": job.job_id, "solver": solver})
         return JobHandle(job, self)
 
     # -- convenience frontends -------------------------------------------
@@ -548,11 +591,8 @@ class SolveService:
 
     # -- cancellation ----------------------------------------------------
     def _cancel_job(self, job: Job) -> bool:
-        won = job.resolve(
-            JobStatus.CANCELLED,
-            error=JobCancelledError(f"job {job.job_id} cancelled"),
-        )
-        if not won:
+        if not _resolve(job, JobStatus.CANCELLED, error=(
+                JobCancelledError(f"job {job.job_id} cancelled"))):
             return False
         with job.lock:
             dequeued = job.dequeued
@@ -571,9 +611,6 @@ class SolveService:
             if key is not None and self._inflight.get(key) is job:
                 del self._inflight[key]
             self._stats[JobStatus.CANCELLED] += 1
-        registry = _metrics.get_registry()
-        if registry is not None:
-            _jobs_total(registry).labels(status="cancelled").inc()
         return True
 
     # -- dispatcher loop -------------------------------------------------
@@ -667,9 +704,10 @@ class SolveService:
         status = JobStatus.FAILED
         message: Optional[str] = None
         raised: Optional[BaseException] = None
-        _flight.flight_event("job", "dispatching",
-                             trace_id=job.trace_id, job_id=job.job_id,
-                             solver=job.solver, batched=len(members))
+        _job_event("dispatching", {
+            "trace_id": job.trace_id, "job_id": job.job_id,
+            "solver": job.solver, "batched": len(members),
+        }, count=False, instant=False)
         wire_members = [(member.job_id, member.solver, member.config,
                          member.trace_id) for member in members]
         tracer = telemetry.get_tracer()
@@ -707,17 +745,17 @@ class SolveService:
                 "trip or inline run), once per dispatch however many "
                 "jobs it folded, per solver",
                 ("solver",)).labels(solver=job.solver).observe(elapsed)
-        if outcome is not None and tracer is not None:
+        if outcome is not None:
             for member in members:
-                tracer.instant(
-                    "service.job.dispatch", category="service",
-                    args={"trace_id": member.trace_id,
-                          "job_id": member.job_id,
-                          "solver": member.solver,
-                          "dispatch": self._dispatch_kind,
-                          "worker_pid": outcome.pid,
-                          "queue_seconds": queue_seconds[member.job_id],
-                          "batched": len(members)})
+                _job_event("dispatch", {
+                    "trace_id": member.trace_id,
+                    "job_id": member.job_id,
+                    "solver": member.solver,
+                    "dispatch": self._dispatch_kind,
+                    "worker_pid": outcome.pid,
+                    "queue_seconds": queue_seconds[member.job_id],
+                    "batched": len(members),
+                }, count=False, record=False)
         if outcome is None:
             # The whole round trip failed; every member shares its
             # fate (folded members are deadline-free, so a TIMEOUT /
@@ -733,25 +771,23 @@ class SolveService:
                     error = raised
                 else:
                     error = ServiceError(message or "worker failed")
-                self._finish(member, status, None, error,
-                             queue_seconds[member.job_id], registry)
+                self._finish(member, status, None, error)
             return
         for member, payload in zip(members, outcome.results):
             self._finish_member(member, payload, outcome,
                                 len(members),
-                                queue_seconds[member.job_id], registry)
+                                queue_seconds[member.job_id])
 
     def _finish_member(self, member: Job, payload: Dict[str, Any],
                        outcome, batch_size: int,
-                       queue_seconds: float, registry) -> None:
+                       queue_seconds: float) -> None:
         """Decode one compact worker result parent-side and resolve."""
         if not payload["ok"]:
             error = ServiceError(
                 f"worker (pid={outcome.pid}) failed job "
                 f"{member.job_id}:\n{payload['traceback']}"
             )
-            self._finish(member, JobStatus.FAILED, None, error,
-                         queue_seconds, registry)
+            self._finish(member, JobStatus.FAILED, None, error)
             return
         try:
             samples = expand_samples(payload["samples"])
@@ -781,64 +817,23 @@ class SolveService:
                 provenance_extra=provenance_extra,
             )
         except BaseException as exc:  # decode/score hooks can raise
-            self._finish(member, JobStatus.FAILED, None, exc,
-                         queue_seconds, registry)
+            self._finish(member, JobStatus.FAILED, None, exc)
             return
-        self._finish(member, JobStatus.DONE, result, None,
-                     queue_seconds, registry)
+        self._finish(member, JobStatus.DONE, result, None)
 
     def _finish(self, job: Job, status: JobStatus,
                 result: Optional[SolveResult],
-                error: Optional[BaseException],
-                queue_seconds: float, registry) -> None:
-        """Resolve one job: cache, inflight cleanup, stats, counters."""
+                error: Optional[BaseException]) -> None:
+        """Resolve one job: cache, inflight cleanup, stats, telemetry."""
         if status is JobStatus.DONE and self._cache is not None:
             self._cache.put(job.cache_key, result)
-        # Flight recording happens *before* resolve publishes the
-        # result: a caller woken by ``handle.result()`` must already
-        # find the failure capsule on disk (CI and tests rely on it).
-        recorder = _flight.get_flight_recorder()
-        if recorder is not None:
-            with job.lock:
-                if job.status.is_terminal():
-                    recorder = None  # another resolver won the race
-        if recorder is not None:
-            recorder.record(
-                "job", status.value, trace_id=job.trace_id,
-                job_id=job.job_id, solver=job.solver,
-                error=str(error) if error is not None else None)
-            if status in (JobStatus.FAILED, JobStatus.TIMEOUT):
-                # The black box: a failed or reaped job dumps its
-                # correlated recent history as a flight capsule.
-                recorder.dump(
-                    f"job_{status.value}",
-                    trace_id=job.trace_id, job_id=job.job_id,
-                    detail={
-                        "solver": job.solver,
-                        "deadline": job.deadline,
-                        "queue_seconds": queue_seconds,
-                        "error": (str(error) if error is not None
-                                  else None),
-                    })
-        resolved = job.resolve(status, result=result, error=error)
+        resolved = _resolve(job, status, result=result, error=error)
         with self._lock:
             key = job.cache_key
             if key is not None and self._inflight.get(key) is job:
                 del self._inflight[key]
             if resolved:
                 self._stats[status] += 1
-        if resolved:
-            if registry is not None:
-                _jobs_total(registry).labels(status=status.value).inc()
-            tracer = telemetry.get_tracer()
-            if tracer is not None:
-                tracer.instant(
-                    "service.job.finish", category="service",
-                    args={"trace_id": job.trace_id,
-                          "job_id": job.job_id,
-                          "solver": job.solver,
-                          "status": status.value,
-                          "queue_seconds": queue_seconds})
 
     def _merge_drain_payload(self, payload: Dict[str, Any]) -> None:
         """Fold one drained worker's cumulative trace events and

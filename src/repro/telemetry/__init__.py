@@ -14,15 +14,31 @@ paths fetch :func:`get_registry` once per *operation* (circuit run,
 anneal, Gram matrix) and fall through when it is ``None``, never per
 gate or per spin flip.
 
-Enable it one of three ways::
+One switch turns it on: :func:`observe` takes one of five cumulative
+levels (:data:`LEVELS`), and each level includes every one below it.
+
+===========  ==========================================================
+``off``      nothing; the library default
+``metrics``  the :class:`~repro.telemetry.metrics.MetricsRegistry`
+             (and with it ``span_seconds``)
+``context``  plus trace-context ids (:mod:`repro.telemetry.context`)
+``flight``   plus the failure flight recorder
+             (:mod:`repro.telemetry.flight`); capsules go to
+             ``flight_dir`` or ``REPRO_FLIGHT_DIR``
+``trace``    plus the event tracer (:mod:`repro.telemetry.trace`) and
+             the process-wide sampling profiler
+===========  ==========================================================
+
+::
 
     from repro import telemetry
-    registry = telemetry.enable_metrics()   # 1. programmatically
-    # REPRO_METRICS=1 python ...            # 2. environment variable
+    telemetry.observe("metrics")            # 1. programmatically
+    # REPRO_OBSERVE=metrics python ...      # 2. environment variable
     # python -m repro.experiments E8 --telemetry   # 3. CLI flag
 
     sim.run(circuit)                        # instrumented code runs
-    print(telemetry.render_report(registry.snapshot()))
+    registry = telemetry.get_registry()
+    print(telemetry.render_dashboard(registry.snapshot()))
     registry.to_prometheus()                # or .to_json()
 
 :func:`span` times a stretch of code into the registry's
@@ -38,24 +54,23 @@ from __future__ import annotations
 import os
 import threading
 import time
+from typing import Optional
 
+from . import context as _context
+from . import flight as _flight
+from . import metrics as _metrics
+from . import profiler as _profiler
+from . import trace as _trace
 from .context import (
     ContextState,
     TraceContext,
     current_context,
-    disable_context,
-    enable_context,
     get_context_state,
-    is_context_enabled,
 )
 from .flight import (
     FLIGHT_SCHEMA,
     FlightRecorder,
-    disable_flight,
-    enable_flight,
-    flight_event,
     get_flight_recorder,
-    is_flight_enabled,
     validate_flight_document,
 )
 from .health import (
@@ -73,29 +88,23 @@ from .metrics import (
     disable_metrics,
     enable_metrics,
     get_registry,
-    is_metrics_enabled,
     validate_prometheus_text,
 )
+from .metrics_report import render_dashboard
 from .profiler import (
     ProfileCapture,
     ProfilerConfig,
-    disable_profiling,
-    enable_profiling,
     get_profiler_config,
-    is_profiling_enabled,
 )
 from .progress import ProgressTrace
 from .provenance import RunProvenance, collect_provenance, git_sha
-from .report import render_report
 from .sampler import MetricsSampler
 from .trace import (
     Tracer,
     disable_tracing,
     enable_tracing,
     get_tracer,
-    is_tracing,
 )
-from . import trace as _trace
 
 __all__ = [
     "ContextState",
@@ -106,6 +115,7 @@ __all__ = [
     "Gauge",
     "HealthReport",
     "Histogram",
+    "LEVELS",
     "MetricsRegistry",
     "MetricsSampler",
     "ProfileCapture",
@@ -118,34 +128,89 @@ __all__ = [
     "Tracer",
     "collect_provenance",
     "current_context",
-    "disable_context",
-    "disable_flight",
     "disable_metrics",
-    "disable_profiling",
     "disable_tracing",
-    "enable_context",
-    "enable_flight",
     "enable_metrics",
-    "enable_profiling",
     "enable_tracing",
     "evaluate_rules",
-    "flight_event",
     "get_context_state",
     "get_flight_recorder",
     "get_profiler_config",
     "get_registry",
     "get_tracer",
     "git_sha",
-    "is_context_enabled",
-    "is_flight_enabled",
-    "is_metrics_enabled",
-    "is_profiling_enabled",
-    "is_tracing",
-    "render_report",
+    "observe",
+    "observed_level",
+    "render_dashboard",
     "span",
     "trace_instant",
     "validate_flight_document",
 ]
+
+#: The telemetry levels, cheapest first; each includes the ones before.
+LEVELS = ("off", "metrics", "context", "flight", "trace")
+
+#: The environment variable naming the level a process starts at.
+ENV_VAR = "REPRO_OBSERVE"
+
+
+def observe(level: str, *, flight_dir: Optional[str] = None) -> None:
+    """Turn every telemetry layer up to ``level`` on and the rest off.
+
+    Idempotent: a layer that is already on keeps its object (a second
+    ``observe("context")`` keeps the server's registry), so only the
+    layers that change are built or dropped. ``flight_dir`` is where
+    the flight recorder writes capsules (default ``REPRO_FLIGHT_DIR``,
+    else memory only); given for a recorder that is already on, it
+    redirects that recorder.
+    """
+    if level not in LEVELS:
+        raise ValueError(f"unknown telemetry level {level!r}; expected "
+                         f"one of {', '.join(LEVELS)}")
+    rank = LEVELS.index(level)
+    if rank < 1:
+        _metrics.disable_metrics()
+    elif _metrics.get_registry() is None:
+        _metrics.enable_metrics()
+    if rank < 2:
+        _context._state = None
+    elif _context._state is None:
+        _context._state = ContextState()
+    if rank < 3:
+        _flight._recorder = None
+    elif _flight._recorder is None:
+        _flight._recorder = FlightRecorder(
+            dump_dir=flight_dir or os.environ.get(_flight.ENV_DIR_VAR)
+            or None)
+    elif flight_dir is not None:
+        _flight._recorder.dump_dir = flight_dir
+    if rank < 4:
+        _trace.disable_tracing()
+        _profiler._config = None
+    else:
+        if _trace.get_tracer() is None:
+            _trace.enable_tracing()
+        if _profiler._config is None:
+            _profiler._config = ProfilerConfig()
+
+
+def observed_level() -> str:
+    """The highest level whose own layer is on (``"off"`` if none is).
+
+    ``enable_metrics``/``enable_tracing`` can install one layer alone;
+    the level then names the highest one, which is what a warm worker
+    raises itself to so that it records everything its parent does.
+    """
+    if _trace.get_tracer() is not None or _profiler._config is not None:
+        return "trace"
+    if _flight._recorder is not None:
+        return "flight"
+    if _context._state is not None:
+        return "context"
+    if _metrics.get_registry() is not None:
+        return "metrics"
+    return "off"
+
 
 #: The histogram every :func:`span` observes its seconds into.
 SPAN_METRIC = "span_seconds"
@@ -251,3 +316,14 @@ def trace_instant(name: str, category: str = "event",
     tracer = _trace.get_tracer()
     if tracer is not None:
         tracer.instant(name, category=category, args=args)
+
+
+def _observe_from_env() -> None:
+    level = os.environ.get(ENV_VAR, "").strip().lower() or "off"
+    if level not in LEVELS:
+        raise ValueError(f"{ENV_VAR}={level!r} is not a telemetry level; "
+                         f"expected one of {', '.join(LEVELS)}")
+    observe(level)
+
+
+_observe_from_env()

@@ -22,8 +22,9 @@ This module fixes that with a minimal trace context:
 
 Like the tracer and the metrics registry, the layer is
 **off by default** and cheap when off: the only cost on hot paths is
-one module-attribute read returning ``None``.  Enable explicitly with
-:func:`enable_context` or via ``REPRO_CONTEXT=1``.
+one module-attribute read returning ``None``.  The ``context`` level
+of :func:`repro.telemetry.observe` (``REPRO_OBSERVE=context``) and
+every level above it turn it on.
 
 Ids are minted with :func:`uuid.uuid4` (``os.urandom``-backed), so
 enabling the layer never touches ``random`` or NumPy RNG state —
@@ -39,11 +40,6 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
-
-#: Environment opt-in honored by :func:`enable_from_env`.
-ENV_VAR = "REPRO_CONTEXT"
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 @dataclass(frozen=True)
@@ -158,25 +154,8 @@ class _NoopScope:
 
 _NOOP_SCOPE = _NoopScope()
 
+#: Set by :func:`repro.telemetry.observe`.
 _state: Optional[ContextState] = None
-
-
-def enable_context() -> ContextState:
-    """Turn the context layer on (idempotent); returns the state."""
-    global _state
-    if _state is None:
-        _state = ContextState()
-    return _state
-
-
-def disable_context() -> None:
-    """Turn the context layer off and drop all state."""
-    global _state
-    _state = None
-
-
-def is_context_enabled() -> bool:
-    return _state is not None
 
 
 def get_context_state() -> Optional[ContextState]:
@@ -207,14 +186,3 @@ def activate(trace_id: Optional[str], *, job_id: Optional[int] = None,
         return _NOOP_SCOPE
     return state.activate(
         state.mint(trace_id=trace_id, job_id=job_id, stage=stage))
-
-
-def enable_from_env(env_var: str = ENV_VAR) -> Optional[ContextState]:
-    """Enable when ``REPRO_CONTEXT`` is truthy; mirror the other layers."""
-    value = os.environ.get(env_var, "")
-    if value.strip().lower() in _TRUTHY:
-        return enable_context()
-    return None
-
-
-enable_from_env()

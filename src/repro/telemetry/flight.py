@@ -12,8 +12,10 @@ is configured, to ``flight-*.json`` on disk.
 
 Like every other telemetry layer the recorder is off by default and
 cheap when off: hot paths fetch :func:`get_flight_recorder` once and
-skip on ``None``.  Enable with :func:`enable_flight` or
-``REPRO_FLIGHT=1`` (+ optional ``REPRO_FLIGHT_DIR=...``).
+skip on ``None``.  The ``flight`` level of
+:func:`repro.telemetry.observe` (``REPRO_OBSERVE=flight``) and the
+level above it turn it on; capsules go to ``REPRO_FLIGHT_DIR`` unless
+``observe`` names a ``flight_dir``.
 
 :func:`validate_flight_document` is the structural validator CI runs
 against emitted capsules, mirroring
@@ -42,10 +44,8 @@ MAX_FLIGHT_EVENTS = 4096
 #: In-memory capsules kept before the oldest is dropped.
 MAX_CAPSULES = 64
 
-ENV_VAR = "REPRO_FLIGHT"
+#: Environment variable naming the default capsule directory.
 ENV_DIR_VAR = "REPRO_FLIGHT_DIR"
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 def _json_safe(value: Any) -> Any:
@@ -71,7 +71,8 @@ class FlightRecorder:
         self._events: deque = deque(maxlen=max_events)
         self._sequence = itertools.count(1)
         self._capsule_sequence = itertools.count(1)
-        self._dump_dir = dump_dir
+        #: Where capsules are written (``None``: memory only).
+        self.dump_dir = dump_dir
         self._max_capsules = max_capsules
         self._last_breach: Optional[tuple] = None
         #: Capsules dumped so far, oldest first (bounded).
@@ -164,13 +165,14 @@ class FlightRecorder:
 
     def _write(self, document: Dict[str, Any],
                sequence: int) -> Optional[str]:
-        if self._dump_dir is None:
+        dump_dir = self.dump_dir
+        if dump_dir is None:
             return None
         trace_part = document["trace_id"] or "untraced"
         name = f"flight-{sequence:03d}-{document['reason']}-{trace_part}.json"
-        path = os.path.join(self._dump_dir, name)
+        path = os.path.join(dump_dir, name)
         try:
-            os.makedirs(self._dump_dir, exist_ok=True)
+            os.makedirs(dump_dir, exist_ok=True)
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(document, handle, indent=2, default=repr)
         except OSError:
@@ -204,51 +206,13 @@ class FlightRecorder:
         })
 
 
+#: Set by :func:`repro.telemetry.observe`.
 _recorder: Optional[FlightRecorder] = None
-
-
-def enable_flight(max_events: int = MAX_FLIGHT_EVENTS,
-                  dump_dir: Optional[str] = None,
-                  max_capsules: int = MAX_CAPSULES) -> FlightRecorder:
-    """Install the process-wide recorder (idempotent; keeps existing)."""
-    global _recorder
-    if _recorder is None:
-        _recorder = FlightRecorder(max_events=max_events,
-                                   dump_dir=dump_dir,
-                                   max_capsules=max_capsules)
-    return _recorder
-
-
-def disable_flight() -> None:
-    """Drop the process-wide recorder (and its ring/capsules)."""
-    global _recorder
-    _recorder = None
-
-
-def is_flight_enabled() -> bool:
-    return _recorder is not None
 
 
 def get_flight_recorder() -> Optional[FlightRecorder]:
     """The enabled recorder, or ``None`` — the single-attribute guard."""
     return _recorder
-
-
-def flight_event(kind: str, name: str, **details: Any) -> None:
-    """Record an event iff the recorder is enabled (module shortcut)."""
-    recorder = _recorder
-    if recorder is not None:
-        recorder.record(kind, name, **details)
-
-
-def enable_from_env(env_var: str = ENV_VAR,
-                    dir_var: str = ENV_DIR_VAR
-                    ) -> Optional[FlightRecorder]:
-    """Enable when ``REPRO_FLIGHT`` is truthy; dir from ``REPRO_FLIGHT_DIR``."""
-    value = os.environ.get(env_var, "")
-    if value.strip().lower() in _TRUTHY:
-        return enable_flight(dump_dir=os.environ.get(dir_var) or None)
-    return None
 
 
 def validate_flight_document(document: Any) -> List[str]:
@@ -304,6 +268,3 @@ def validate_flight_document(document: Any) -> List[str]:
             f"'event_count' {document.get('event_count')!r} does not "
             f"match len(events) == {len(events)}")
     return problems
-
-
-enable_from_env()

@@ -40,12 +40,15 @@ instrumented hot paths fetch :func:`get_registry` once per
 through when it is ``None``, so the disabled cost is one function
 call + identity check per operation, never per sweep or per gate.
 
-Enable with ``REPRO_METRICS=1`` or::
+The ``metrics`` level of :func:`repro.telemetry.observe`
+(``REPRO_OBSERVE=metrics``) and every level above it install a
+registry; :func:`enable_metrics` installs a given one (a run's fresh
+registry, a worker's private one)::
 
-    from repro.telemetry import metrics
-    registry = metrics.enable_metrics()
+    from repro import telemetry
+    telemetry.observe("metrics")
     ... instrumented code ...
-    print(registry.to_prometheus())
+    print(telemetry.get_registry().to_prometheus())
 
 :func:`main` validates a Prometheus text file; the package runs it
 (the CI format checker)::
@@ -72,8 +75,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-ENV_VAR = "REPRO_METRICS"
 
 #: Schema tag carried by every registry snapshot / JSON export.
 METRICS_SCHEMA = "repro-metrics/v1"
@@ -810,10 +811,6 @@ def disable_metrics() -> None:
     _registry = None
 
 
-def is_metrics_enabled() -> bool:
-    return _registry is not None
-
-
 def get_registry() -> Optional[MetricsRegistry]:
     """The active registry, or None when metrics are disabled.
 
@@ -821,17 +818,6 @@ def get_registry() -> Optional[MetricsRegistry]:
     disabled cost is a single call + identity check.
     """
     return _registry
-
-
-def enable_from_env(env_var: str = ENV_VAR
-                    ) -> Optional[MetricsRegistry]:
-    """Enable metrics when the environment variable opts in."""
-    import os
-
-    if os.environ.get(env_var, "").strip().lower() in {"1", "true",
-                                                       "yes", "on"}:
-        return enable_metrics()
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -866,6 +852,3 @@ def main(argv: Optional[Iterable[str]] = None) -> int:
     print(f"{args.path}: valid Prometheus exposition "
           f"({families} metric families, {samples} samples)")
     return 0
-
-
-enable_from_env()

@@ -9,6 +9,10 @@ Accepts any of the shapes the metrics layer writes:
 * a sampler JSONL file — the last line is used unless ``--line N``
   picks another (1-based).
 
+The same :func:`render_dashboard` prints the report after each
+``experiments --telemetry`` run (with the run's provenance) and after
+``serve-bench --metrics``.
+
 With two paths, the second is the baseline and the dashboard shows
 deltas (candidate value with ``Δ`` against the baseline) — useful for
 "what did this workload add" questions against a pre-run snapshot.
@@ -29,6 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from . import health as health_mod
 from .metrics import METRICS_SCHEMA
+from .trace import Tracer
 
 
 def load_snapshot(path: str, line: Optional[int] = None
@@ -135,10 +140,21 @@ def _series_index(entry: Mapping[str, Any]) -> Dict[Any, Mapping[str, Any]]:
     return index
 
 
-def render_dashboard(snapshot: Mapping[str, Any],
-                     baseline: Optional[Mapping[str, Any]] = None
+def render_dashboard(snapshot: Optional[Mapping[str, Any]],
+                     baseline: Optional[Mapping[str, Any]] = None, *,
+                     tracer: Optional[Tracer] = None,
+                     provenance: Optional[Mapping[str, Any]] = None
                      ) -> str:
-    """The text dashboard for one snapshot (optionally vs a baseline)."""
+    """The text dashboard for one snapshot (optionally vs a baseline).
+
+    ``None`` or an empty snapshot renders a valid "(no metrics in
+    snapshot)" dashboard. A ``tracer`` adds a ``trace:`` line with its
+    ring buffer's buffered and dropped event counts: a truncated trace
+    silently biases any analysis done on it, so the report says when
+    it happened. ``provenance`` renders as its own section, skipping
+    ``None``-valued fields.
+    """
+    snapshot = snapshot or {}
     lines = [f"metrics report ({snapshot.get('schema', '?')})"]
     if baseline is not None:
         lines[0] += "  [delta vs baseline]"
@@ -213,6 +229,16 @@ def render_dashboard(snapshot: Mapping[str, Any],
 
     if len(lines) == 1:
         lines.append("  (no metrics in snapshot)")
+    if tracer is not None:
+        lines.append(f"trace: {tracer.event_count:,} events buffered, "
+                     f"{tracer.dropped_events:,} dropped")
+    rows = [[str(key), f"{value:.4g}" if isinstance(value, float)
+             else str(value)]
+            for key, value in sorted((provenance or {}).items())
+            if value is not None]
+    if rows:
+        lines.append("provenance:")
+        lines.extend(_aligned(rows))
     return "\n".join(lines)
 
 

@@ -3,9 +3,9 @@
 The observability stack writes three artifacts — a Chrome trace
 (``serve-bench --trace``, ``Tracer.write_chrome_trace``), a
 ``repro-metrics/v1`` snapshot and ``repro-flight/v1`` failure
-capsules — and with the trace-context layer enabled
-(``REPRO_CONTEXT=1`` / ``serve-bench --context``) every event in all
-three carries a ``trace_id``. This CLI performs the join::
+capsules — and at the ``context`` telemetry level or above
+(``REPRO_OBSERVE=context``, ``serve-bench --flight DIR``) every event
+in all three carries a ``trace_id``. This CLI performs the join::
 
     python -m repro.experiments obs-report trace.json --list
     python -m repro.experiments obs-report trace.json <trace_id> \

@@ -13,8 +13,9 @@ solves routinely run on service dispatcher threads and inside warm
 pool worker processes.
 
 Opt-in is per solver call (``solve(..., profile=True)``) or
-process-wide (:func:`enable_profiling` / ``REPRO_PROFILE=1``, which
-warm-pool workers inherit through the capture flags).  The aggregated
+process-wide at the ``trace`` level of :func:`repro.telemetry.observe`
+(``REPRO_OBSERVE=trace``), which warm-pool workers raise themselves to
+with each task.  The aggregated
 :meth:`ProfileCapture.summary` attaches to ``SolveResult.provenance``
 under ``"profile"`` and mirrors into the Chrome trace when a tracer is
 live.  Sampling reads frames only — it never touches RNG state, so
@@ -41,10 +42,6 @@ DEFAULT_TOP = 12
 
 #: Frames kept per sampled stack (innermost preserved).
 MAX_STACK_DEPTH = 24
-
-ENV_VAR = "REPRO_PROFILE"
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 @dataclass(frozen=True)
@@ -142,24 +139,8 @@ class ProfileCapture:
         }
 
 
+#: Set by :func:`repro.telemetry.observe`.
 _config: Optional[ProfilerConfig] = None
-
-
-def enable_profiling(interval: float = DEFAULT_INTERVAL,
-                     top: int = DEFAULT_TOP) -> ProfilerConfig:
-    """Turn process-wide profiling on (every ``solve`` call sampled)."""
-    global _config
-    _config = ProfilerConfig(interval=interval, top=top)
-    return _config
-
-
-def disable_profiling() -> None:
-    global _config
-    _config = None
-
-
-def is_profiling_enabled() -> bool:
-    return _config is not None
 
 
 def get_profiler_config() -> Optional[ProfilerConfig]:
@@ -196,13 +177,3 @@ def mirror_to_trace(summary: Dict[str, Any], name: str) -> None:
             for entry in summary.get("hotspots", [])[:5]
         ],
     })
-
-
-def enable_from_env(env_var: str = ENV_VAR) -> Optional[ProfilerConfig]:
-    value = os.environ.get(env_var, "")
-    if value.strip().lower() in _TRUTHY:
-        return enable_profiling()
-    return None
-
-
-enable_from_env()

@@ -100,7 +100,7 @@ class ProgressTrace:
         where nothing downstream looked at it; callers that consume a
         finished trace (dispatch, the service workers) call this so the
         loss shows up as ``progress_truncated_rows_total`` — and
-        therefore in ``render_report`` — instead of vanishing.
+        therefore in the metrics dashboard — instead of vanishing.
         Returns the number of rows dropped (0 when nothing was lost).
         """
         registry = _metrics.get_registry()

@@ -21,12 +21,14 @@ Memory is sampled at span boundaries (throttled): peak RSS via
 ``tracemalloc`` current/peak heap — emitted as Chrome counter events
 that render as a memory track under the timeline.
 
-Usage::
+The ``trace`` level of :func:`repro.telemetry.observe`
+(``REPRO_OBSERVE=trace``) installs a tracer; :func:`enable_tracing`
+installs a given one. Usage::
 
     from repro import telemetry
-    tracer = telemetry.enable_tracing()
+    telemetry.observe("trace")
     ... instrumented code ...
-    tracer.write_chrome_trace("out.json")    # open in Perfetto
+    telemetry.get_tracer().write_chrome_trace("out.json")  # Perfetto
     # or: python -m repro.experiments E8 --trace out.json
 """
 
@@ -352,10 +354,6 @@ def disable_tracing() -> None:
     if _tracer is not None:
         _tracer.close()
     _tracer = None
-
-
-def is_tracing() -> bool:
-    return _tracer is not None
 
 
 def get_tracer() -> Optional[Tracer]:

@@ -10,10 +10,10 @@ per-stage timings and convergence for a job that went through
 
 import pytest
 
+from repro import telemetry
 from repro.db.workloads import random_join_graph
 from repro.pipeline import OptimizationPipeline
 from repro.service import SolveService
-from repro.telemetry import context as context_mod
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry import obs_report as obs_mod
 from repro.telemetry import trace as trace_mod
@@ -22,9 +22,7 @@ from repro.telemetry import trace as trace_mod
 @pytest.fixture(autouse=True)
 def _clean_layers():
     yield
-    context_mod.disable_context()
-    metrics_mod.disable_metrics()
-    trace_mod.disable_tracing()
+    telemetry.observe("off")
 
 
 def graphs(count=3, relations=5):
@@ -62,7 +60,7 @@ def test_trace_id_in_provenance_only_when_context_enabled():
     graph = graphs(1)[0]
     off = OptimizationPipeline("joinorder").optimize(graph)
     assert "trace_id" not in off.provenance
-    context_mod.enable_context()
+    telemetry.observe("context")
     on = OptimizationPipeline("joinorder").optimize(graph)
     assert len(on.provenance["trace_id"]) == 16
     # Observability never touches the answer.
@@ -71,14 +69,14 @@ def test_trace_id_in_provenance_only_when_context_enabled():
 
 
 def test_workload_plans_get_distinct_trace_ids():
-    context_mod.enable_context()
+    telemetry.observe("context")
     plans = OptimizationPipeline("joinorder").optimize_workload(graphs(3))
     trace_ids = [plan.provenance["trace_id"] for plan in plans]
     assert len(set(trace_ids)) == 3
 
 
 def test_obs_report_end_to_end_through_service(tmp_path, capsys):
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     with SolveService(max_workers=2) as service:
         pipeline = OptimizationPipeline("joinorder", service=service)

@@ -13,10 +13,11 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.compile.dispatch import SolverConfig, solve
 from repro.server import build_problem, result_document
+from repro.server.jobs import ServerJob
 from repro.server.testing import Client, ServerThread
-from repro.telemetry import context as _context
 from repro.telemetry import metrics as _metrics
 
 
@@ -54,16 +55,16 @@ def strip_provenance(document):
 
 @pytest.fixture(scope="module")
 def server():
-    # Trace contexts on, as the serve CLI runs by default — the
-    # status document's trace_id is part of the API contract.
-    _context.enable_context()
+    # The serve CLI's default level: metrics and trace contexts on —
+    # the status document's trace_id is part of the API contract.
+    telemetry.observe("context")
     try:
         with ServerThread(workers=0, quota_rate=1000.0,
                           quota_burst=1000.0, max_inflight=64,
                           queue_capacity=64) as thread:
             yield thread
     finally:
-        _context.disable_context()
+        telemetry.observe("off")
 
 
 @pytest.fixture(scope="module")
@@ -147,19 +148,23 @@ class TestBasics:
             assert "repair" in document["error"], document
 
     def test_metrics_endpoint_validates(self, client):
-        # Metrics are process-global and normally off under pytest:
-        # the endpoint degrades to 503, and with a registry enabled it
-        # serves exposition text that passes the validator.
-        assert client.get("/metrics")[0] == 503
-        _metrics.enable_metrics()
+        # Metrics are process-global: with the registry off the
+        # endpoint degrades to 503 and names the switch that turns it
+        # on; with it on it serves exposition text that passes the
+        # validator.
+        registry = _metrics.get_registry()
+        _metrics.disable_metrics()
         try:
-            client.get("/healthz")  # populate request counters
             status, _, text = client.get("/metrics")
-            assert status == 200
-            assert _metrics.validate_prometheus_text(text) == []
-            assert "server_requests_total" in text
         finally:
-            _metrics.disable_metrics()
+            _metrics.enable_metrics(registry)
+        assert status == 503
+        assert "--observe" in text and "REPRO_OBSERVE" in text
+        client.get("/healthz")  # populate request counters
+        status, _, text = client.get("/metrics")
+        assert status == 200
+        assert _metrics.validate_prometheus_text(text) == []
+        assert "server_requests_total" in text
 
 
 class TestJobsApi:
@@ -375,6 +380,33 @@ class TestAdmissionOverHttp:
                 c.wait_result(first["job_id"])
                 status, _, _ = c.submit(problem_body(seed=402))
                 assert status == 201
+
+    def test_slot_is_free_before_the_job_turns_terminal(self,
+                                                        monkeypatch):
+        # A client woken by the terminal state may resubmit at once:
+        # its inflight slot must already be free when the job finishes.
+        inflight_at_finish = []
+        finish = ServerJob.finish
+        with ServerThread(workers=0, quota_rate=1000.0,
+                          quota_burst=1000.0, max_inflight=1,
+                          queue_capacity=64) as thread:
+            admission = thread.server.admission
+
+            def recording_finish(job, status, **kwargs):
+                inflight_at_finish.append(admission.inflight(job.tenant))
+                return finish(job, status, **kwargs)
+
+            monkeypatch.setattr(ServerJob, "finish", recording_finish)
+            with Client(*thread.address, tenant="slot-t") as c:
+                statuses = []
+                for index in range(10):
+                    status, _, accepted = c.submit(
+                        problem_body(seed=600 + index))
+                    statuses.append(status)
+                    if status == 201:
+                        c.wait_result(accepted["job_id"])
+        assert statuses == [201] * 10
+        assert inflight_at_finish == [0] * 10
 
 
 class TestDrain:

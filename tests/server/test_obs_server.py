@@ -8,8 +8,8 @@ events use — so one trace tells the whole story from socket to solver.
 
 import pytest
 
+from repro import telemetry
 from repro.server.testing import Client, ServerThread
-from repro.telemetry import context as context_mod
 from repro.telemetry import obs_report as obs_mod
 from repro.telemetry import trace as trace_mod
 
@@ -17,8 +17,7 @@ from repro.telemetry import trace as trace_mod
 @pytest.fixture(autouse=True)
 def _clean_layers():
     yield
-    context_mod.disable_context()
-    trace_mod.disable_tracing()
+    telemetry.observe("off")
 
 
 def body(seed):
@@ -32,7 +31,7 @@ def body(seed):
 
 
 def test_http_leg_joins_job_trace(tmp_path, capsys):
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     with ServerThread(workers=0) as thread:
         with Client(*thread.address) as client:
@@ -60,7 +59,7 @@ def test_http_leg_joins_job_trace(tmp_path, capsys):
 
 
 def test_source_server_rejects_http_free_trace(tmp_path, capsys):
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     # A service-only run: trace-annotated events, but no HTTP leg.
     from repro.compile import SolverConfig

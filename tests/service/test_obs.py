@@ -13,16 +13,17 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.compile import SolverConfig
 from repro.compile import solve as dispatch_solve
 from repro.db import JoinOrderQUBO, random_join_graph
 from repro.service import (
+    JobCancelledError,
     JobStatus,
     JobTimeoutError,
     ServiceError,
     SolveService,
 )
-from repro.telemetry import context as context_mod
 from repro.telemetry import flight as flight_mod
 from repro.telemetry import obs_report as obs_mod
 from repro.telemetry import trace as trace_mod
@@ -31,9 +32,7 @@ from repro.telemetry import trace as trace_mod
 @pytest.fixture(autouse=True)
 def _clean_layers():
     yield
-    context_mod.disable_context()
-    flight_mod.disable_flight()
-    trace_mod.disable_tracing()
+    telemetry.observe("off")
 
 
 def problem(seed=0, relations=4):
@@ -53,7 +52,7 @@ SLOW = SolverConfig(num_sweeps=2_000_000, num_reads=50, seed=1,
 
 @pytest.mark.parametrize("mode", ["process", "thread"])
 def test_trace_ids_propagate_into_workers_and_drain_merge(mode):
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     specs = [(problem(seed=index), "sa", config(seed=50 + index))
              for index in range(3)]
@@ -99,9 +98,7 @@ def test_solve_results_bit_for_bit_with_full_stack_enabled():
     specs = [(problem(seed=index), "sa", config(seed=80 + index))
              for index in range(3)]
     baseline = [dispatch_solve(p, s, config=c) for p, s, c in specs]
-    context_mod.enable_context()
-    flight_mod.enable_flight()
-    trace_mod.enable_tracing(sample_memory=False)
+    telemetry.observe("trace")
     with SolveService(max_workers=2) as service:
         results = service.solve_many(specs)
     for direct, result in zip(baseline, results):
@@ -114,8 +111,8 @@ def test_solve_results_bit_for_bit_with_full_stack_enabled():
 
 
 def test_flight_capsule_on_deadline_reap(tmp_path):
-    context_mod.enable_context()
-    recorder = flight_mod.enable_flight(dump_dir=str(tmp_path))
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
     with SolveService(max_workers=1) as service:
         handle = service.submit(problem(relations=7), "sa", SLOW,
                                 deadline=0.3)
@@ -139,8 +136,8 @@ def test_flight_capsule_on_deadline_reap(tmp_path):
 
 
 def test_thread_mode_deadline_is_checked_after_the_run(tmp_path):
-    context_mod.enable_context()
-    recorder = flight_mod.enable_flight(dump_dir=str(tmp_path))
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
     with SolveService(max_workers=1, mode="thread") as service:
         # A thread cannot be reaped: the job runs to the end, then its
         # overrun turns the result into a timeout.
@@ -157,8 +154,8 @@ def test_thread_mode_deadline_is_checked_after_the_run(tmp_path):
 
 
 def test_flight_capsule_on_midjob_worker_kill(tmp_path):
-    context_mod.enable_context()
-    recorder = flight_mod.enable_flight(dump_dir=str(tmp_path))
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
     with SolveService(max_workers=1) as service:
         handle = service.submit(problem(relations=7), "sa", SLOW)
         deadline = time.time() + 30
@@ -180,12 +177,41 @@ def test_flight_capsule_on_midjob_worker_kill(tmp_path):
         assert follow_up.feasible
 
 
+def test_cancelled_running_job_reports_one_terminal_event():
+    telemetry.observe("trace")
+    tracer = telemetry.get_tracer()
+    recorder = flight_mod.get_flight_recorder()
+    with SolveService(max_workers=1) as service:
+        handle = service.submit(problem(relations=7), "sa", SLOW)
+        deadline = time.time() + 30
+        while handle._job.process is None:
+            assert time.time() < deadline, "job never started"
+            time.sleep(0.01)
+        assert handle.cancel()
+        with pytest.raises(JobCancelledError):
+            handle.result(timeout=60)
+        # One dispatcher: by the time the next job is served it has
+        # also seen the reaped worker and tried its own resolution.
+        assert service.solve(problem(), "sa", config()).feasible
+    finishes = [event["args"] for event in tracer.events()
+                if event["name"] == "service.job.finish"
+                and event["args"]["job_id"] == handle.job_id]
+    assert [args["status"] for args in finishes] == ["cancelled"]
+    terminal = [event["name"]
+                for event in recorder.events(job_id=handle.job_id)
+                if event["kind"] == "job"
+                and event["name"] in ("cancelled", "failed", "done")]
+    assert terminal == ["cancelled"]
+    cancelled = telemetry.get_registry().get("service_jobs_total")
+    assert cancelled.labels(status="cancelled").value == 1
+
+
 def test_cache_hit_and_disabled_layer_provenance():
     with SolveService(max_workers=1) as service:
         first = service.solve(problem(), "sa", config())
         # Layer off: no trace_id key at all (bit-for-bit provenance).
         assert "trace_id" not in first.provenance["service"]
-    context_mod.enable_context()
+    telemetry.observe("context")
     with SolveService(max_workers=1) as service:
         first = service.solve(problem(), "sa", config())
         again = service.solve(problem(), "sa", config())
@@ -196,9 +222,8 @@ def test_cache_hit_and_disabled_layer_provenance():
 
 
 def test_obs_report_reconstructs_service_run(tmp_path, capsys):
-    context_mod.enable_context()
+    telemetry.observe("flight", flight_dir=str(tmp_path / "flight"))
     tracer = trace_mod.enable_tracing(sample_memory=False)
-    flight_mod.enable_flight(dump_dir=str(tmp_path / "flight"))
     specs = [(problem(seed=index), "sa", config(seed=30 + index))
              for index in range(2)]
     with SolveService(max_workers=2) as service:

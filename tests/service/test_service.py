@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.compile import SolverConfig, make_solver
 from repro.compile import solve as dispatch_solve
 from repro.db import JoinOrderQUBO, random_join_graph
@@ -17,7 +18,6 @@ from repro.service import (
     ServiceError,
     SolveService,
 )
-from repro.telemetry import profiler as profiler_mod
 
 
 def problem(seed=0, relations=4):
@@ -202,12 +202,12 @@ def test_worker_failure_surfaces_as_service_error(mode):
 
 @pytest.mark.parametrize("mode", ["process", "thread"])
 def test_result_provenance_in_both_modes(mode):
-    profiler_mod.enable_profiling(interval=0.001)
+    telemetry.observe("trace")
     try:
         with SolveService(max_workers=1, mode=mode) as service:
             result = service.solve(problem(), "sa", config())
     finally:
-        profiler_mod.disable_profiling()
+        telemetry.observe("off")
     block = result.provenance["service"]
     assert block["dispatch"] == ("cold" if mode == "process"
                                  else "inline")

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.compile import SolverConfig, solve
 from repro.db.joinorder import JoinOrderQUBO
 from repro.db.workloads import random_join_graph
@@ -26,10 +27,7 @@ from repro.telemetry import trace as trace_mod
 def _clean_layers():
     """Every test starts and ends with all obs layers off."""
     yield
-    context_mod.disable_context()
-    flight_mod.disable_flight()
-    profiler_mod.disable_profiling()
-    trace_mod.disable_tracing()
+    telemetry.observe("off")
 
 
 def compiled_problem(seed=0):
@@ -40,17 +38,19 @@ def compiled_problem(seed=0):
 # -- global guard (cheap-when-off semantics) ---------------------------
 def test_enable_disable_cycle_and_env_opt_in(monkeypatch):
     assert context_mod.get_context_state() is None
-    assert not context_mod.is_context_enabled()
-    state = context_mod.enable_context()
-    assert context_mod.get_context_state() is state
-    assert context_mod.enable_context() is state  # idempotent
-    context_mod.disable_context()
+    assert telemetry.observed_level() == "off"
+    telemetry.observe("context")
+    state = context_mod.get_context_state()
+    assert state is not None
+    telemetry.observe("context")
+    assert context_mod.get_context_state() is state  # idempotent
+    telemetry.observe("metrics")
     assert context_mod.get_context_state() is None
-    monkeypatch.setenv(context_mod.ENV_VAR, "1")
-    assert context_mod.enable_from_env() is not None
-    context_mod.disable_context()
-    monkeypatch.setenv(context_mod.ENV_VAR, "0")
-    assert context_mod.enable_from_env() is None
+    monkeypatch.setenv(telemetry.ENV_VAR, "context")
+    telemetry._observe_from_env()
+    assert context_mod.get_context_state() is not None
+    monkeypatch.setenv(telemetry.ENV_VAR, "metrics")
+    telemetry._observe_from_env()
     assert context_mod.get_context_state() is None
 
 
@@ -61,12 +61,13 @@ def test_disabled_layer_is_inert_shared_noop():
     with scope:
         assert context_mod.current_context() is None
     # trace_id=None is a no-op even with the layer on.
-    context_mod.enable_context()
+    telemetry.observe("context")
     assert context_mod.activate(None) is context_mod._NOOP_SCOPE
 
 
 def test_mint_inherits_trace_and_job_ids():
-    state = context_mod.enable_context()
+    telemetry.observe("context")
+    state = context_mod.get_context_state()
     root = state.mint(stage="pipeline")
     assert len(root.trace_id) == 16
     assert root.parent_id is None
@@ -87,7 +88,8 @@ def test_mint_inherits_trace_and_job_ids():
 
 
 def test_context_stack_is_thread_local():
-    state = context_mod.enable_context()
+    telemetry.observe("context")
+    state = context_mod.get_context_state()
     seen = {}
 
     def worker():
@@ -101,7 +103,7 @@ def test_context_stack_is_thread_local():
 
 
 def test_tracer_events_carry_context_annotation():
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     with context_mod.activate(
             context_mod.get_context_state().new_trace_id(),
@@ -118,7 +120,7 @@ def test_tracer_events_carry_context_annotation():
 
 
 def test_tracer_annotation_does_not_override_explicit_args():
-    context_mod.enable_context()
+    telemetry.observe("context")
     tracer = trace_mod.enable_tracing(sample_memory=False)
     with context_mod.activate("ffff000011112222", job_id=1):
         tracer.instant("event", args={"trace_id": "explicit"})
@@ -132,7 +134,7 @@ def test_solve_is_bit_for_bit_identical_with_context_enabled():
     config = SolverConfig(num_sweeps=40, num_reads=3, seed=9,
                           convergence=False)
     baseline = solve(problem, "sa", config=config)
-    context_mod.enable_context()
+    telemetry.observe("context")
     state = context_mod.get_context_state()
     with state.activate(state.mint(stage="pipeline")):
         traced = solve(problem, "sa", config=config)
@@ -147,23 +149,28 @@ def test_solve_is_bit_for_bit_identical_with_context_enabled():
 # -- flight recorder ---------------------------------------------------
 def test_flight_guard_and_env_opt_in(monkeypatch, tmp_path):
     assert flight_mod.get_flight_recorder() is None
-    flight_mod.flight_event("job", "noop")  # must not raise while off
-    recorder = flight_mod.enable_flight()
-    assert flight_mod.get_flight_recorder() is recorder
-    flight_mod.disable_flight()
-    monkeypatch.setenv(flight_mod.ENV_VAR, "yes")
-    monkeypatch.setenv(flight_mod.ENV_DIR_VAR, str(tmp_path))
-    recorder = flight_mod.enable_from_env()
+    telemetry.observe("flight")
+    recorder = flight_mod.get_flight_recorder()
     assert recorder is not None
-    assert recorder._dump_dir == str(tmp_path)
-    flight_mod.disable_flight()
-    monkeypatch.setenv(flight_mod.ENV_VAR, "")
-    assert flight_mod.enable_from_env() is None
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    assert flight_mod.get_flight_recorder() is recorder  # redirected
+    assert recorder.dump_dir == str(tmp_path)
+    telemetry.observe("context")
+    assert flight_mod.get_flight_recorder() is None
+    monkeypatch.setenv(telemetry.ENV_VAR, "flight")
+    monkeypatch.setenv(flight_mod.ENV_DIR_VAR, str(tmp_path / "env"))
+    telemetry._observe_from_env()
+    recorder = flight_mod.get_flight_recorder()
+    assert recorder is not None
+    assert recorder.dump_dir == str(tmp_path / "env")
+    monkeypatch.setenv(telemetry.ENV_VAR, "")
+    telemetry._observe_from_env()
+    assert flight_mod.get_flight_recorder() is None
 
 
 def test_flight_events_default_ids_from_context():
-    context_mod.enable_context()
-    recorder = flight_mod.enable_flight()
+    telemetry.observe("flight")
+    recorder = flight_mod.get_flight_recorder()
     state = context_mod.get_context_state()
     with state.activate(state.mint(job_id=5)):
         event = recorder.record("job", "dispatching")
@@ -215,7 +222,8 @@ def test_validate_flight_document_catches_corruption():
 
 
 def test_slo_breach_dumps_one_capsule_and_dedupes(tmp_path):
-    recorder = flight_mod.enable_flight(dump_dir=str(tmp_path))
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
     rule = health_mod.SLORule(
         name="queue_wait_p95",
         expr="p95(service_queue_wait_seconds) < 0.001",
@@ -246,13 +254,16 @@ def test_profiler_guard_and_env_opt_in(monkeypatch):
     assert profiler_mod.get_profiler_config() is None
     assert profiler_mod.maybe_capture(None) is None
     assert profiler_mod.maybe_capture(False) is None
-    config = profiler_mod.enable_profiling(interval=0.001)
-    assert profiler_mod.get_profiler_config() is config
+    telemetry.observe("trace")
+    config = profiler_mod.get_profiler_config()
+    assert config is not None
+    assert profiler_mod.maybe_capture(None) is not None
     assert profiler_mod.maybe_capture(False) is None
-    profiler_mod.disable_profiling()
-    monkeypatch.setenv(profiler_mod.ENV_VAR, "on")
-    assert profiler_mod.enable_from_env() is not None
-    profiler_mod.disable_profiling()
+    telemetry.observe("flight")
+    assert profiler_mod.get_profiler_config() is None
+    monkeypatch.setenv(telemetry.ENV_VAR, "trace")
+    telemetry._observe_from_env()
+    assert profiler_mod.get_profiler_config() is not None
 
 
 def _busy(deadline):

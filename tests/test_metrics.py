@@ -255,16 +255,16 @@ def test_json_export_round_trips():
 # -- global guard (cheap-when-off semantics) ---------------------------
 def test_enable_disable_cycle_and_env_opt_in(monkeypatch):
     assert metrics_mod.get_registry() is None
-    assert not metrics_mod.is_metrics_enabled()
+    assert telemetry.observed_level() == "off"
     registry = metrics_mod.enable_metrics()
     assert metrics_mod.get_registry() is registry
     metrics_mod.disable_metrics()
     assert metrics_mod.get_registry() is None
-    monkeypatch.setenv(metrics_mod.ENV_VAR, "1")
-    assert metrics_mod.enable_from_env() is not None
-    metrics_mod.disable_metrics()
-    monkeypatch.setenv(metrics_mod.ENV_VAR, "0")
-    assert metrics_mod.enable_from_env() is None
+    monkeypatch.setenv(telemetry.ENV_VAR, "metrics")
+    telemetry._observe_from_env()
+    assert metrics_mod.get_registry() is not None
+    monkeypatch.setenv(telemetry.ENV_VAR, "off")
+    telemetry._observe_from_env()
     assert metrics_mod.get_registry() is None
 
 

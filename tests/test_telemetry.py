@@ -11,17 +11,14 @@ import pytest
 from repro import telemetry
 from repro.quantum import Circuit, StatevectorSimulator
 from repro.quantum.statevector import apply_matrix
-from repro.telemetry import metrics as metrics_mod
 
 
 @pytest.fixture(autouse=True)
 def _clean_telemetry():
-    """Every test starts and ends with metrics (and tracing) disabled."""
-    telemetry.disable_metrics()
-    telemetry.disable_tracing()
+    """Every test starts and ends with every telemetry layer off."""
+    telemetry.observe("off")
     yield
-    telemetry.disable_metrics()
-    telemetry.disable_tracing()
+    telemetry.observe("off")
 
 
 def _span_series(registry, path):
@@ -70,14 +67,24 @@ def test_enable_disable_cycle():
     assert _span_series(registry, "c").count == 1
 
 
-def test_enable_from_env(monkeypatch):
-    monkeypatch.delenv(metrics_mod.ENV_VAR, raising=False)
-    assert metrics_mod.enable_from_env() is None
-    assert not telemetry.is_metrics_enabled()
-    monkeypatch.setenv(metrics_mod.ENV_VAR, "1")
-    registry = metrics_mod.enable_from_env()
+def test_observe_from_env(monkeypatch):
+    monkeypatch.delenv(telemetry.ENV_VAR, raising=False)
+    telemetry._observe_from_env()
+    assert telemetry.get_registry() is None
+    monkeypatch.setenv(telemetry.ENV_VAR, " Metrics ")
+    telemetry._observe_from_env()
+    registry = telemetry.get_registry()
     assert registry is not None
+    assert telemetry.observed_level() == "metrics"
+    # A second read keeps the registry it installed.
+    telemetry._observe_from_env()
     assert telemetry.get_registry() is registry
+    monkeypatch.setenv(telemetry.ENV_VAR, "1")
+    with pytest.raises(ValueError) as raised:
+        telemetry._observe_from_env()
+    message = str(raised.value)
+    assert telemetry.ENV_VAR in message
+    assert all(level in message for level in telemetry.LEVELS)
 
 
 # -- counters / gauges ------------------------------------------------
@@ -163,7 +170,7 @@ def test_render_report_mentions_metrics():
     registry.counter("quantum_gate_applications_total").inc(12)
     with telemetry.span("quantum.run"):
         pass
-    text = telemetry.render_report(registry.snapshot())
+    text = telemetry.render_dashboard(registry.snapshot())
     assert "quantum_gate_applications_total" in text
     assert "span_seconds{path=quantum.run}" in text
 
@@ -171,17 +178,17 @@ def test_render_report_mentions_metrics():
 def test_render_report_degenerate_inputs():
     # None and {} must render a valid placeholder report, not crash.
     for metrics in (None, {}):
-        text = telemetry.render_report(metrics)
+        text = telemetry.render_dashboard(metrics)
         assert text.startswith("metrics report")
         assert "(no metrics in snapshot)" in text
     # A live-but-empty registry behaves the same.
     registry = telemetry.enable_metrics()
-    assert "(no metrics in snapshot)" in telemetry.render_report(
+    assert "(no metrics in snapshot)" in telemetry.render_dashboard(
         registry.snapshot())
 
 
 def test_render_report_skips_none_provenance_values():
-    text = telemetry.render_report({}, provenance={
+    text = telemetry.render_dashboard({}, provenance={
         "experiment_id": "E8",
         "seed": None,
         "duration_seconds": 0.25,
@@ -190,7 +197,7 @@ def test_render_report_skips_none_provenance_values():
     assert "duration_seconds" in text
     assert "seed" not in text
     # All-None provenance adds no section at all.
-    text = telemetry.render_report({}, provenance={"seed": None})
+    text = telemetry.render_dashboard({}, provenance={"seed": None})
     assert "provenance" not in text
 
 
@@ -203,14 +210,13 @@ def test_render_report_includes_tracer_drop_line():
     for index in range(5):
         tracer.instant(f"event.{index}")
     snapshot = registry.snapshot()
-    text = telemetry.render_report(snapshot)
+    text = telemetry.render_dashboard(snapshot, tracer=tracer)
     assert "trace: 2 events buffered, 3 dropped" in text
-    # Explicitly passing tracer=None suppresses the line even while a
-    # global tracer is active.
-    assert "trace:" not in telemetry.render_report(snapshot,
-                                                   tracer=None)
+    # Without a tracer argument there is no line, even while a global
+    # tracer is active.
+    assert "trace:" not in telemetry.render_dashboard(snapshot)
     telemetry.disable_tracing()
-    assert "trace:" not in telemetry.render_report(snapshot)
+    assert "trace:" not in telemetry.render_dashboard(snapshot)
 
 
 def test_render_report_no_dangling_series_header():
@@ -218,9 +224,52 @@ def test_render_report_no_dangling_series_header():
     # bare "histograms:" header in the report.
     registry = telemetry.enable_metrics()
     registry.histogram("idle_seconds")
-    text = telemetry.render_report(registry.snapshot())
+    text = telemetry.render_dashboard(registry.snapshot())
     assert "histograms:" not in text
     assert "(no metrics in snapshot)" in text
+
+
+def test_dashboard_matches_the_former_report_text():
+    # The experiments CLI and serve-bench print this block; it must
+    # stay the text the separate report renderer used to produce.
+    from repro.telemetry.trace import Tracer
+
+    registry = telemetry.MetricsRegistry()
+    sweeps = registry.counter("solver_sweeps_total", "sweeps", ("solver",))
+    sweeps.labels(solver="sa").inc(300)
+    sweeps.labels(solver="sqa").inc(1.5)
+    registry.gauge("statevector_bytes", "bytes").set(4096)
+    registry.gauge("service_queue_wait_seconds_max", "s").set(0.25)
+    spans = registry.histogram("span_seconds", "spans", ("path",))
+    for value in (0.001, 0.002, 0.004, 1.5):
+        spans.labels(path="experiment.E8").observe(value)
+    registry.histogram("batch_size", "rows").observe(3)
+    tracer = Tracer(max_events=2, sample_memory=False)
+    for index in range(5):
+        tracer.instant(f"event{index}")
+    provenance = {"experiment_id": "E8", "seed": 0, "git_sha": None,
+                  "duration_seconds": 1.23456,
+                  "kwargs": {"sizes": (4,)}}
+    text = telemetry.render_dashboard(registry.snapshot(), tracer=tracer,
+                                      provenance=provenance)
+    assert text == """\
+metrics report (repro-metrics/v1)
+histograms:
+  name                              count  mean      p50     p95    p99
+  batch_size                        1      3         3       3      3
+  span_seconds{path=experiment.E8}  4      376.75ms  3.00ms  1.28s  1.46s
+counters:
+  solver_sweeps_total{solver=sa}   300
+  solver_sweeps_total{solver=sqa}  1.5
+gauges:
+  service_queue_wait_seconds_max  250.00ms
+  statevector_bytes               4,096
+trace: 2 events buffered, 3 dropped
+provenance:
+  duration_seconds  1.235
+  experiment_id     E8
+  kwargs            {'sizes': (4,)}
+  seed              0"""
 
 
 # -- instrumentation of the hot layers ---------------------------------
@@ -357,7 +406,7 @@ def test_cli_json_out(tmp_path, capsys):
     assert record["provenance"]["seed"] == 0
     assert record["metrics"]["schema"] == "repro-metrics/v1"
     assert _total(record["metrics"], "solver_sweeps_total") > 0
-    assert not telemetry.is_metrics_enabled()  # CLI cleans up after itself
+    assert telemetry.get_registry() is None  # CLI restores the level
 
 
 def test_cli_rejects_bad_set(capsys):

@@ -32,13 +32,13 @@ def _clean_tracing():
 # -- enable/disable ----------------------------------------------------
 def test_disabled_by_default():
     assert telemetry.get_tracer() is None
-    assert not telemetry.is_tracing()
+    assert telemetry.observed_level() == "off"
     telemetry.trace_instant("x")  # safe no-op while disabled
 
 
 def test_enable_disable_cycle():
     tracer = telemetry.enable_tracing()
-    assert telemetry.is_tracing()
+    assert telemetry.observed_level() == "trace"
     assert telemetry.get_tracer() is tracer
     telemetry.trace_instant("marker")
     assert tracer.event_count == 1
