@@ -1281,8 +1281,8 @@ def run_server_workload(num_jobs, num_clients, num_sweeps,
     (new server jobs that hit the result cache). Every request is
     timed client-side; the record carries p50/p95 request latency and
     aggregate request throughput. One extra job is then streamed live
-    over SSE, with per-row lag = client receive time − row journal
-    timestamp. ``matches_direct`` asserts the HTTP result document
+    over SSE, with per-row lag = client receive time − the row's
+    logged ``ts``. ``matches_direct`` asserts the HTTP result document
     equals a direct in-process ``solve()`` bit for bit (config
     resolved the way the service stores it); ``deterministic`` asserts
     the cache-hit resubmission returns the identical document.
@@ -1377,7 +1377,7 @@ def run_server_workload(num_jobs, num_clients, num_sweeps,
                              == _strip_provenance(documents[0]))
 
             # Live SSE stream on a fresh, slower job: row lag is the
-            # client receive time minus the row's journal timestamp.
+            # client receive time minus the row's logged ts.
             stream_body = _server_problem_body(
                 num_jobs + 1000, num_sweeps * 4, num_reads, seed)
             _, _, accepted = client.submit(stream_body)

@@ -167,50 +167,6 @@ def format_table(result: ExperimentResult,
     return "\n".join(lines)
 
 
-def solve_jobs(jobs: Sequence[Any], solver: Any = "sa",
-               config: Any = None, workers: int = 0,
-               mode: str = "process", **service_kwargs) -> List[Any]:
-    """Solve a batch of compiled problems, optionally concurrently.
-
-    ``jobs`` entries are :class:`~repro.compile.CompiledProblem`
-    records or ``(problem[, solver[, config]])`` tuples; results come
-    back in input order. With ``workers=0`` (the default) every job
-    runs sequentially through :func:`repro.compile.solve` — the
-    reference path. With ``workers > 0`` the batch runs through a
-    temporary :class:`~repro.service.SolveService` worker pool, which
-    returns bit-for-bit identical results under seeded configs; this
-    requires registry solver *names*, not solver instances.
-
-    Experiments with independent per-instance solves route their
-    solver arm through this helper so a single ``workers`` knob (and
-    the ``--workers`` CLI flag) parallelizes them.
-    """
-    specs = list(jobs)
-    if workers:
-        from ..service import SolveService
-
-        with SolveService(max_workers=workers, mode=mode,
-                          **service_kwargs) as service:
-            return service.solve_many(specs, solver=solver,
-                                      config=config)
-    from ..compile import solve as dispatch_solve
-
-    results = []
-    for spec in specs:
-        job_solver, job_config = solver, config
-        if isinstance(spec, tuple):
-            problem = spec[0]
-            if len(spec) > 1:
-                job_solver = spec[1]
-            if len(spec) > 2:
-                job_config = spec[2]
-        else:
-            problem = spec
-        results.append(dispatch_solve(problem, solver=job_solver,
-                                      config=job_config))
-    return results
-
-
 def run_pipeline(instances: Sequence[Any], formulation: Any,
                  solve: Any = "sa", configs: Any = None,
                  workers: int = 0, mode: str = "process",
@@ -218,14 +174,13 @@ def run_pipeline(instances: Sequence[Any], formulation: Any,
                  **service_kwargs) -> List[Any]:
     """Run a batch of instances through an optimization pipeline.
 
-    The pipeline-era sibling of :func:`solve_jobs`: ``formulation`` is
-    a registered name or :class:`~repro.pipeline.FormulationStrategy`,
-    ``solve`` a solver name / ``"classical"`` /
-    :class:`~repro.pipeline.SolveStrategy`, ``configs`` an optional
-    per-instance config list. ``workers=0`` runs in-process (the
-    reference path); ``workers > 0`` attaches a temporary
-    :class:`~repro.service.SolveService` warm pool — plans are
-    bit-for-bit identical under seeded configs, just concurrent.
+    ``formulation`` is a registered name or
+    :class:`~repro.pipeline.FormulationStrategy`, ``solve`` a solver
+    name / ``"classical"`` / :class:`~repro.pipeline.SolveStrategy`,
+    ``configs`` an optional per-instance config list. ``workers=0``
+    runs in-process (the reference path); ``workers > 0`` attaches a
+    temporary :class:`~repro.service.SolveService` warm pool — plans
+    are bit-for-bit identical under seeded configs, just concurrent.
     Returns :class:`~repro.pipeline.AnnotatedPlan` records in input
     order.
     """

@@ -10,7 +10,7 @@ many concurrent clients. This package is that boundary — stdlib-only
   or a pipeline workload spec; submissions are content-addressed
   (sha256 of the canonical body) so retries are idempotent.
 * **Live streams** — ``GET /v1/jobs/{id}/stream`` replays and then
-  tails the job's event journal as server-sent events
+  tails the job's frame log as server-sent events
   (``repro-stream/v1``): lifecycle instants, per-iteration
   convergence rows, the result document, a terminal marker.
 * **Admission control** — per-tenant token buckets and inflight caps
@@ -36,7 +36,7 @@ Embedding and tests use :class:`~repro.server.testing.ServerThread`.
 from .admission import AdmissionController, AdmissionDecision, TokenBucket
 from .app import ReproServer, SERVER_SCHEMA
 from .http import HttpError, Request
-from .jobs import STREAM_SCHEMA, JobJournal, JobRegistry, ServerJob
+from .jobs import STREAM_SCHEMA, JobRegistry, ServerJob
 from .payloads import (
     PayloadError,
     Submission,
@@ -51,7 +51,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "HttpError",
-    "JobJournal",
     "JobRegistry",
     "PayloadError",
     "ReproServer",

@@ -17,7 +17,10 @@ to touch :class:`~repro.service.SolveService`:
    ``submit`` maps to the same 429).
 
 All three reject with HTTP 429 + ``Retry-After`` — the server never
-blocks the event loop waiting for capacity. The controller is
+blocks the event loop waiting for capacity. Rejections decided
+elsewhere (a racing ``QueueFullError``, a submission during a graceful
+drain) go through :meth:`AdmissionController.reject`, so the
+controller's ``rejected`` counts cover every reason. The controller is
 thread-safe: ``release`` runs from solve-dispatcher threads (done
 callbacks), ``admit`` from the event loop.
 """
@@ -160,13 +163,12 @@ class AdmissionController:
             self.admitted += 1
             return AdmissionDecision(True)
 
-    def reject_queue_full(self, tenant: str) -> AdmissionDecision:
-        """Record a :class:`QueueFullError` raised by a racing submit."""
+    def reject(self, reason: str, message: str) -> AdmissionDecision:
+        """Record a rejection decided outside :meth:`admit` — a
+        :class:`QueueFullError` raised by a racing submit, or a
+        submission during drain."""
         with self._lock:
-            return self._reject(
-                "queue", DEFAULT_RETRY_AFTER,
-                "job queue at capacity",
-            )
+            return self._reject(reason, DEFAULT_RETRY_AFTER, message)
 
     def release(self, tenant: str) -> None:
         """Return the inflight slot taken by an allowed admission."""

@@ -32,7 +32,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..compile.dispatch import SolverConfig
 from ..db.workloads import generate_join_workload
@@ -53,7 +53,7 @@ from .http import (
     sse_event,
     start_sse,
 )
-from .jobs import STREAM_SCHEMA, JobJournal, JobRegistry, ServerJob
+from .jobs import STREAM_SCHEMA, Frame, JobRegistry, ServerJob
 from .payloads import (
     PayloadError,
     Submission,
@@ -443,16 +443,11 @@ class ReproServer:
                             dict(existing.describe(), idempotent=True))
             return 200, True
         if self._draining:
-            registry = _metrics.get_registry()
-            if registry is not None:
-                registry.counter(
-                    "server_rejected_total",
-                    "admissions rejected by reason (quota, inflight, "
-                    "queue, draining)",
-                    ("reason",)).labels(reason="draining").inc()
-            raise HttpError(503, "server is draining; job rejected",
+            decision = self.admission.reject(
+                "draining", "server is draining; job rejected")
+            raise HttpError(503, decision.message,
                             headers={"Retry-After": "30"},
-                            body_extra={"reason": "draining"})
+                            body_extra={"reason": decision.reason})
         tenant = request.tenant
         decision = self.admission.admit(tenant)
         if not decision.allowed:
@@ -466,10 +461,9 @@ class ReproServer:
                         round(decision.retry_after, 4),
                 })
 
-        journal = JobJournal(self._loop)
         job = ServerJob(public_id, kind=submission.kind, tenant=tenant,
-                        solver=submission.solver, journal=journal,
-                        loop=self._loop, tag=body.get("tag"))
+                        solver=submission.solver, loop=self._loop,
+                        tag=body.get("tag"))
         job.trace_id = context.trace_id if context is not None else None
         try:
             if submission.kind == "problem":
@@ -492,7 +486,8 @@ class ReproServer:
                 deadline=submission.deadline, repair=submission.repair,
                 block=False)
         except QueueFullError:
-            decision = self.admission.reject_queue_full(job.tenant)
+            decision = self.admission.reject("queue",
+                                             "job queue at capacity")
             raise HttpError(
                 429, decision.message,
                 headers={"Retry-After":
@@ -507,10 +502,11 @@ class ReproServer:
         except ServiceError as exc:
             raise HttpError(503, str(exc)) from None
         job.service_job_id = handle.job_id
+        job.handle = handle
         if handle.trace_id:
             job.trace_id = handle.trace_id
         self.jobs.add(job)
-        job.journal.append("lifecycle", {
+        job.append("lifecycle", {
             "name": "submitted", "job_id": job.public_id,
             "service_job_id": handle.job_id, "solver": job.solver,
             "tenant": job.tenant, "trace_id": job.trace_id,
@@ -519,8 +515,8 @@ class ReproServer:
             functools.partial(self._on_solve_done, job))
 
     def _on_solve_done(self, job: ServerJob, handle) -> None:
-        """Solve completion → journal + registry (dispatcher thread)."""
-        journal = job.journal
+        """Solve completion → the job's last frames (dispatcher thread)."""
+        events: List[Frame] = []
         outcome, document, error_doc = "failed", None, None
         try:
             status = handle.status
@@ -529,19 +525,19 @@ class ReproServer:
                 result = handle.result()
                 service_block = result.provenance.get("service", {})
                 if service_block.get("cache") == "hit":
-                    journal.append("lifecycle", {
-                        "name": "cache_hit", "job_id": job.public_id})
-                for row in result.convergence or []:
-                    journal.append("convergence", dict(row))
-                journal.append("lifecycle", {
+                    events.append(("lifecycle", {
+                        "name": "cache_hit", "job_id": job.public_id}))
+                events.extend(("convergence", row)
+                              for row in result.convergence or [])
+                events.append(("lifecycle", {
                     "name": "finished", "status": "done",
                     "job_id": job.public_id,
                     "cache": service_block.get("cache"),
                     "dispatch": service_block.get("dispatch"),
                     "queue_seconds": service_block.get("queue_seconds"),
-                })
+                }))
                 document = result_document(result)
-                journal.append("result", document)
+                events.append(("result", document))
             else:
                 error = handle.exception()
                 error_doc = {
@@ -550,18 +546,19 @@ class ReproServer:
                     "message": (str(error) if error is not None
                                 else status.value),
                 }
-                journal.append("lifecycle", {
+                events.append(("lifecycle", {
                     "name": "finished", "status": status.value,
                     "job_id": job.public_id,
-                })
-                journal.append("error", error_doc)
+                }))
+                events.append(("error", error_doc))
         except Exception as exc:  # noqa: BLE001 — dispatcher thread
             outcome, document = "failed", None
             error_doc = {"type": type(exc).__name__,
                          "message": str(exc)}
-            journal.append("error", error_doc)
+            events.append(("error", error_doc))
         finally:
-            self._settle(job, outcome, result=document, error=error_doc)
+            self._settle(job, outcome, events=events, result=document,
+                         error=error_doc)
 
     def _submit_workload(self, job: ServerJob,
                          submission: Submission) -> None:
@@ -612,7 +609,7 @@ class ReproServer:
             "http": {"job_id": job.public_id, "tenant": job.tenant},
         }
         self.jobs.add(job)
-        job.journal.append("lifecycle", {
+        job.append("lifecycle", {
             "name": "submitted", "job_id": job.public_id,
             "solver": job.solver, "tenant": job.tenant,
             "trace_id": job.trace_id, "kind": "workload",
@@ -626,8 +623,8 @@ class ReproServer:
                       config: SolverConfig,
                       provenance: Dict[str, Any]) -> None:
         """Pipeline execution on an executor thread (blocks on solve)."""
-        journal = job.journal
         job.mark_running()
+        events: List[Frame] = []
         outcome, document, error_doc = "failed", None, None
         try:
             with _context.activate(job.trace_id, stage="server"):
@@ -635,42 +632,41 @@ class ReproServer:
                                          provenance=provenance)
             if plan.provenance.get("trace_id"):
                 job.trace_id = plan.provenance["trace_id"]
-            for row in plan.convergence or []:
-                journal.append("convergence", dict(row))
+            events.extend(("convergence", row)
+                          for row in plan.convergence or [])
             document = plan.to_dict()
-            journal.append("lifecycle", {
+            events.append(("lifecycle", {
                 "name": "finished", "status": "done",
                 "job_id": job.public_id, "plan_status": plan.status,
-            })
-            journal.append("result", document)
+            }))
+            events.append(("result", document))
             outcome = "done"
         except Exception as exc:  # noqa: BLE001 — executor thread
             document = None
             error_doc = {"type": type(exc).__name__,
                          "message": str(exc)}
-            journal.append("lifecycle", {
+            events.append(("lifecycle", {
                 "name": "finished", "status": "failed",
                 "job_id": job.public_id,
-            })
-            journal.append("error", error_doc)
+            }))
+            events.append(("error", error_doc))
         finally:
-            self._settle(job, outcome, result=document, error=error_doc)
+            self._settle(job, outcome, events=events, result=document,
+                         error=error_doc)
 
     def _settle(self, job: ServerJob, status: str, *,
+                events: List[Frame],
                 result: Optional[Dict[str, Any]] = None,
                 error: Optional[Dict[str, Any]] = None) -> None:
         """Free the tenant's admission slot, then make the job terminal.
 
         The slot goes first: a client woken by the terminal state (the
-        journal's ``done`` entry or ``job.finish``) may submit again
-        at once and must not meet the old slot.
+        ``done`` frame or ``/result``) may submit again at once and
+        must not meet the old slot.
         """
         self.admission.release(job.tenant)
         try:
-            job.journal.append("done", {"status": status,
-                                        "job_id": job.public_id},
-                               terminal=True)
-            job.finish(status, result=result, error=error)
+            job.finish(status, events=events, result=result, error=error)
         finally:
             self._count_job(job.status)
 
@@ -741,10 +737,11 @@ class ReproServer:
             _streams_open(registry).inc()
         events_written = 0
         try:
-            async for event, data in job.journal.tail():
-                writer.write(sse_event(event, data))
+            async for chunk in job.tail():
+                writer.write(b"".join(sse_event(event, data)
+                                      for event, data in chunk))
                 await writer.drain()
-                events_written += 1
+                events_written += len(chunk)
         finally:
             if registry is not None:
                 _streams_open(registry).dec()

@@ -91,11 +91,7 @@ from .metrics import (
     validate_prometheus_text,
 )
 from .metrics_report import render_dashboard
-from .profiler import (
-    ProfileCapture,
-    ProfilerConfig,
-    get_profiler_config,
-)
+from .profiler import ProfileCapture
 from .progress import ProgressTrace
 from .provenance import RunProvenance, collect_provenance, git_sha
 from .sampler import MetricsSampler
@@ -119,7 +115,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSampler",
     "ProfileCapture",
-    "ProfilerConfig",
     "ProgressTrace",
     "RunProvenance",
     "SLORule",
@@ -135,7 +130,6 @@ __all__ = [
     "evaluate_rules",
     "get_context_state",
     "get_flight_recorder",
-    "get_profiler_config",
     "get_registry",
     "get_tracer",
     "git_sha",
@@ -186,12 +180,9 @@ def observe(level: str, *, flight_dir: Optional[str] = None) -> None:
         _flight._recorder.dump_dir = flight_dir
     if rank < 4:
         _trace.disable_tracing()
-        _profiler._config = None
-    else:
-        if _trace.get_tracer() is None:
-            _trace.enable_tracing()
-        if _profiler._config is None:
-            _profiler._config = ProfilerConfig()
+    elif _trace.get_tracer() is None:
+        _trace.enable_tracing()
+    _profiler._enabled = rank >= 4
 
 
 def observed_level() -> str:
@@ -201,7 +192,7 @@ def observed_level() -> str:
     the level then names the highest one, which is what a warm worker
     raises itself to so that it records everything its parent does.
     """
-    if _trace.get_tracer() is not None or _profiler._config is not None:
+    if _trace.get_tracer() is not None or _profiler._enabled:
         return "trace"
     if _flight._recorder is not None:
         return "flight"

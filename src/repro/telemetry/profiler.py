@@ -29,7 +29,6 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from . import trace as _trace
@@ -42,14 +41,6 @@ DEFAULT_TOP = 12
 
 #: Frames kept per sampled stack (innermost preserved).
 MAX_STACK_DEPTH = 24
-
-
-@dataclass(frozen=True)
-class ProfilerConfig:
-    """Process-wide defaults applied when profiling is enabled."""
-
-    interval: float = DEFAULT_INTERVAL
-    top: int = DEFAULT_TOP
 
 
 class ProfileCapture:
@@ -112,11 +103,8 @@ class ProfileCapture:
     def samples(self) -> int:
         return self._samples
 
-    def summary(self, top: Optional[int] = None) -> Dict[str, Any]:
+    def summary(self, top: int = DEFAULT_TOP) -> Dict[str, Any]:
         """Aggregated result: top collapsed stacks plus leaf hotspots."""
-        if top is None:
-            config = _config
-            top = config.top if config is not None else DEFAULT_TOP
         total = max(self._samples, 1)
         leaves: Counter = Counter()
         for stack, count in self._stacks.items():
@@ -139,13 +127,8 @@ class ProfileCapture:
         }
 
 
-#: Set by :func:`repro.telemetry.observe`.
-_config: Optional[ProfilerConfig] = None
-
-
-def get_profiler_config() -> Optional[ProfilerConfig]:
-    """The enabled config, or ``None`` — the single-attribute guard."""
-    return _config
+#: The process-wide switch; set by :func:`repro.telemetry.observe`.
+_enabled = False
 
 
 def maybe_capture(opt_in: Optional[bool] = None
@@ -155,13 +138,9 @@ def maybe_capture(opt_in: Optional[bool] = None
     ``opt_in=True`` forces a capture, ``False`` forces none, ``None``
     defers to the process-wide switch.
     """
-    if opt_in is False:
+    if opt_in is False or (opt_in is None and not _enabled):
         return None
-    config = _config
-    if opt_in is None and config is None:
-        return None
-    interval = config.interval if config is not None else DEFAULT_INTERVAL
-    return ProfileCapture(interval=interval)
+    return ProfileCapture()
 
 
 def mirror_to_trace(summary: Dict[str, Any], name: str) -> None:

@@ -109,7 +109,7 @@ class TestAdmissionController:
                                          max_inflight=1)
         controller.admit("t")
         controller.admit("t")
-        controller.reject_queue_full("t")
+        controller.reject("queue", "job queue at capacity")
         view = controller.snapshot()
         assert view["admitted"] == 1
         assert view["rejected"] == {"inflight": 1, "queue": 1}

@@ -8,7 +8,10 @@ coalesce inside the service, which would defeat the backpressure
 tests.
 """
 
+import asyncio
+import json
 import math
+import threading
 import time
 
 import pytest
@@ -18,6 +21,8 @@ from repro.compile.dispatch import SolverConfig, solve
 from repro.server import build_problem, result_document
 from repro.server.jobs import ServerJob
 from repro.server.testing import Client, ServerThread
+from repro.service import Job, JobHandle, JobStatus
+from repro.service import service as service_module
 from repro.telemetry import metrics as _metrics
 
 
@@ -51,6 +56,59 @@ def direct_document(body):
 def strip_provenance(document):
     return {key: value for key, value in document.items()
             if key != "provenance"}
+
+
+class CountingLoop:
+    """The server's event loop, counting ``call_soon_threadsafe``."""
+
+    def __init__(self, loop):
+        self._loop = loop
+        self.wakeups = 0
+
+    def call_soon_threadsafe(self, callback, *args):
+        self.wakeups += 1
+        return self._loop.call_soon_threadsafe(callback, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._loop, name)
+
+
+class RecordingWriter:
+    """A stream writer keeping each write and counting drains;
+    ``attached`` is set once the response head, ``hello`` and the
+    first chunk are written."""
+
+    def __init__(self):
+        self.writes = []
+        self.drains = 0
+        self.attached = threading.Event()
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        if len(self.writes) >= 3:
+            self.attached.set()
+
+    async def drain(self):
+        self.drains += 1
+
+    def frames(self):
+        """The SSE frames after the response head, as (event, data)."""
+        frames = []
+        for block in b"".join(self.writes[1:]).decode().split("\n\n"):
+            if block:
+                event, data = block.split("\n")
+                frames.append((event[len("event: "):],
+                               json.loads(data[len("data: "):])))
+        return frames
+
+
+def run_stream(thread, loop, job_id):
+    """Run the stream route on the server's loop into a recorder."""
+    writer = RecordingWriter()
+    future = asyncio.run_coroutine_threadsafe(
+        thread.server._handle_stream(None, writer, {"id": job_id}, None),
+        loop)
+    return writer, future
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +503,10 @@ class TestDrain:
         job = thread.server.jobs.get(accepted["job_id"])
         assert job is not None
         assert job.status == "done"
+        # The 503s are admission decisions too: /healthz and the drain
+        # capsule report them.
+        rejected = thread.server.admission.snapshot()["rejected"]
+        assert rejected.get("draining", 0) >= 1
 
 
 class TestProcessMode:
@@ -460,3 +522,110 @@ class TestProcessMode:
                 assert status == 200
                 assert (strip_provenance(document["result"])
                         == expected)
+
+
+class TestJobStatus:
+    @pytest.mark.parametrize("workers", [0, 1], ids=["thread", "process"])
+    def test_status_reads_running_while_the_service_job_runs(self,
+                                                             workers):
+        with ServerThread(workers=workers, quota_rate=1000.0,
+                          quota_burst=1000.0) as thread:
+            with Client(*thread.address, timeout=120.0) as c:
+                _, _, accepted = c.submit(
+                    problem_body(seed=700 + workers, sweeps=2000,
+                                 reads=10))
+                job_id = accepted["job_id"]
+                job = thread.server.jobs.get(job_id)
+                handle = job.handle
+                assert handle is not None
+                while_running = []
+                while not handle.done():
+                    before = handle.status
+                    _, _, document = c.get(f"/v1/jobs/{job_id}")
+                    if before is handle.status is JobStatus.RUNNING:
+                        while_running.append(document["status"])
+                assert while_running
+                assert set(while_running) == {"running"}
+                status, _ = c.wait_result(job_id, timeout=120.0)
+                assert status == 200
+        # A finished job keeps none of the service's problem or result.
+        assert job.handle is None
+        assert not [value for value in vars(job).values()
+                    if isinstance(value, (Job, JobHandle))]
+
+
+class TestStreamFrames:
+    def test_one_chunk_and_one_drain_per_wakeup(self, monkeypatch):
+        # A 50-sweep convergence job sends 55 frames. They are logged
+        # with two event-loop wake-ups (submitted, then the rest) and
+        # written one chunk and one drain per wake-up, with the same
+        # frames in the same order whether tailed live or replayed.
+        body = problem_body(seed=120, sweeps=50, reads=2)
+        direct = solve(build_problem(body["problem"]), body["solver"],
+                       SolverConfig(**body["config"]).resolve_convergence())
+        gate = threading.Event()
+        run_inline = service_module.run_inline
+
+        def gated_run_inline(*args, **kwargs):
+            # Hold the solve until the live tail is attached, so the
+            # job cannot finish before its done callback is wired.
+            gate.wait(30)
+            return run_inline(*args, **kwargs)
+
+        monkeypatch.setattr(service_module, "run_inline", gated_run_inline)
+        with ServerThread(workers=0) as thread:
+            loop = thread.server._loop
+            counting = CountingLoop(loop)
+            monkeypatch.setattr(thread.server, "_loop", counting)
+            with Client(*thread.address) as c:
+                status, _, accepted = c.submit(body)
+                assert status == 201
+                job_id = accepted["job_id"]
+                live, future = run_stream(thread, loop, job_id)
+                assert live.attached.wait(30)
+                gate.set()
+                assert future.result(30) == (200, False)
+                replay, future = run_stream(thread, loop, job_id)
+                assert future.result(30) == (200, False)
+                wakeups = counting.wakeups
+                over_http = [(event, data)
+                             for event, data, _ in c.stream(job_id)]
+                _, _, described = c.get(f"/v1/jobs/{job_id}")
+                _, _, fetched = c.get(f"/v1/jobs/{job_id}/result")
+        assert wakeups == 2
+        # Response head, hello, submitted, then everything else.
+        assert live.drains == len(live.writes) == 4
+        # Response head, hello, then the whole log in one chunk.
+        assert replay.drains == len(replay.writes) == 3
+
+        frames = replay.frames()
+        assert over_http == frames
+        assert live.frames()[1:] == frames[1:]
+        assert live.frames()[0][1]["status"] in ("queued", "running")
+        assert [event for event, _ in frames] == (
+            ["hello", "lifecycle"] + ["convergence"] * 50
+            + ["lifecycle", "result", "done"])
+        assert all("ts" in data for _, data in frames[1:])
+        frames = [(event, {key: value for key, value in data.items()
+                           if key != "ts"})
+                  for event, data in frames]
+        trace_id = described["trace_id"]
+        assert frames[0] == ("hello", {
+            "schema": "repro-stream/v1", "job_id": job_id,
+            "trace_id": trace_id, "status": "done"})
+        assert frames[1] == ("lifecycle", {
+            "name": "submitted", "job_id": job_id,
+            "service_job_id": described["service_job_id"],
+            "solver": "sa", "tenant": "default", "trace_id": trace_id})
+        assert [data for _, data in frames[2:52]] == direct.convergence
+        document = frames[53][1]
+        service = document["provenance"]["service"]
+        assert frames[52] == ("lifecycle", {
+            "name": "finished", "status": "done", "job_id": job_id,
+            "cache": service["cache"], "dispatch": service["dispatch"],
+            "queue_seconds": service["queue_seconds"]})
+        assert (strip_provenance(document)
+                == strip_provenance(result_document(direct)))
+        assert fetched["result"] == document
+        assert frames[54] == ("done", {"status": "done", "job_id": job_id})
+        assert described["events"] == 54

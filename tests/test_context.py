@@ -251,19 +251,17 @@ def test_slo_breach_dumps_one_capsule_and_dedupes(tmp_path):
 
 # -- sampling profiler -------------------------------------------------
 def test_profiler_guard_and_env_opt_in(monkeypatch):
-    assert profiler_mod.get_profiler_config() is None
     assert profiler_mod.maybe_capture(None) is None
     assert profiler_mod.maybe_capture(False) is None
+    assert profiler_mod.maybe_capture(True) is not None
     telemetry.observe("trace")
-    config = profiler_mod.get_profiler_config()
-    assert config is not None
     assert profiler_mod.maybe_capture(None) is not None
     assert profiler_mod.maybe_capture(False) is None
     telemetry.observe("flight")
-    assert profiler_mod.get_profiler_config() is None
+    assert profiler_mod.maybe_capture(None) is None
     monkeypatch.setenv(telemetry.ENV_VAR, "trace")
     telemetry._observe_from_env()
-    assert profiler_mod.get_profiler_config() is not None
+    assert profiler_mod.maybe_capture(None) is not None
 
 
 def _busy(deadline):

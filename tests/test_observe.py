@@ -24,10 +24,10 @@ def _clean_layers():
 
 
 def layers():
-    """Registry, context state, recorder, tracer, profiler config."""
+    """Registry, context state, recorder, tracer, profiler capture."""
     return (telemetry.get_registry(), context_mod.get_context_state(),
             flight_mod.get_flight_recorder(), telemetry.get_tracer(),
-            profiler_mod.get_profiler_config())
+            profiler_mod.maybe_capture(None))
 
 
 @pytest.mark.parametrize("level", telemetry.LEVELS)
