@@ -892,8 +892,8 @@ def bare_frontdoor_solve(problem, config):
     spec = compile_dispatch._REGISTRY["sa"]
     start = time.perf_counter()
     samples = spec.run(problem.model, config, None)
-    solutions = compile_dispatch.decode_samples(problem, samples)
     duration = time.perf_counter() - start
+    solutions = compile_dispatch.decode_samples(problem, samples)
     return compile_dispatch.assemble_result(
         problem, "sa", config, samples, solutions, duration)
 
@@ -957,12 +957,14 @@ def run_metrics_overhead_workload(num_spins, num_reads,
     """Cheap-when-off gate for the live-metrics instrumentation.
 
     Four instrumented hot paths — SA ``solve`` (read-vectorized
-    sweeps), ``run_batch`` (template batching),
-    ``run_registry_backend`` (the service workers' dispatch slice) and
-    the ``repro.compile.solve`` front door (telemetry span + profiler
-    + metrics guards around the same backend) — are timed with *all*
-    accounting disabled and compared against bare replicas of the
-    identical numerical work with the instrumentation stripped. ``overhead_fraction`` is the worst of the three and the
+    sweeps), ``run_batch`` (template batching), ``run_backend`` (the
+    backend step the service workers run, telemetry span + profiler
+    + metrics guards around one registry backend) and the
+    ``repro.compile.solve`` front door (the same backend step plus
+    decode and assembly) — are timed with *all* accounting disabled
+    and compared against bare replicas of the identical numerical
+    work with the instrumentation stripped. ``overhead_fraction`` is
+    the worst of the four and the
     record embeds ``gate_max_overhead`` so ``bench_schema --gates``
     enforces the budget (2% at full scale). Telemetry runs at the
     ``off`` level for the duration (``telemetry.observe("off")``), so
@@ -993,8 +995,8 @@ def run_metrics_overhead_workload(num_spins, num_reads,
         shipped_states = simulator.run_batch(circuits)
         bare_dispatch = compile_dispatch._REGISTRY["sa"].run(
             ising, config, None)
-        shipped_dispatch = compile_dispatch.run_registry_backend(
-            ising, "sa", config)
+        shipped_dispatch = compile_dispatch.run_backend(
+            ising, "sa", config, "service.worker.sa")["samples"]
         compiled = JoinOrderQUBO(random_join_graph(
             6, "chain", seed=seed)).compile()
         bare_front = bare_frontdoor_solve(compiled, config)
@@ -1026,8 +1028,8 @@ def run_metrics_overhead_workload(num_spins, num_reads,
         dispatch_bare, dispatch_shipped, dispatch_over = _min_paired_times(
             lambda: compile_dispatch._REGISTRY["sa"].run(
                 ising, config, None),
-            lambda: compile_dispatch.run_registry_backend(
-                ising, "sa", config),
+            lambda: compile_dispatch.run_backend(
+                ising, "sa", config, "service.worker.sa"),
             repeats)
         front_bare, front_shipped, front_over = _min_paired_times(
             lambda: bare_frontdoor_solve(compiled, config),

@@ -39,9 +39,8 @@ from .dispatch import (
     assemble_result,
     available_solvers,
     decode_samples,
-    make_solver,
     register_solver,
-    run_registry_backend,
+    run_backend,
     select_best_solution,
     solve,
 )
@@ -58,9 +57,8 @@ __all__ = [
     "assemble_result",
     "available_solvers",
     "decode_samples",
-    "make_solver",
     "register_solver",
-    "run_registry_backend",
+    "run_backend",
     "select_best_solution",
     "solve",
     "CompiledProblem",

@@ -38,6 +38,7 @@ from __future__ import annotations
 import numbers
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -336,32 +337,103 @@ class SolveResult:
         )
 
 
-def run_registry_backend(model: Model, solver_name: str,
-                         config: SolverConfig,
-                         progress: Optional[ProgressTrace] = None
-                         ) -> SampleSet:
-    """Run one registered backend adapter on a bare binary model.
+def _solver_name(solver: Union[str, Any]) -> str:
+    """The name telemetry and provenance use for ``solver``.
 
-    This is the slice of :func:`solve` that the solve service executes
-    inside a worker process: it needs only picklable inputs (the model
-    and the config), no :class:`CompiledProblem` hooks.
+    Solver classes carry their registry name (``solver_name``) so
+    counters stay consistent between string dispatch and
+    pre-configured instances.
     """
-    if solver_name not in _REGISTRY:
-        raise _unknown_solver_error(solver_name)
-    registry = _metrics.get_registry()
-    if registry is None:
-        return _REGISTRY[solver_name].run(model, config, progress)
-    with _solve_seconds(registry).labels(solver=solver_name).time():
-        return _REGISTRY[solver_name].run(model, config, progress)
+    if isinstance(solver, str):
+        return solver
+    return getattr(type(solver), "solver_name", type(solver).__name__)
+
+
+def _adapter(solver: Union[str, Any]) -> RunAdapter:
+    """The run adapter for a registry name or a pre-configured
+    instance (:func:`solve`'s escape hatch)."""
+    if isinstance(solver, str):
+        if solver not in _REGISTRY:
+            raise _unknown_solver_error(solver)
+        return _REGISTRY[solver].run
+    if not hasattr(solver, "solve"):
+        raise _unknown_solver_error(str(solver))
+
+    def run(model: Model, _config: SolverConfig,
+            progress: Optional[ProgressTrace] = None) -> SampleSet:
+        # Attach the trace through the solver's own ``progress`` slot
+        # when it has one and the caller left it empty, restoring after.
+        attach = (progress is not None
+                  and getattr(solver, "progress", False) is None)
+        if attach:
+            solver.progress = progress
+        try:
+            raw = solver.solve(model)
+        finally:
+            if attach:
+                solver.progress = None
+        # QAOA-style results carry their reads in ``.samples``.
+        samples = (raw if isinstance(raw, SampleSet)
+                   else getattr(raw, "samples", raw))
+        if not isinstance(samples, SampleSet):
+            raise TypeError(
+                f"solver {_solver_name(solver)} returned "
+                f"{type(raw).__name__}, expected a SampleSet"
+            )
+        return samples
+
+    return run
 
 
 def _solve_seconds(registry: "_metrics.MetricsRegistry"):
-    """The backend-run histogram both :func:`solve` and the service
-    workers (:func:`run_registry_backend`) observe into."""
+    """The backend-run histogram :func:`run_backend` observes into."""
     return registry.histogram(
         "solver_solve_seconds",
         "backend execution wall clock per registered solver",
         ("solver",))
+
+
+def run_backend(model: Model, solver: Union[str, Any],
+                config: SolverConfig, span: str,
+                profile: Optional[bool] = None) -> Dict[str, Any]:
+    """The backend step: run one solver on a bare binary model.
+
+    :func:`solve` runs it in-process under span
+    ``compile.solve.<problem>``; the solve service's member loop runs
+    it in a warm worker or on a dispatcher thread under
+    ``service.worker.<solver>``. Whatever it records lands in the
+    process that runs it: the convergence trace, the profiler capture
+    (``profile`` as in :func:`solve`) and its ``profile.<solver>``
+    trace instant, the span, the truncated-row count and
+    ``solver_solve_seconds``.
+
+    Returns a picklable record: ``samples``, ``convergence`` (rows, or
+    ``None``), ``duration`` (the backend run alone, the same seconds
+    ``solver_solve_seconds`` observes) and, when the profiler sampled
+    the run, ``profile``.
+    """
+    name = _solver_name(solver)
+    run = _adapter(solver)
+    progress = (ProgressTrace(label=name)
+                if config.convergence_active() else None)
+    capture = _profiler.maybe_capture(profile)
+    with telemetry.span(span):
+        with capture if capture is not None else nullcontext():
+            start = time.perf_counter()
+            samples = run(model, config, progress)
+            duration = time.perf_counter() - start
+    registry = _metrics.get_registry()
+    if registry is not None:
+        _solve_seconds(registry).labels(solver=name).observe(duration)
+    record: Dict[str, Any] = {"samples": samples, "convergence": None,
+                              "duration": duration}
+    if progress is not None:
+        progress.note_truncation()
+        record["convergence"] = progress.rows()
+    if capture is not None:
+        record["profile"] = capture.summary()
+        _profiler.mirror_to_trace(record["profile"], f"profile.{name}")
+    return record
 
 
 def decode_samples(problem: CompiledProblem,
@@ -448,22 +520,28 @@ def assemble_result(problem: CompiledProblem, solver_name: str,
     )
 
 
-def make_solver(name: str, config: Optional[SolverConfig] = None
-                ) -> Callable[[Model], SampleSet]:
-    """Bind a registered solver and a config into ``model -> SampleSet``.
+def finish_solve(problem: CompiledProblem, solver_name: str,
+                 config: SolverConfig, record: Dict[str, Any],
+                 repair: bool = False,
+                 provenance_extra: Optional[Dict[str, Any]] = None
+                 ) -> SolveResult:
+    """The finish step: decode a :func:`run_backend` record's reads
+    through the problem's hooks, then assemble the result.
 
-    Handy when code wants registry dispatch but manages decoding
-    itself (the experiment runners use this for their baseline arms).
+    :func:`solve` runs it right after the backend step; the solve
+    service runs it parent-side on the record a worker shipped back.
+    A ``profile`` in the record joins ``provenance_extra``.
     """
-    if name not in _REGISTRY:
-        raise _unknown_solver_error(name)
-    spec = _REGISTRY[name]
-    bound_config = config if config is not None else SolverConfig()
-
-    def run(model: Model) -> SampleSet:
-        return spec.run(model, bound_config, None)
-
-    return run
+    extra = dict(provenance_extra or {})
+    if "profile" in record:
+        extra["profile"] = record["profile"]
+    samples = record["samples"]
+    return assemble_result(
+        problem, solver_name, config, samples,
+        decode_samples(problem, samples), record["duration"],
+        convergence=record["convergence"], repair=repair,
+        provenance_extra=extra,
+    )
 
 
 def solve(problem: CompiledProblem,
@@ -487,74 +565,12 @@ def solve(problem: CompiledProblem,
     ``result.provenance["profile"]`` and mirrors onto the event trace.
     The sampler only *reads* frames from a helper thread — it never
     interrupts the backend, so results are bit-for-bit unchanged.
+
+    ``provenance["duration_seconds"]`` times the backend run alone,
+    as it does for a solve-service job.
     """
     config = config if config is not None else SolverConfig()
-    if isinstance(solver, str):
-        if solver not in _REGISTRY:
-            raise _unknown_solver_error(solver)
-        spec = _REGISTRY[solver]
-        solver_name = solver
-        run = spec.run
-    elif hasattr(solver, "solve"):
-        # Solver classes carry their registry name (``solver_name``)
-        # so telemetry counters stay consistent between string dispatch
-        # and pre-configured instances.
-        solver_name = getattr(type(solver), "solver_name",
-                              type(solver).__name__)
-
-        def run(model: Model, _config: SolverConfig,
-                progress: Optional[ProgressTrace] = None) -> SampleSet:
-            # Escape hatch for pre-configured instances: attach the
-            # trace through the solver's own ``progress`` slot when it
-            # has one and the caller left it empty, restoring after.
-            attach = (progress is not None
-                      and getattr(solver, "progress", False) is None)
-            if attach:
-                solver.progress = progress
-            try:
-                raw = solver.solve(model)
-            finally:
-                if attach:
-                    solver.progress = None
-            # QAOA-style results carry their reads in ``.samples``.
-            samples = (raw if isinstance(raw, SampleSet)
-                       else getattr(raw, "samples", raw))
-            if not isinstance(samples, SampleSet):
-                raise TypeError(
-                    f"solver {solver_name} returned "
-                    f"{type(raw).__name__}, expected a SampleSet"
-                )
-            return samples
-    else:
-        raise _unknown_solver_error(str(solver))
-
-    progress = (ProgressTrace(label=solver_name)
-                if config.convergence_active() else None)
-    capture = _profiler.maybe_capture(profile)
-    start = time.perf_counter()
-    with telemetry.span(f"compile.solve.{problem.name}"):
-        if capture is not None:
-            with capture:
-                samples = run(problem.model, config, progress)
-        else:
-            samples = run(problem.model, config, progress)
-        backend_seconds = time.perf_counter() - start
-        solutions = decode_samples(problem, samples)
-    duration = time.perf_counter() - start
-    registry = _metrics.get_registry()
-    if registry is not None:
-        _solve_seconds(registry).labels(solver=solver_name).observe(
-            backend_seconds)
-    if progress is not None:
-        progress.note_truncation()
-    provenance_extra = None
-    if capture is not None:
-        summary = capture.summary()
-        provenance_extra = {"profile": summary}
-        _profiler.mirror_to_trace(summary, f"profile.{solver_name}")
-    return assemble_result(
-        problem, solver_name, config, samples, solutions, duration,
-        convergence=progress.rows() if progress is not None else None,
-        repair=repair,
-        provenance_extra=provenance_extra,
-    )
+    record = run_backend(problem.model, solver, config,
+                         f"compile.solve.{problem.name}", profile)
+    return finish_solve(problem, _solver_name(solver), config, record,
+                        repair=repair)

@@ -16,11 +16,14 @@ Failure semantics (regression-tested, see ``tests/pipeline``):
 * Unknown formulation or solver names raise ``ValueError`` at
   *construction* listing the registered alternatives.
 
-When a :class:`~repro.service.SolveService` is attached, workload runs
-compile every instance first and submit all solve jobs before
-gathering, so PR 7's warm pool and same-model batch folding apply
-across the whole batch. Service execution is bit-for-bit identical to
-direct dispatch, preserving pipeline/direct parity.
+One loop serves :meth:`OptimizationPipeline.optimize` and
+:meth:`~OptimizationPipeline.optimize_workload`: every instance is
+pre-checked and compiled, then, when a
+:class:`~repro.service.SolveService` is attached, every solve job is
+submitted before any is gathered, so the warm pool's same-model batch
+folding applies across the whole batch. A submit that raises becomes
+that instance's ``infeasible`` plan. Service execution is bit-for-bit
+identical to direct dispatch, preserving pipeline/direct parity.
 """
 
 from __future__ import annotations
@@ -130,18 +133,7 @@ class OptimizationPipeline:
         events, and worker-side spans all carry the same
         ``trace_id``, which is also recorded in the plan's provenance.
         """
-        context = self._mint_context()
-        with self._scoped(context):
-            stages, problem, failure = self._pre_and_compile(
-                instance, provenance
-            )
-            plan = failure if failure is not None else \
-                self._solve_and_assemble(
-                    instance, problem, stages, config, provenance
-                )
-        if context is not None:
-            plan.provenance["trace_id"] = context.trace_id
-        return plan
+        return self._run([(instance, config, provenance)])[0]
 
     def optimize_workload(self, instances: Sequence[Any], *,
                           configs: Optional[Sequence[
@@ -150,11 +142,9 @@ class OptimizationPipeline:
                           ) -> List[AnnotatedPlan]:
         """Run a batch of instances; order is preserved.
 
-        Without a service this is a sequential loop over
-        :meth:`optimize`. With one, all instances are pre-checked and
-        compiled first, then every solve job is submitted before any
-        result is gathered — the warm pool runs them concurrently and
-        folds same-model jobs into single dispatches.
+        The same loop as :meth:`optimize`, over every instance at
+        once; each plan's provenance also records its
+        ``workload_index``.
         """
         items = list(instances)
         if configs is None:
@@ -165,86 +155,45 @@ class OptimizationPipeline:
                 f"configs length {len(configs)} != "
                 f"instances length {len(items)}"
             )
+        return self._run([
+            (instance, config, {**(provenance or {}),
+                                "workload_index": index})
+            for index, (instance, config) in enumerate(zip(items, configs))
+        ])
 
-        def item_provenance(index: int) -> Dict[str, Any]:
-            merged = dict(provenance or {})
-            merged["workload_index"] = index
-            return merged
-
-        if self.service is None or self.solve_strategy.is_classical:
-            return [
-                self.optimize(instance, config=config,
-                              provenance=item_provenance(index))
-                for index, (instance, config)
-                in enumerate(zip(items, configs))
-            ]
-
-        # Two-phase service path: compile everything, submit
-        # everything, then gather — maximizing warm-pool concurrency
-        # and cross-job batch folding.
-        plans: List[Optional[AnnotatedPlan]] = [None] * len(items)
-        pending: List[Tuple[int, Any, CompiledProblem,
-                            List[StageReport],
-                            Optional[SolverConfig]]] = []
-        # One trace context per instance: the compile, submit, and
-        # gather phases of an instance all run under the same trace_id
-        # even though the loops are batched.
-        contexts = {index: self._mint_context()
-                    for index in range(len(items))}
-        for index, (instance, config) in enumerate(zip(items, configs)):
-            with self._scoped(contexts[index]):
-                stages, problem, failure = self._pre_and_compile(
-                    instance, item_provenance(index)
-                )
-            if failure is not None:
-                plans[index] = failure
-            else:
-                pending.append((index, instance, problem, stages,
-                                config))
-
-        handles = []
-        for index, instance, problem, stages, config in pending:
-            started = perf_counter()
-            resolved = self.solve_strategy.resolve_config(
-                self.formulation, config
-            )
-            with self._scoped(contexts[index]):
-                handles.append((started, self.service.submit(
-                    problem, self.solve_strategy.solver, resolved,
-                    repair=self.solve_strategy.repair, block=True,
-                )))
-
-        for (index, instance, problem, stages, config), \
-                (started, handle) in zip(pending, handles):
-            with self._scoped(contexts[index]):
-                try:
-                    result = handle.result()
-                except Exception as exc:  # noqa: BLE001 — the plan
-                    self._push(stages, self._error_report(
-                        STAGE_SOLVE, exc, perf_counter() - started,
-                        solver=self.solve_strategy.solver,
-                    ))
-                    plans[index] = self.assembly.failure(
-                        self.formulation, self.solve_strategy,
-                        STATUS_INFEASIBLE, stages,
-                        item_provenance(index),
-                    )
-                    continue
-                self._push(stages, StageReport(
-                    STAGE_SOLVE, "ok", perf_counter() - started, {
-                        "solver": self.solve_strategy.solver,
-                        "via_service": True,
-                        "energy": result.energy,
-                    },
-                ))
-                plans[index] = self._assemble(
-                    instance, result.solution, result.feasible, result,
-                    stages, item_provenance(index),
-                )
-        for index, plan in enumerate(plans):
-            if contexts[index] is not None and plan is not None:
-                plan.provenance["trace_id"] = \
-                    contexts[index].trace_id
+    def _run(self, items: List[Tuple[Any, Optional[SolverConfig],
+                                     Optional[Dict[str, Any]]]]
+             ) -> List[AnnotatedPlan]:
+        """The one loop behind :meth:`optimize` and
+        :meth:`optimize_workload`, over ``(instance, config,
+        provenance)`` items; each instance keeps one trace context
+        across its three passes."""
+        contexts = [self._mint_context() for _ in items]
+        compiled = []
+        for (instance, _, provenance), context in zip(items, contexts):
+            with self._scoped(context):
+                compiled.append(self._pre_and_compile(instance,
+                                                      provenance))
+        # Submit only once every instance is compiled, back to back:
+        # same-model jobs then sit in the queue together and fold into
+        # one dispatch.
+        jobs: List[Optional[Tuple[float, Any]]] = [None] * len(items)
+        if self.service is not None and not self.solve_strategy.is_classical:
+            for index, ((_, config, _), (_, problem, failure), context) \
+                    in enumerate(zip(items, compiled, contexts)):
+                if failure is None:
+                    with self._scoped(context):
+                        jobs[index] = self._submit(problem, config)
+        plans = []
+        for (instance, config, provenance), (stages, problem, failure), \
+                job, context in zip(items, compiled, jobs, contexts):
+            with self._scoped(context):
+                plan = failure if failure is not None else \
+                    self._solve_and_assemble(instance, problem, stages,
+                                             config, provenance, job)
+            if context is not None:
+                plan.provenance["trace_id"] = context.trace_id
+            plans.append(plan)
         return plans
 
     # ------------------------------------------------------------------
@@ -342,40 +291,53 @@ class OptimizationPipeline:
         ))
         return stages, problem, None
 
+    def _submit(self, problem: CompiledProblem,
+                config: Optional[SolverConfig]) -> Tuple[float, Any]:
+        """Queue one solve on the service: ``(started, handle)``, or
+        ``(started, error)`` when the submit itself raised."""
+        started = perf_counter()
+        try:
+            return started, self.service.submit(
+                problem, self.solve_strategy.solver,
+                self.solve_strategy.resolve_config(self.formulation,
+                                                   config),
+                repair=self.solve_strategy.repair, block=True,
+            )
+        except Exception as exc:  # noqa: BLE001 — becomes the plan
+            return started, exc
+
     def _solve_and_assemble(self, instance: Any,
                             problem: Optional[CompiledProblem],
                             stages: List[StageReport],
                             config: Optional[SolverConfig],
-                            provenance: Optional[Dict[str, Any]]
+                            provenance: Optional[Dict[str, Any]],
+                            job: Optional[Tuple[float, Any]]
                             ) -> AnnotatedPlan:
-        """Stages 3-4 for the in-process (non-workload-service) path."""
-        started = perf_counter()
+        """Stages 3-4: solve in-process, or gather the service ``job``
+        from :meth:`_submit`, then assemble the plan."""
+        started, handle = job if job is not None else (perf_counter(),
+                                                       None)
         try:
+            if isinstance(handle, Exception):
+                raise handle
             if self.solve_strategy.is_classical:
                 solution = self.formulation.classical_baseline(instance)
                 feasible = self.formulation.feasible(instance, solution)
                 result = None
                 detail: Dict[str, Any] = {"solver": CLASSICAL}
             else:
-                resolved = self.solve_strategy.resolve_config(
-                    self.formulation, config
-                )
-                if self.service is not None:
-                    result = self.service.submit(
-                        problem, self.solve_strategy.solver, resolved,
-                        repair=self.solve_strategy.repair, block=True,
-                    ).result()
-                else:
-                    result = dispatch_solve(
+                result = handle.result() if handle is not None else \
+                    dispatch_solve(
                         problem, solver=self.solve_strategy.solver,
-                        config=resolved,
+                        config=self.solve_strategy.resolve_config(
+                            self.formulation, config),
                         repair=self.solve_strategy.repair,
                     )
                 solution = result.solution
                 feasible = result.feasible
                 detail = {
                     "solver": self.solve_strategy.solver,
-                    "via_service": self.service is not None,
+                    "via_service": handle is not None,
                     "energy": result.energy,
                 }
         except Exception as exc:  # noqa: BLE001 — becomes the plan

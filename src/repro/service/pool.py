@@ -5,9 +5,10 @@ loop both service modes run.
   :class:`~repro.service.SolveService`. Each worker holds the solver
   registry imported and warm, and loops on a duplex pipe pulling task
   batches until drained.
-* **One member loop** — :func:`_run_members` runs a batch's jobs on
-  the batch's bare model in both modes: inside the warm worker in
-  ``process`` mode, and on the dispatcher thread through
+* **One member loop** — :func:`_run_members` runs
+  :func:`repro.compile.solve`'s backend step for each of a batch's
+  jobs on the batch's bare model in both modes: inside the warm
+  worker in ``process`` mode, and on the dispatcher thread through
   :func:`run_inline` (soft deadlines) in ``thread`` mode.
 * **Model dispatch** — every task message pickles its model through
   the worker pipe, and workers keep no model between tasks: a round
@@ -50,11 +51,9 @@ import numpy as np
 
 from .. import telemetry
 from ..annealing.results import Sample, SampleSet
-from ..compile.dispatch import SolverConfig, run_registry_backend
+from ..compile.dispatch import SolverConfig, run_backend
 from ..telemetry import context as _tracectx
 from ..telemetry import metrics as _metrics
-from ..telemetry import profiler as _profiler
-from ..telemetry.progress import ProgressTrace
 
 __all__ = [
     "WarmWorkerPool",
@@ -147,41 +146,23 @@ def expand_samples(compact: Dict[str, Any]) -> SampleSet:
 def _run_member(model: Any, solver: str, config: SolverConfig,
                 job_id: Optional[int] = None,
                 trace_id: Optional[str] = None) -> Dict[str, Any]:
-    """One job of the member loop: solve, compact, never raise.
+    """One job of the member loop: the backend step
+    :func:`repro.compile.solve` runs too
+    (:func:`~repro.compile.dispatch.run_backend`), compacted; never
+    raises.
 
     When the parent shipped a trace id for the member (context layer
-    enabled), the whole solve runs under an activated worker-side
-    context, so every span/instant/convergence row the worker records
-    carries the parent's ``trace_id``/``job_id`` through drain-merge.
+    enabled), the step runs under an activated worker-side context,
+    so every span/instant/convergence row the worker records carries
+    the parent's ``trace_id``/``job_id`` through drain-merge.
     """
     try:
-        progress = (ProgressTrace(label=solver)
-                    if config.convergence_active() else None)
-        capture = _profiler.maybe_capture(None)
-        start = time.perf_counter()
         with _tracectx.activate(trace_id, job_id=job_id,
                                 stage="worker"):
-            with telemetry.span(f"service.worker.{solver}"):
-                if capture is not None:
-                    with capture:
-                        samples = run_registry_backend(
-                            model, solver, config, progress)
-                else:
-                    samples = run_registry_backend(model, solver,
-                                                   config, progress)
-        duration = time.perf_counter() - start
-        if progress is not None:
-            progress.note_truncation()
-        result = {
-            "ok": True,
-            "samples": _compact_samples(samples),
-            "convergence": (progress.rows() if progress is not None
-                            else None),
-            "duration": duration,
-        }
-        if capture is not None:
-            result["profile"] = capture.summary()
-        return result
+            record = run_backend(model, solver, config,
+                                 f"service.worker.{solver}")
+        record["samples"] = _compact_samples(record["samples"])
+        return {"ok": True, **record}
     except BaseException:
         return {"ok": False, "traceback": traceback.format_exc()}
 

@@ -9,7 +9,7 @@ call into a managed execution subsystem:
   returns a :class:`JobHandle` with status, result waiting and
   cancellation.
 * **warm worker pool** — N dispatcher threads run every job through
-  one sequence: fold, the member loop, decode, resolve. The modes
+  one sequence: fold, the member loop, finish, resolve. The modes
   differ only in where the member loop runs: on *persistent* worker
   processes (``mode="process"``, the default), where each dispatcher
   owns one long-lived worker with the solver registry imported and
@@ -31,9 +31,11 @@ call into a managed execution subsystem:
   dispatch disposition).
 
 Results are bit-for-bit identical to sequential ``solve`` calls under
-fixed seeds: workers run only the registered backend on the bare
-model, and decoding/best-pick run parent-side through the exact same
-code path (:func:`repro.compile.assemble_result`).
+fixed seeds because they run ``solve``'s own two steps: the member
+loop runs its backend step on the bare model
+(:func:`repro.compile.dispatch.run_backend`), and its finish step
+(decode, best-pick, assembly) runs parent-side with the original
+hooks (:func:`repro.compile.dispatch.finish_solve`).
 """
 
 from __future__ import annotations
@@ -53,9 +55,8 @@ from ..telemetry import metrics as _metrics
 from ..compile.dispatch import (
     SolveResult,
     SolverConfig,
-    assemble_result,
     available_solvers,
-    decode_samples,
+    finish_solve,
 )
 from ..compile.ir import CompiledProblem
 from .cache import ResultCache, cache_key
@@ -526,8 +527,7 @@ class SolveService:
         solver[, config]])`` tuple, or a dict of :meth:`submit` keyword
         arguments. The keyword-level ``solver``/``config``/... act as
         defaults for entries that do not override them. Independent
-        entries execute concurrently across the worker pool — this is
-        how the experiment harness parallelizes independent rows.
+        entries execute concurrently across the worker pool.
         ``return_exceptions=True`` returns failures in-place instead
         of raising the first one.
         """
@@ -781,7 +781,8 @@ class SolveService:
     def _finish_member(self, member: Job, payload: Dict[str, Any],
                        outcome, batch_size: int,
                        queue_seconds: float) -> None:
-        """Decode one compact worker result parent-side and resolve."""
+        """Run :func:`repro.compile.solve`'s finish step parent-side on
+        one member's compact worker result, then resolve."""
         if not payload["ok"]:
             error = ServiceError(
                 f"worker (pid={outcome.pid}) failed job "
@@ -789,32 +790,26 @@ class SolveService:
             )
             self._finish(member, JobStatus.FAILED, None, error)
             return
+        service_block: Dict[str, Any] = {
+            "job_id": member.job_id,
+            "mode": self.mode,
+            "worker_pid": outcome.pid,
+            "queue_seconds": queue_seconds,
+            "deadline": member.deadline,
+            "coalesced": member.coalesced,
+            "cache": "miss" if member.cache_key is not None else "off",
+            "dispatch": self._dispatch_kind,
+            "batched": batch_size,
+        }
+        if member.trace_id is not None:
+            service_block["trace_id"] = member.trace_id
         try:
-            samples = expand_samples(payload["samples"])
-            solutions = decode_samples(member.problem, samples)
-            service_block: Dict[str, Any] = {
-                "job_id": member.job_id,
-                "mode": self.mode,
-                "worker_pid": outcome.pid,
-                "queue_seconds": queue_seconds,
-                "deadline": member.deadline,
-                "coalesced": member.coalesced,
-                "cache": ("miss" if member.cache_key is not None
-                          else "off"),
-                "dispatch": self._dispatch_kind,
-                "batched": batch_size,
-            }
-            if member.trace_id is not None:
-                service_block["trace_id"] = member.trace_id
-            provenance_extra: Dict[str, Any] = {"service": service_block}
-            if payload.get("profile") is not None:
-                provenance_extra["profile"] = payload["profile"]
-            result = assemble_result(
-                member.problem, member.solver, member.config,
-                samples, solutions, payload["duration"],
-                convergence=payload["convergence"],
+            record = {**payload,
+                      "samples": expand_samples(payload["samples"])}
+            result = finish_solve(
+                member.problem, member.solver, member.config, record,
                 repair=member.repair,
-                provenance_extra=provenance_extra,
+                provenance_extra={"service": service_block},
             )
         except BaseException as exc:  # decode/score hooks can raise
             self._finish(member, JobStatus.FAILED, None, exc)

@@ -7,7 +7,6 @@ from repro.annealing import SimulatedAnnealingSolver
 from repro.compile import (
     SolverConfig,
     available_solvers,
-    make_solver,
     solve,
 )
 from repro.db import (
@@ -59,8 +58,6 @@ def test_unknown_solver_raises_helpful_error():
     assert "annealotron" in message
     for name in available_solvers():
         assert name in message
-    with pytest.raises(ValueError):
-        make_solver("annealotron")
 
 
 def test_solver_config_validation():
@@ -156,18 +153,6 @@ def test_solver_instance_escape_hatch():
     result = solve(problem, solver=instance)
     assert result.solver == "sa"  # taken from the class's solver_name
     assert result.feasible
-
-
-def test_make_solver_binds_config():
-    problem = _join_order_problem()
-    run = make_solver("sa", SolverConfig(num_sweeps=50, num_reads=4,
-                                         seed=11))
-    samples = run(problem.model)
-    direct = SimulatedAnnealingSolver(num_sweeps=50, num_reads=4,
-                                      seed=11).solve(problem.model)
-    assert [s.assignment for s in samples] == [
-        s.assignment for s in direct
-    ]
 
 
 def test_repair_flag_applies_problem_repair_hook():

@@ -6,6 +6,10 @@ exactly the plans the in-process path produces — same orders, same
 costs — with the routing visible in stage provenance.
 """
 
+import pytest
+
+from repro.compile import SolverConfig
+from repro.db import random_join_graph
 from repro.db.workloads import generate_join_workload
 from repro.experiments.harness import run_pipeline
 from repro.pipeline import JoinOrderFormulation, OptimizationPipeline
@@ -54,3 +58,34 @@ def test_pipeline_reuses_caller_provided_service():
         assert got.cost == want.cost
         # The solver-side provenance records the service routing.
         assert got.provenance["solver"]["service"]["mode"] == "process"
+
+
+@pytest.mark.parametrize("mode", [None, "thread", "process"])
+def test_failing_submit_becomes_that_instances_plan(mode):
+    # The middle config cannot cross a process boundary, so a
+    # process-mode submit raises; like a failing in-process solve it
+    # must become that instance's infeasible plan while the other
+    # instances' jobs still run and are gathered.
+    graphs = [random_join_graph(4, "chain", seed=seed) for seed in range(3)]
+    configs = [SolverConfig(num_sweeps=60, num_reads=4, seed=seed)
+               for seed in range(3)]
+    configs[1] = SolverConfig(num_sweeps=60, num_reads=4, seed=1,
+                              options={"hook": lambda x: x})
+    reference = OptimizationPipeline("joinorder")
+    expected = [reference.optimize(graph, config=config)
+                for graph, config in zip(graphs, configs)]
+    if mode is None:
+        plans = reference.optimize_workload(graphs, configs=configs)
+    else:
+        with SolveService(max_workers=2, mode=mode) as service:
+            plans = OptimizationPipeline(
+                "joinorder", service=service,
+            ).optimize_workload(graphs, configs=configs)
+    assert [plan.status for plan in expected] == ["ok", "infeasible", "ok"]
+    assert [plan.status for plan in plans] == ["ok", "infeasible", "ok"]
+    report = _solve_report(plans[1])
+    assert report["status"] == "error"
+    assert "hook" in report["detail"]["error"]
+    for index in (0, 2):
+        assert plans[index].solution.order == expected[index].solution.order
+        assert plans[index].cost == expected[index].cost

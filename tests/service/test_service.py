@@ -8,7 +8,8 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.compile import SolverConfig, make_solver
+from repro.annealing import SimulatedAnnealingSolver
+from repro.compile import SolverConfig
 from repro.compile import solve as dispatch_solve
 from repro.db import JoinOrderQUBO, random_join_graph
 from repro.service import (
@@ -154,7 +155,7 @@ def test_submit_validation_errors():
         with pytest.raises(TypeError):
             service.submit("not a problem", "sa")
         with pytest.raises(ValueError, match="in-process only"):
-            service.submit(problem(), make_solver("sa"))
+            service.submit(problem(), SimulatedAnnealingSolver(seed=1))
         with pytest.raises(ValueError, match="unknown solver"):
             service.submit(problem(), "nope")
         with pytest.raises(ValueError, match="unpicklable options"):
@@ -200,19 +201,44 @@ def test_worker_failure_surfaces_as_service_error(mode):
         assert handle.status is JobStatus.FAILED
 
 
-@pytest.mark.parametrize("mode", ["process", "thread"])
-def test_result_provenance_in_both_modes(mode):
+@pytest.mark.parametrize("mode", ["process", "thread", "direct"])
+def test_result_provenance_in_both_modes(mode, monkeypatch):
+    # Every entry point runs one backend step: its duration is the
+    # backend run alone, so a decode slowed well past that run shows
+    # in no duration, and its profile.<solver> instant is recorded by
+    # the process that ran the backend (drain-merged in process mode).
+    from repro.compile import dispatch
+
+    delay = 0.2
+    decode = dispatch.decode_samples
+
+    def slow_decode(problem, samples):
+        time.sleep(delay)
+        return decode(problem, samples)
+
+    monkeypatch.setattr(dispatch, "decode_samples", slow_decode)
     telemetry.observe("trace")
     try:
-        with SolveService(max_workers=1, mode=mode) as service:
-            result = service.solve(problem(), "sa", config())
+        if mode == "direct":
+            result = dispatch_solve(problem(), "sa", config=config())
+        else:
+            with SolveService(max_workers=1, mode=mode) as service:
+                result = service.solve(problem(), "sa", config())
+        events = telemetry.get_tracer().events()
     finally:
         telemetry.observe("off")
+    assert result.provenance["duration_seconds"] < delay
+    assert "hotspots" in result.provenance["profile"]
+    profiles = [event for event in events if event["cat"] == "profile"]
+    assert [event["name"] for event in profiles] == ["profile.sa"]
+    if mode == "direct":
+        assert profiles[0]["pid"] == os.getpid()
+        return
     block = result.provenance["service"]
     assert block["dispatch"] == ("cold" if mode == "process"
                                  else "inline")
     assert (block["worker_pid"] == os.getpid()) == (mode == "thread")
-    assert "hotspots" in result.provenance["profile"]
+    assert profiles[0]["pid"] == block["worker_pid"]
 
 
 def test_shutdown_rejects_new_work():
