@@ -93,7 +93,16 @@ reference workloads:
   then one ``run_angles`` row per shifted copy. Per ``(qubits, layers,
   rows)`` cell the record keeps median seconds over interleaved repeats
   with telemetry off; gradient rows and outputs must be identical. Its
-  ``speedup`` is the 4-qubit cell's.
+  ``speedup`` is the 4-qubit cell's;
+* **QAOA mixer** — ``_qaoa_state`` as ``QAOASolver`` runs it, each
+  mixer layer as a few Kronecker factors of at most five qubits with
+  one matmul each, vs the previous state preparation, kept verbatim,
+  which applied the mixer as one ``apply_matrix`` per qubit. Per
+  ``(qubits, p)`` cell (the ``qaoa_solve`` widths) the record keeps
+  median seconds over interleaved repeats of a fixed set of angle rows
+  and the largest amplitude difference, which is float rounding, not
+  zero. Its ``speedup`` is the widest cell's (14 qubits at full scale,
+  9 at smoke scale).
 
 Timings come from ``time.perf_counter``. Run as a script to write the
 committed perf trajectory::
@@ -153,10 +162,12 @@ from repro.quantum.gates import (
     batch_gate_matrix,
     gate_diagonal,
     gate_matrix,
+    rx_matrix,
 )
 from repro.quantum.statevector import (
     _apply_gate,
     _structurally_identical,
+    apply_matrix,
     gate_angles,
 )
 from repro.telemetry import metrics as _metrics
@@ -205,6 +216,8 @@ FULL_SCALE = {
                     "repeats": 15},
     "shift_fork": {"cells": ((4, 2, 24), (6, 2, 24), (8, 2, 24)),
                    "repeats": 15},
+    "qaoa_mixer": {"cells": ((9, 1), (12, 1), (12, 2), (14, 1)),
+                   "evals": 8, "repeats": 15},
 }
 SMOKE_SCALE = {
     "kernel": {"num_points": 12, "num_features": 4, "depth": 2},
@@ -235,6 +248,7 @@ SMOKE_SCALE = {
     "batch_gates": {"cells": ((4, 24, False), (4, 768, True)),
                     "repeats": 7},
     "shift_fork": {"cells": ((4, 2, 24), (6, 2, 24)), "repeats": 7},
+    "qaoa_mixer": {"cells": ((6, 1), (9, 1)), "evals": 8, "repeats": 7},
 }
 
 #: Speedup floor the service workload must clear when real
@@ -285,6 +299,13 @@ BATCH_GATES_MIN_SPEEDUP = 1.5
 #: 8-qubit cells 1.9-2.0x). A fall back to one run per shifted copy
 #: plus an output pass reads about 1x.
 SHIFT_FORK_MIN_SPEEDUP = 1.2
+
+#: Floor on the 14-qubit QAOA-mixer cell (the widest ``qaoa_solve``
+#: shape), about 0.75x the lowest full-scale reading there: a 2-vCPU
+#: host read 1.78-1.82x over five full-scale runs (the 9-qubit cell
+#: 4.1-4.3x, the 12-qubit cells 2.4-2.8x). A fall back to one
+#: ``apply_matrix`` per qubit reads about 1x.
+QAOA_MIXER_MIN_SPEEDUP = 1.3
 
 # The PR-3 dispatch-overhead ceiling (and the schema tag) now live in
 # repro.telemetry.bench_schema, shared with bench-compare and CI.
@@ -565,6 +586,21 @@ def parent_outputs_and_gradients(template, observable, values, angles,
     outputs = obs.expectation(simulator.run_angles(template, angles),
                               template.num_qubits)
     return rows, outputs
+
+
+def parent_qaoa_state(energies, gammas, betas):
+    """``_qaoa_state`` before the Kronecker-factor mixer: one
+    ``apply_matrix`` per qubit and mixer layer."""
+    n = energies.size.bit_length() - 1
+    state = np.full(energies.size, 2.0 ** (-n / 2), dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        state *= np.exp(-1j * gamma * energies)
+        # Optimizer angles never repeat, so the mixer skips the LRU
+        # behind gate_matrix: caching them would only evict its entries.
+        mixer = rx_matrix(2.0 * beta)
+        for q in range(n):
+            state = apply_matrix(state, mixer, (q,), n)
+    return state
 
 
 # ----------------------------------------------------------------------
@@ -1190,25 +1226,15 @@ def run_pipeline_workload(topologies, size,
     def run_pipe():
         return pipeline.optimize_workload(graphs, configs=configs)
 
-    # Warm both paths once, keep the warm outputs for the parity and
-    # determinism checks, then time min-of-repeats.
+    # Warm both paths once and keep the warm outputs for the parity
+    # and determinism checks. The arms are then timed in interleaved
+    # pairs, so host drift over the run hits both of them.
     direct_warm = run_direct()
     pipeline_warm = run_pipe()
     pipeline_repeat = run_pipe()
 
-    direct_times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run_direct()
-        direct_times.append(time.perf_counter() - started)
-    pipeline_times = []
-    for _ in range(repeats):
-        started = time.perf_counter()
-        run_pipe()
-        pipeline_times.append(time.perf_counter() - started)
-
-    direct_seconds = min(direct_times)
-    pipeline_seconds = min(pipeline_times)
+    direct_seconds, pipeline_seconds, overhead = _min_paired_times(
+        run_direct, run_pipe, repeats)
     return {
         "name": "pipeline_throughput",
         "params": {
@@ -1226,7 +1252,7 @@ def run_pipeline_workload(topologies, size,
         "direct_seconds": direct_seconds,
         "pipeline_seconds": pipeline_seconds,
         "per_query_seconds": pipeline_seconds / len(workload),
-        "overhead_fraction": pipeline_seconds / direct_seconds - 1.0,
+        "overhead_fraction": overhead,
         "matches_direct": all(
             plan.status == "ok"
             and plan.solution.order == result.solution.order
@@ -1930,6 +1956,76 @@ def run_shift_fork_workload(cells, repeats, seed=47):
     }
 
 
+def _qaoa_mixer_cell(num_qubits, p, evals, repeats, rng):
+    """One ``(qubits, p)`` cell: both state preparations over the same
+    energies and ``evals`` angle rows, interleaved."""
+    model = IsingModel.random(num_qubits, density=1.0, field_scale=0.5,
+                              seed=int(rng.integers(2 ** 31)))
+    energies = basis_energies(model)
+    angles = rng.uniform(0.0, math.pi, size=(evals, 2 * p))
+
+    def parent():
+        return [parent_qaoa_state(energies, a[:p], a[p:]) for a in angles]
+
+    def factored():
+        return [_qaoa_state(energies, a[:p], a[p:]) for a in angles]
+
+    reference, shipped, repeat = parent(), factored(), factored()
+    parent_seconds, factored_seconds = _interleaved_medians(
+        parent, factored, repeats)
+    return {
+        "num_qubits": num_qubits,
+        "p": p,
+        "parent_seconds": parent_seconds,
+        "factored_seconds": factored_seconds,
+        "speedup": parent_seconds / factored_seconds,
+        "max_abs_diff": float(np.abs(np.array(shipped)
+                                     - np.array(reference)).max()),
+        "deterministic": bool(np.array_equal(shipped, repeat)),
+    }
+
+
+def run_qaoa_mixer_workload(cells, evals, repeats, seed=53):
+    """QAOA state preparation: Kronecker-factor mixers vs one
+    ``apply_matrix`` per qubit.
+
+    Every ``(qubits, p)`` cell draws one clique Ising model with fields
+    and ``evals`` angle rows, then times both preparations of every row
+    over ``repeats`` interleaved runs (order alternating) and keeps the
+    medians. The global metrics registry is parked while timing, as
+    solves run with telemetry off by default. ``speedup`` is the widest
+    cell's.
+    """
+    rng = np.random.default_rng(seed)
+    saved_registry = _metrics.get_registry()
+    _metrics.disable_metrics()
+    try:
+        records = [_qaoa_mixer_cell(*cell, evals=evals, repeats=repeats,
+                                    rng=rng)
+                   for cell in cells]
+    finally:
+        if saved_registry is not None:
+            _metrics.enable_metrics(saved_registry)
+    headline = max(records, key=lambda c: c["num_qubits"])
+    return {
+        "name": "qaoa_mixer",
+        "params": {
+            "cells": [list(cell) for cell in cells],
+            "evals": evals,
+            "repeats": repeats,
+            "seed": seed,
+            "cpu_count": os.cpu_count() or 1,
+        },
+        "parent_seconds": sum(c["parent_seconds"] for c in records),
+        "factored_seconds": sum(c["factored_seconds"] for c in records),
+        "cells": records,
+        "speedup": headline["speedup"],
+        "gate_min_speedup": QAOA_MIXER_MIN_SPEEDUP,
+        "max_abs_diff": max(c["max_abs_diff"] for c in records),
+        "deterministic": all(c["deterministic"] for c in records),
+    }
+
+
 def run_workloads(scale):
     return [
         run_kernel_workload(**scale["kernel"]),
@@ -1946,6 +2042,7 @@ def run_workloads(scale):
         run_vqc_fit_workload(**scale["vqc_fit"]),
         run_batch_gates_workload(**scale["batch_gates"]),
         run_shift_fork_workload(**scale["shift_fork"]),
+        run_qaoa_mixer_workload(**scale["qaoa_mixer"]),
     ]
 
 
@@ -2111,6 +2208,16 @@ def test_perf_shift_fork_matches_parent():
     assert record["speedup"] >= record["gate_min_speedup"]
 
 
+def test_perf_qaoa_mixer_matches_parent():
+    record = run_qaoa_mixer_workload(**SMOKE_SCALE["qaoa_mixer"])
+    print("\nQAOA mixer per-qubit {parent_seconds:.4f}s vs factored "
+          "{factored_seconds:.4f}s (widest cell {speedup:.2f}x, gate "
+          ">= {gate_min_speedup:.1f}x)".format(**record))
+    assert record["max_abs_diff"] <= 1e-14
+    assert record["deterministic"]
+    assert record["speedup"] >= record["gate_min_speedup"]
+
+
 # ----------------------------------------------------------------------
 # Script entry point: write the committed perf trajectory
 # ----------------------------------------------------------------------
@@ -2192,6 +2299,11 @@ def main():
         elif record["name"] == "shift_fork":
             print("{name}: previous {parent_seconds:.3f}s, fork pass "
                   "{fork_seconds:.3f}s -> 4-qubit cell "
+                  "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
+                  .format(**record))
+        elif record["name"] == "qaoa_mixer":
+            print("{name}: per-qubit {parent_seconds:.3f}s, factored "
+                  "{factored_seconds:.3f}s -> widest cell "
                   "{speedup:.2f}x (gate >= {gate_min_speedup:.1f}x)"
                   .format(**record))
         elif record["name"] == "server_throughput":

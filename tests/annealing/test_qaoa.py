@@ -16,8 +16,11 @@ from repro.annealing import (
     solve_ising_exact,
 )
 from repro.annealing.qaoa import _qaoa_state
+from repro.annealing.results import Sample, SampleSet
 from repro.db import IndexSelectionProblem, IndexSelectionQUBO
 from repro.quantum import StatevectorSimulator
+from repro.quantum.gates import rx_matrix
+from repro.quantum.statevector import apply_matrix
 from repro.telemetry.progress import ProgressTrace
 
 
@@ -168,6 +171,43 @@ def test_diagonal_state_matches_circuit_at_fixed_angles(name, p):
     assert shots(probabilities) == shots(reference_probabilities)
 
 
+def _per_qubit_state(energies, gammas, betas):
+    """The mixer as one ``rx`` update per qubit (the reference path)."""
+    n = energies.size.bit_length() - 1
+    state = np.full(energies.size, 2.0 ** (-n / 2), dtype=complex)
+    for gamma, beta in zip(gammas, betas):
+        state *= np.exp(-1j * gamma * energies)
+        # Optimizer angles never repeat, so the mixer skips the LRU
+        # behind gate_matrix: caching them would only evict its entries.
+        mixer = rx_matrix(2.0 * beta)
+        for q in range(n):
+            state = apply_matrix(state, mixer, (q,), n)
+    return state
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 17))
+def test_factored_mixer_matches_per_qubit_updates(num_qubits):
+    """Kronecker-factor mixers agree with one ``rx`` per qubit: one
+    factor (1-5 qubits), equal factors (6, 8, 10, 12, 15, 16), unequal
+    ones (7, 9, 11, 13, 14), and zgemm blocks from 11 qubits on."""
+    rng = np.random.default_rng(num_qubits)
+    for p in (1, 2, 3):
+        energies = rng.normal(scale=3.0, size=2 ** num_qubits)
+        untouched = energies.copy()
+        angles = rng.uniform(0.0, math.pi, 2 * p)
+        state = _qaoa_state(energies, angles[:p], angles[p:])
+        reference = _per_qubit_state(energies, angles[:p], angles[p:])
+        assert state.shape == (2 ** num_qubits,)
+        assert state.dtype == complex
+        assert state.flags.c_contiguous
+        again = _qaoa_state(energies, angles[:p], angles[p:])
+        assert not np.shares_memory(state, energies)
+        assert not np.shares_memory(state, again)
+        assert np.array_equal(state, again)
+        assert np.array_equal(energies, untouched)
+        assert np.abs(state - reference).max() <= 1e-14
+
+
 @pytest.mark.parametrize("name", sorted(PARITY_MODELS))
 def test_first_convergence_row_matches_circuit(name):
     """The solver's first evaluation sits at the circuit path's start
@@ -221,6 +261,50 @@ def test_qaoa_validates_args():
         QAOASolver(optimizer="bfgs")
     with pytest.raises(ValueError):
         QAOASolver(restarts=0)
+    for name, value in (("p", 2.5), ("shots", 2.5), ("shots", 0),
+                        ("shots", -3), ("restarts", True),
+                        ("maxiter", 0), ("p", True), ("maxiter", 1.0)):
+        with pytest.raises(ValueError, match=name):
+            QAOASolver(**{name: value})
+    solver = QAOASolver(p=np.int64(2), restarts=np.int32(1),
+                        shots=np.int64(8), maxiter=np.int16(8), seed=0)
+    result = solver.solve(IsingModel(2, j={(0, 1): 1.0}))
+    assert result.gammas.size == 2
+    assert sum(s.num_occurrences for s in result.samples) == 8
+
+
+def _loop_sample(solver, probabilities, energies, num_spins):
+    """``QAOASolver._sample`` as one Python loop per distinct outcome
+    (the reference for the vectorized bit extraction)."""
+    outcomes = solver._rng.choice(
+        probabilities.size, size=solver.shots, p=probabilities
+    )
+    samples = []
+    for outcome, count in zip(*np.unique(outcomes, return_counts=True)):
+        bits = tuple(
+            1 - ((int(outcome) >> (num_spins - 1 - q)) & 1)
+            for q in range(num_spins)
+        )
+        samples.append(Sample(bits, float(energies[outcome]), int(count)))
+    return SampleSet(samples)
+
+
+@pytest.mark.parametrize("num_spins", [1, 3, 9, 14])
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_sample_matches_per_outcome_loop(num_spins, seed):
+    rng = np.random.default_rng(seed)
+    energies = rng.normal(size=2 ** num_spins)
+    probabilities = rng.exponential(size=2 ** num_spins) ** 4
+    probabilities /= probabilities.sum()
+    shipped = QAOASolver(shots=256, seed=seed)._sample(
+        probabilities, energies, num_spins)
+    reference = _loop_sample(QAOASolver(shots=256, seed=seed),
+                             probabilities, energies, num_spins)
+    assert shipped.samples == reference.samples
+    for sample in shipped.samples:
+        assert {type(bit) for bit in sample.assignment} == {int}
+        assert type(sample.energy) is float
+        assert type(sample.num_occurrences) is int
 
 
 def test_approximation_ratio_bounds():
