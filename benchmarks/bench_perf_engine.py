@@ -758,22 +758,18 @@ def run_service_workload(num_jobs, num_relations,
 
     The main batch is ``num_jobs`` *independent* seeded join-order SA
     solves — the service's bread-and-butter shape, executed on the
-    persistent warm pool (models pickled to a worker once, workers
-    spawned once). Correctness is bit-for-bit: the concurrent results
-    must equal the sequential dispatch results sample-for-sample
-    (``matches_direct``), and a second service run must reproduce them
-    (``deterministic``). The speedup gate is CPU-aware: with >= 2 CPUs
-    the workload declares the real-parallelism floor (1.5x); on a
-    single core — where parallel speedup is physically impossible — it
-    declares parity (1.0x) instead. Both come with the declared
-    ``gate_speedup_tolerance`` so scheduler jitter cannot flake the
-    gate (see ``bench_schema.effective_speedup_floor``).
-
-    A second measurement covers **cross-job batch folding**: the same
-    number of jobs on *one shared model* (distinct seeds), which the
-    pool folds into a few worker round trips. Its timings and parity
-    land in the ``batch_*`` keys; the pool counters of the main run
-    land in ``pool``.
+    persistent warm pool (workers spawned once, each job's model
+    pickled through the worker pipe). Correctness is bit-for-bit: the
+    concurrent results must equal the sequential dispatch results
+    sample-for-sample (``matches_direct``), and a second service run
+    must reproduce them (``deterministic``). The speedup gate is
+    CPU-aware: with >= 2 CPUs the workload declares the
+    real-parallelism floor (1.5x); on a single core — where parallel
+    speedup is physically impossible — it declares parity (1.0x)
+    instead. Both come with the declared ``gate_speedup_tolerance`` so
+    scheduler jitter cannot flake the gate (see
+    ``bench_schema.effective_speedup_floor``). The pool counters of the
+    main run land in ``pool``: one round trip per job.
     """
     from repro.service import SolveService
     from repro.service.bench import build_jobs, results_match
@@ -793,24 +789,6 @@ def run_service_workload(num_jobs, num_relations,
     # batch exactly.
     with SolveService(max_workers=workers) as service:
         repeat = service.solve_many(specs)
-
-    # Cross-job batching: same model, distinct seeds. Sequential
-    # baseline first, then the service folds them into few dispatches.
-    fold_problem = jobs[0][0]
-    fold_configs = [SolverConfig(num_sweeps=num_sweeps,
-                                 num_reads=num_reads,
-                                 seed=seed * 3000 + index)
-                    for index in range(num_jobs)]
-    fold_base, batch_sequential = _timed(lambda: [
-        dispatch_solve(fold_problem, "sa", config=c)
-        for c in fold_configs])
-    with SolveService(max_workers=workers) as service:
-        started = time.perf_counter()
-        handles = [service.submit(fold_problem, "sa", c)
-                   for c in fold_configs]
-        fold_results = [handle.result() for handle in handles]
-        batch_service = time.perf_counter() - started
-        fold_pool = service.stats()["pool"]
 
     cpus = os.cpu_count() or 1
     record = {
@@ -841,17 +819,6 @@ def run_service_workload(num_jobs, num_relations,
             "dispatches_cold": pool_stats["dispatches_cold"],
             "jobs_run": pool_stats["jobs_run"],
         },
-        "batch_sequential_seconds": batch_sequential,
-        "batch_service_seconds": batch_service,
-        "batch_speedup": batch_sequential / batch_service,
-        "batch_max_size": max(
-            r.provenance["service"]["batched"] for r in fold_results),
-        "batch_dispatches": (fold_pool["dispatches_warm"]
-                             + fold_pool["dispatches_cold"]),
-        "batch_matches_direct": all(
-            results_match(direct, folded)
-            for direct, folded in zip(fold_base, fold_results)
-        ),
     }
     if cpus >= 2 and workers >= 2:
         record["gate_min_speedup"] = SERVICE_MIN_SPEEDUP
@@ -2087,10 +2054,9 @@ def test_perf_service_matches_sequential_bit_for_bit():
           .format(**record))
     assert record["matches_direct"]
     assert record["deterministic"]
-    # Same-model jobs must fold into fewer dispatches than jobs and
-    # stay bit-for-bit against per-seed sequential solves.
-    assert record["batch_matches_direct"]
-    assert record["batch_dispatches"] < record["params"]["num_jobs"]
+    # One worker round trip per job.
+    assert (record["pool"]["dispatches_cold"]
+            == record["params"]["num_jobs"])
     assert record["pool"]["respawns"] == 0
     # The workload declares its own CPU-aware floor (1.5x with real
     # CPUs, parity on a single core) plus a tolerance for scheduler

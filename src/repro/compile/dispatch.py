@@ -399,7 +399,7 @@ def run_backend(model: Model, solver: Union[str, Any],
     """The backend step: run one solver on a bare binary model.
 
     :func:`solve` runs it in-process under span
-    ``compile.solve.<problem>``; the solve service's member loop runs
+    ``compile.solve.<problem>``; the solve service's job step runs
     it in a warm worker or on a dispatcher thread under
     ``service.worker.<solver>``. Whatever it records lands in the
     process that runs it: the convergence trace, the profiler capture

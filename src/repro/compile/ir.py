@@ -159,9 +159,10 @@ class CompiledProblem:
     repair: Optional[Callable[[Any], Any]] = None
     metadata: Dict[str, Any] = field(default_factory=dict)
     #: Lazily memoized :meth:`content_key` digest. The solve service
-    #: hashes every submission (cache key, coalescing, warm-pool model
-    #: store, cross-job batch folding); recomputing a sha256 over the
-    #: full term set per lookup would dominate small problems.
+    #: hashes every seeded submission for its cache key and coalescing
+    #: map, often the same problem object many times (resubmissions,
+    #: several seeds of one model); recomputing a sha256 over the full
+    #: term set per lookup would dominate small problems.
     _content_key_cache: Optional[str] = field(default=None, repr=False,
                                               compare=False)
 
@@ -190,7 +191,7 @@ class CompiledProblem:
         The digest is memoized on first call: compiled problems are
         treated as immutable by every consumer (mutating ``model``
         after ``compile()`` voids all guarantees anyway), and the
-        service hashes each submission several times.
+        service may hash one problem object for many submissions.
         """
         if self._content_key_cache is not None:
             return self._content_key_cache

@@ -20,10 +20,11 @@ One loop serves :meth:`OptimizationPipeline.optimize` and
 :meth:`~OptimizationPipeline.optimize_workload`: every instance is
 pre-checked and compiled, then, when a
 :class:`~repro.service.SolveService` is attached, every solve job is
-submitted before any is gathered, so the warm pool's same-model batch
-folding applies across the whole batch. A submit that raises becomes
-that instance's ``infeasible`` plan. Service execution is bit-for-bit
-identical to direct dispatch, preserving pipeline/direct parity.
+submitted before any is gathered, so every worker of the pool has
+work queued while the results are collected. A submit that raises
+becomes that instance's ``infeasible`` plan. Service execution is
+bit-for-bit identical to direct dispatch, preserving pipeline/direct
+parity.
 """
 
 from __future__ import annotations
@@ -175,8 +176,8 @@ class OptimizationPipeline:
                 compiled.append(self._pre_and_compile(instance,
                                                       provenance))
         # Submit only once every instance is compiled, back to back:
-        # same-model jobs then sit in the queue together and fold into
-        # one dispatch.
+        # the queue then holds the whole batch, and every worker stays
+        # busy while the gather below waits on each job in order.
         jobs: List[Optional[Tuple[float, Any]]] = [None] * len(items)
         if self.service is not None and not self.solve_strategy.is_classical:
             for index, ((_, config, _), (_, problem, failure), context) \

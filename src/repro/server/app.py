@@ -133,7 +133,7 @@ class ReproServer:
                  default_deadline: Optional[float] = None,
                  quota_rate: float = 20.0, quota_burst: float = 40.0,
                  max_inflight: int = 16, max_jobs: int = 4096,
-                 batch_limit: int = 8, drain_timeout: float = 30.0,
+                 drain_timeout: float = 30.0,
                  start_method: Optional[str] = None):
         self.host = host
         self.port = port
@@ -148,7 +148,7 @@ class ReproServer:
             max_workers=max_workers, mode=resolved_mode,
             queue_capacity=queue_capacity, cache_entries=cache_entries,
             default_deadline=default_deadline,
-            start_method=start_method, batch_limit=batch_limit,
+            start_method=start_method,
         )
         self.admission = AdmissionController(
             quota_rate=quota_rate, quota_burst=quota_burst,

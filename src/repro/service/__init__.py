@@ -9,10 +9,9 @@ at once under latency budgets:
 * :class:`SolveService` — bounded priority job queue feeding a
   *persistent warm worker pool* (solver registry imported once per
   worker, each task's model pickled through the worker pipe, hard
-  deadline reaping with respawn) or threads, both running one member
-  loop, with :class:`JobHandle` futures, cancellation, cross-job
-  batching of same-model submissions and batch
-  :meth:`~SolveService.solve_many`.
+  deadline reaping with respawn) or threads, both running one job
+  step per job, with :class:`JobHandle` futures, cancellation and
+  batch :meth:`~SolveService.solve_many`.
 * :class:`ResultCache` — content-addressed LRU over
   :meth:`CompiledProblem.content_key` + solver + config + seed, with
   in-flight request coalescing.

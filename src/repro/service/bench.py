@@ -261,40 +261,6 @@ def _run(args, use_metrics: bool) -> int:
                for first, second in zip(results, resubmit)):
             failures += 1
 
-        # Cross-job batching demo: same model, distinct seeds — the
-        # warm pool folds these into a few round trips, and the
-        # results must still match per-seed sequential solves.
-        fold_record = None
-        if args.mode == "process":
-            fold_problem, _ = jobs[0]
-            fold_configs = [
-                SolverConfig(num_sweeps=args.sweeps,
-                             num_reads=args.reads,
-                             seed=args.seed * 2000 + index)
-                for index in range(args.jobs)
-            ]
-            fold_base = [solve(fold_problem, args.solver, config=c)
-                         for c in fold_configs]
-            fold_handles = [service.submit(fold_problem, args.solver, c)
-                            for c in fold_configs]
-            fold_results = [handle.result(timeout=600)
-                            for handle in fold_handles]
-            fold_ok = all(
-                results_match(first, second) for first, second
-                in zip(fold_base, fold_results))
-            if not fold_ok:
-                failures += 1
-            max_batch = max(r.provenance["service"]["batched"]
-                            for r in fold_results)
-            fold_record = {
-                "jobs": args.jobs,
-                "max_batch": max_batch,
-                "bit_for_bit": fold_ok,
-            }
-            print(f"batch folding: {args.jobs} same-model jobs, "
-                  f"largest batch {max_batch}, "
-                  f"bit-for-bit={fold_ok}")
-
         # Forced-failure path: an oversized job with a tiny deadline
         # must be reaped as TIMEOUT and (with --flight) leave a
         # correlated capsule behind — the failure-observability smoke.
@@ -364,7 +330,6 @@ def _run(args, use_metrics: bool) -> int:
         if stats.get("pool") is not None:
             pool = stats["pool"]
             print(f"pool: {pool['size']} warm workers, "
-                  f"{pool['jobs_run']} jobs in "
                   f"{pool['dispatches_cold']} round trips, "
                   f"{pool['respawns']} respawns")
 
@@ -442,7 +407,6 @@ def _run(args, use_metrics: bool) -> int:
             "matches_direct": failures == 0,
             "cache": cache,
             "service_stats": stats,
-            "batch_folding": fold_record,
             "portfolio": portfolio_record,
             "metrics": metrics_snapshot,
             "obs": obs_record,

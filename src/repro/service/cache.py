@@ -48,8 +48,8 @@ def _count_event(event: str, value: int = 1, *, registry: Any) -> None:
 
 
 def cache_key(problem: CompiledProblem, solver: str,
-              config: SolverConfig, repair: bool = False,
-              problem_key: Optional[str] = None) -> Optional[str]:
+              config: SolverConfig, repair: bool = False
+              ) -> Optional[str]:
     """Stable cache key, or ``None`` when the job is uncacheable.
 
     ``None`` (no seed) means the backend's RNG is nondeterministic
@@ -57,16 +57,15 @@ def cache_key(problem: CompiledProblem, solver: str,
     The convergence flag must already be resolved
     (:meth:`SolverConfig.resolve_convergence`) — it changes the
     result's ``convergence`` payload, so it is part of the key, as is
-    ``repair``, which changes the returned best solution.
-    ``problem_key`` lets a caller that already holds
-    ``problem.content_key()`` (the service computes it once per
-    submission for batching) pass it in instead of re-deriving it.
+    ``repair``, which changes the returned best solution. Seedless
+    configs return before the problem is hashed; seeded ones reuse the
+    digest :meth:`~repro.compile.CompiledProblem.content_key` memoizes.
     """
     if config.seed is None:
         return None
     material = json.dumps(
         {
-            "problem": problem_key or problem.content_key(),
+            "problem": problem.content_key(),
             "solver": solver,
             "config": config.to_dict(),
             "repair": bool(repair),

@@ -1,24 +1,18 @@
-"""Persistent warm worker pool with cross-job batching, and the member
-loop both service modes run.
+"""Persistent warm worker pool, and the job step both service modes run.
 
 * :class:`WarmWorkerPool` — spawns ``size`` worker processes once per
   :class:`~repro.service.SolveService`. Each worker holds the solver
-  registry imported and warm, and loops on a duplex pipe pulling task
-  batches until drained.
-* **One member loop** — :func:`_run_members` runs
-  :func:`repro.compile.solve`'s backend step for each of a batch's
-  jobs on the batch's bare model in both modes: inside the warm
-  worker in ``process`` mode, and on the dispatcher thread through
-  :func:`run_inline` (soft deadlines) in ``thread`` mode.
+  registry imported and warm, and loops on a duplex pipe pulling one
+  job per task until drained.
+* **One job step** — :func:`_run_job` runs
+  :func:`repro.compile.solve`'s backend step for one job on its bare
+  model in both modes: inside the warm worker in ``process`` mode,
+  and on the dispatcher thread through :func:`run_inline` (soft
+  deadlines) in ``thread`` mode.
 * **Model dispatch** — every task message pickles its model through
   the worker pipe, and workers keep no model between tasks: a round
   trip of a 10-366-term model (0.11-0.33 ms on a 2-vCPU Xeon) is
   small beside the solver kernel.
-* **Cross-job batching** — one task message carries *several* jobs
-  (same model, same registry solver, independent configs/seeds); the
-  worker answers them in one round trip. Each job still runs its own
-  seeded backend call, so results stay bit-for-bit identical to
-  sequential ``solve()``.
 * **Reap + respawn** — a worker that blows a deadline, is cancelled
   mid-flight or crashes is killed (SIGTERM, then SIGKILL) and
   **replaced**, so the pool never shrinks and a wedged solver can
@@ -117,7 +111,7 @@ def _reap(process) -> None:
 
 
 # ----------------------------------------------------------------------
-# The member loop (inside a warm worker, or inline in thread mode)
+# The job step (inside a warm worker, or inline in thread mode)
 # ----------------------------------------------------------------------
 def _compact_samples(samples: SampleSet) -> Dict[str, Any]:
     """Lower a SampleSet to flat arrays for the result pipe."""
@@ -143,15 +137,13 @@ def expand_samples(compact: Dict[str, Any]) -> SampleSet:
     ])
 
 
-def _run_member(model: Any, solver: str, config: SolverConfig,
-                job_id: Optional[int] = None,
-                trace_id: Optional[str] = None) -> Dict[str, Any]:
-    """One job of the member loop: the backend step
-    :func:`repro.compile.solve` runs too
+def _run_job(model: Any, job_id: int, solver: str, config: SolverConfig,
+             trace_id: Optional[str]) -> Dict[str, Any]:
+    """One job: the backend step :func:`repro.compile.solve` runs too
     (:func:`~repro.compile.dispatch.run_backend`), compacted; never
     raises.
 
-    When the parent shipped a trace id for the member (context layer
+    When the parent shipped a trace id for the job (context layer
     enabled), the step runs under an activated worker-side context,
     so every span/instant/convergence row the worker records carries
     the parent's ``trace_id``/``job_id`` through drain-merge.
@@ -167,43 +159,32 @@ def _run_member(model: Any, solver: str, config: SolverConfig,
         return {"ok": False, "traceback": traceback.format_exc()}
 
 
-def _run_members(model: Any, members: List[Tuple[Any, ...]]
-                 ) -> List[Dict[str, Any]]:
-    """Every ``(job_id, solver, config, trace_id)`` member of one
-    batch, in order, on the batch's shared model."""
-    return [_run_member(model, solver, config, job_id=job_id,
-                        trace_id=trace_id)
-            for job_id, solver, config, trace_id in members]
+def _task(job) -> Tuple[Any, ...]:
+    """What the job step needs of a service job besides its model:
+    ``(job_id, solver, config, trace_id)``, the task message's tail."""
+    return job.job_id, job.solver, job.config, job.trace_id
 
 
-@dataclass
-class BatchOutcome:
-    """Parent-side view of one batch's round trip."""
-
-    pid: int
-    results: List[Dict[str, Any]]
-
-
-def run_inline(leader, members: List[Tuple[Any, ...]], model: Any,
-               deadline: Optional[float] = None) -> BatchOutcome:
-    """Thread mode's round trip: the member loop on the calling thread.
+def run_inline(job) -> Tuple[int, Dict[str, Any]]:
+    """Thread mode's round trip: the job step on the calling thread;
+    returns this process's pid and the job's compact result.
 
     Telemetry flows into the process-global state directly, so there
     is no snapshot to merge at drain. The deadline is soft: a Python
-    thread cannot be preempted, so an overdue batch is detected after
-    the run and its results discarded (:class:`WorkerTimeout`).
+    thread cannot be preempted, so an overdue job is detected after
+    the run and its result discarded (:class:`WorkerTimeout`).
     """
     start = time.perf_counter()
-    results = _run_members(model, members)
+    result = _run_job(job.problem.model, *_task(job))
     duration = time.perf_counter() - start
-    if deadline is not None and duration > deadline:
+    if job.deadline is not None and duration > job.deadline:
         raise WorkerTimeout(
-            f"job {leader.job_id} ({leader.solver}) exceeded its "
-            f"{deadline:g}s deadline (ran {duration:.3f}s); thread "
+            f"job {job.job_id} ({job.solver}) exceeded its "
+            f"{job.deadline:g}s deadline (ran {duration:.3f}s); thread "
             "workers enforce deadlines post-hoc — use mode='process' "
             "for hard reaping"
         )
-    return BatchOutcome(pid=os.getpid(), results=results)
+    return os.getpid(), result
 
 
 # ----------------------------------------------------------------------
@@ -262,19 +243,18 @@ def _warm_worker_main(connection, index: int, level: str) -> None:
                                       _metrics.get_registry(),
                                       jobs=list(jobs_log))))
                 return
-            _, task_id, level, model, members = message
+            _, task_id, level, model, task = message
             raise_level(level)
-            results = _run_members(model, members)
-            for (job_id, solver, _config, trace_id), result in zip(
-                    members, results):
-                jobs_log.append({
-                    "job_id": job_id,
-                    "trace_id": trace_id,
-                    "solver": solver,
-                    "ok": result["ok"],
-                    "duration": result.get("duration"),
-                })
-            connection.send(("ok", task_id, os.getpid(), results))
+            result = _run_job(model, *task)
+            job_id, solver, _config, trace_id = task
+            jobs_log.append({
+                "job_id": job_id,
+                "trace_id": trace_id,
+                "solver": solver,
+                "ok": result["ok"],
+                "duration": result.get("duration"),
+            })
+            connection.send(("ok", task_id, os.getpid(), result))
     finally:
         try:
             connection.close()
@@ -291,7 +271,6 @@ class _WarmWorker:
     process: Any
     connection: Any
     task_counter: int = 0
-    jobs_run: int = 0
 
 
 class WarmWorkerPool:
@@ -358,42 +337,35 @@ class WarmWorkerPool:
             return [worker.process.pid for worker in self._workers]
 
     # -- execution -------------------------------------------------------
-    def execute(self, index: int, leader,
-                members: List[Tuple[Any, ...]], model: Any,
-                deadline: Optional[float] = None,
-                publish_process: bool = True) -> BatchOutcome:
-        """Run one task batch on slot ``index``; reap+respawn on harm.
+    def execute(self, index: int, job) -> Tuple[int, Dict[str, Any]]:
+        """Run one job on slot ``index``; reap+respawn on harm.
 
-        ``leader`` is the service's :class:`~repro.service.queue.Job`
-        driving the batch — its ``process`` slot is published (for
-        singleton batches) so a concurrent ``cancel()`` can reap the
-        worker, and its terminal status disambiguates a cancel-kill
-        from a genuine crash. Raises :class:`WorkerTimeout`,
-        :class:`WorkerCancelled` or :class:`WorkerCrashed`.
+        ``job`` is the service's :class:`~repro.service.queue.Job`. Its
+        ``process`` slot is published while the worker runs it, so a
+        concurrent ``cancel()`` can reap the worker, and its terminal
+        status tells a cancel-kill from a genuine crash. Returns the
+        worker's pid and the job's compact result; raises
+        :class:`WorkerTimeout`, :class:`WorkerCancelled` or
+        :class:`WorkerCrashed`.
 
-        Each member is ``(job_id, solver, config, trace_id)``; the
-        trace id rides the pipe so the worker can attribute its
-        telemetry to the parent's trace.
+        The task message carries the job's model and ``(job_id,
+        solver, config, trace_id)``; the trace id rides the pipe so the
+        worker can attribute its telemetry to the parent's trace.
         """
         worker = self.worker(index)
-        with leader.lock:
-            if publish_process and leader.status.is_terminal():
+        with job.lock:
+            if job.status.is_terminal():
                 # cancel() landed between dequeue and dispatch; the
-                # worker never saw the task, so it stays warm. (For
-                # folded batches the task is sent regardless — the
-                # other members still need their results, and the
-                # cancelled leader's is simply dropped on resolve.)
-                raise WorkerCancelled(
-                    f"job {leader.job_id} cancelled")
-            if publish_process:
-                leader.process = worker.process
+                # worker never saw the task, so it stays warm.
+                raise WorkerCancelled(f"job {job.job_id} cancelled")
+            job.process = worker.process
         worker.task_counter += 1
         task_id = worker.task_counter
         try:
             worker.connection.send(
-                ("run", task_id, telemetry.observed_level(), model,
-                 members))
-            reply = self._await_reply(worker, leader, task_id, deadline)
+                ("run", task_id, telemetry.observed_level(),
+                 job.problem.model, _task(job)))
+            reply = self._await_reply(worker, job, task_id)
         except (WorkerTimeout, WorkerCancelled, WorkerCrashed):
             self._respawn(worker)
             raise
@@ -404,19 +376,17 @@ class WarmWorkerPool:
                 f"{error}"
             ) from error
         finally:
-            if publish_process:
-                with leader.lock:
-                    leader.process = None
-        _status, _task, pid, results = reply
-        worker.jobs_run += len(members)
+            with job.lock:
+                job.process = None
+        _status, _task_id, pid, result = reply
         with self._lock:
             self.round_trips += 1
-        return BatchOutcome(pid=pid, results=results)
+        return pid, result
 
-    def _await_reply(self, worker: _WarmWorker, leader, task_id: int,
-                     deadline: Optional[float]):
+    def _await_reply(self, worker: _WarmWorker, job, task_id: int):
         connection = worker.connection
         process = worker.process
+        deadline = job.deadline
         expires = (None if deadline is None
                    else time.perf_counter() + deadline)
         while True:
@@ -424,7 +394,7 @@ class WarmWorkerPool:
                          else expires - time.perf_counter())
             if remaining is not None and remaining <= 0:
                 raise WorkerTimeout(
-                    f"job {leader.job_id} ({leader.solver}) exceeded "
+                    f"job {job.job_id} ({job.solver}) exceeded "
                     f"its {deadline:g}s deadline; warm worker "
                     f"pid={process.pid} reaped"
                 )
@@ -432,26 +402,26 @@ class WarmWorkerPool:
                                if remaining is not None else 0.05):
                 break
             if not process.is_alive() and not connection.poll():
-                with leader.lock:
-                    cancelled = leader.status.is_terminal()
+                with job.lock:
+                    cancelled = job.status.is_terminal()
                 if cancelled:
                     raise WorkerCancelled(
-                        f"job {leader.job_id} cancelled; warm worker "
+                        f"job {job.job_id} cancelled; warm worker "
                         "reaped"
                     )
                 raise WorkerCrashed(
                     f"warm worker pid={process.pid} died with exit "
                     f"code {process.exitcode} while running job "
-                    f"{leader.job_id}"
+                    f"{job.job_id}"
                 )
         try:
             reply = connection.recv()
         except (EOFError, OSError) as error:
-            with leader.lock:
-                cancelled = leader.status.is_terminal()
+            with job.lock:
+                cancelled = job.status.is_terminal()
             if cancelled:
                 raise WorkerCancelled(
-                    f"job {leader.job_id} cancelled; warm worker "
+                    f"job {job.job_id} cancelled; warm worker "
                     "reaped"
                 ) from error
             raise WorkerCrashed(
@@ -516,6 +486,6 @@ class WarmWorkerPool:
                 # task pickles its model, so no dispatch is warm.
                 "dispatches_warm": 0,
                 "dispatches_cold": self.round_trips,
-                "jobs_run": sum(worker.jobs_run
-                                for worker in self._workers),
+                # One job per round trip, reaped workers' jobs included.
+                "jobs_run": self.round_trips,
             }

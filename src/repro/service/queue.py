@@ -62,10 +62,6 @@ class Job:
     priority: int = 0
     deadline: Optional[float] = None
     cache_key: Optional[str] = None
-    #: ``problem.content_key()`` — batch folding and the result cache
-    #: key both use it, so it is computed once at submit and carried
-    #: on the job.
-    model_key: Optional[str] = None
     #: Trace-context id correlating this job's events across layers
     #: (queue, dispatch, worker, cache); ``None`` when the context
     #: layer is disabled at submit time.
@@ -202,49 +198,6 @@ class JobQueue:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._not_empty.wait(remaining)
-
-    def take_matching(self, model_key: str, solver: str,
-                      limit: int) -> List[Job]:
-        """Pull up to ``limit`` queued jobs foldable into one dispatch.
-
-        A job folds when it targets the *same model* (``model_key``)
-        and the *same solver*, and carries **no deadline** — folded
-        members share the leader's worker round trip, so a member with
-        its own deadline could not be reaped independently. Matching
-        jobs are marked dequeued/started exactly as :meth:`get` would
-        and removed from the heap; the scan is O(queue) but only runs
-        when a dispatcher has just taken a deadline-free job.
-        """
-        if limit <= 0:
-            return []
-        taken: List[Job] = []
-        with self._lock:
-            if not self._heap:
-                return taken
-            keep: List[Tuple[int, int, Job]] = []
-            # Drain in heap (priority) order so folding preserves the
-            # priority-FIFO dequeue discipline among the matches.
-            while self._heap and len(taken) < limit:
-                entry = heapq.heappop(self._heap)
-                job = entry[2]
-                with job.lock:
-                    if job.status.is_terminal():
-                        continue  # lazy-discard, slot already released
-                    if (job.model_key == model_key
-                            and job.solver == solver
-                            and job.deadline is None):
-                        job.dequeued = True
-                        job.started_at = time.perf_counter()
-                        taken.append(job)
-                        continue
-                keep.append(entry)
-            keep.extend(self._heap)
-            heapq.heapify(keep)
-            self._heap = keep
-            if taken:
-                self._live -= len(taken)
-                self._not_full.notify(len(taken))
-        return taken
 
     def release(self, job: Job) -> None:
         """Free the capacity slot of a job cancelled while queued."""

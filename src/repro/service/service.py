@@ -8,18 +8,16 @@ call into a managed execution subsystem:
   convergence tri-state), puts it on a bounded priority queue and
   returns a :class:`JobHandle` with status, result waiting and
   cancellation.
-* **warm worker pool** — N dispatcher threads run every job through
-  one sequence: fold, the member loop, finish, resolve. The modes
-  differ only in where the member loop runs: on *persistent* worker
-  processes (``mode="process"``, the default), where each dispatcher
-  owns one long-lived worker with the solver registry imported and
-  warm, every task pickles its model through the worker pipe
+* **warm worker pool** — N dispatcher threads each take one job at a
+  time and run it through one sequence: the job step, finish,
+  resolve. The modes differ only in where the job step runs: on
+  *persistent* worker processes (``mode="process"``, the default),
+  where each dispatcher owns one long-lived worker with the solver
+  registry imported and warm, every job is one round trip that
+  pickles its model through the worker pipe
   (:mod:`repro.service.pool`), and hard per-job deadlines reap (and
   then respawn) a stuck worker; or inline on the dispatcher thread
   (``mode="thread"``), with deadlines checked after the run.
-* **cross-job batching** — deadline-free jobs on the *same model and
-  solver* as a job being dispatched fold into its worker round trip,
-  so N same-model jobs with different seeds/configs cost one dispatch.
 * **result cache + coalescing** — seeded jobs are content-addressed
   (problem terms + solver + config + seed); repeat submissions hit the
   LRU cache and *identical in-flight* submissions coalesce onto the
@@ -31,8 +29,8 @@ call into a managed execution subsystem:
   dispatch disposition).
 
 Results are bit-for-bit identical to sequential ``solve`` calls under
-fixed seeds because they run ``solve``'s own two steps: the member
-loop runs its backend step on the bare model
+fixed seeds because they run ``solve``'s own two steps: the job step
+runs its backend step on the bare model
 (:func:`repro.compile.dispatch.run_backend`), and its finish step
 (decode, best-pick, assembly) runs parent-side with the original
 hooks (:func:`repro.compile.dispatch.finish_solve`).
@@ -158,6 +156,17 @@ def _resolve(job: Job, status: JobStatus,
                        announce=announce)
 
 
+def _checked_count(name: str, value: Any, least: int) -> int:
+    """``value`` as an ``int`` when it is an integer ``>= least``
+    (numpy integers included, bools refused); :class:`ValueError`
+    naming ``name`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _checked_deadline(deadline: Any) -> Optional[float]:
     """``deadline`` when it is ``None`` or a finite number of seconds
     above zero; :class:`ValueError` otherwise. NaN compares false with
@@ -275,8 +284,8 @@ class SolveService:
     Parameters
     ----------
     max_workers:
-        Dispatcher/worker slots; at most this many jobs execute
-        concurrently.
+        Dispatcher/worker slots, an integer ``>= 1``; at most this
+        many jobs execute concurrently.
     mode:
         ``"process"`` (default) runs jobs on persistent warm worker
         processes — one per dispatcher, spawned once, fed models
@@ -284,11 +293,12 @@ class SolveService:
         ``"thread"`` runs jobs inline on dispatcher threads (lower
         latency, soft deadlines — best for many small jobs).
     queue_capacity:
-        Bound on queued-but-not-running jobs; submissions beyond it
-        raise :class:`QueueFullError` (or block with ``block=True``).
+        Bound on queued-but-not-running jobs, an integer ``>= 1``;
+        submissions beyond it raise :class:`QueueFullError` (or block
+        with ``block=True``).
     cache_entries:
-        LRU capacity of the result cache; ``0`` disables caching (and
-        with it request coalescing).
+        LRU capacity of the result cache, an integer ``>= 0``; ``0``
+        disables caching (and with it request coalescing).
     default_deadline:
         Per-job wall-clock budget in seconds applied when ``submit``
         gets no explicit ``deadline``; ``None`` means unbounded, and
@@ -296,34 +306,23 @@ class SolveService:
     start_method:
         ``multiprocessing`` start method for process workers (``None``
         = platform default, ``fork`` on Linux).
-    batch_limit:
-        Most jobs one warm-worker round trip may carry (process mode).
-        When a dispatcher takes a deadline-free job, up to
-        ``batch_limit - 1`` queued jobs on the same model and solver
-        fold into its dispatch. ``1`` disables cross-job batching.
-        Folding saves a pipe round trip; thread mode has none to save,
-        so it folds nothing.
     """
 
     def __init__(self, max_workers: int = 2, mode: str = "process",
                  queue_capacity: int = 128, cache_entries: int = 256,
                  default_deadline: Optional[float] = None,
-                 start_method: Optional[str] = None,
-                 batch_limit: int = 8):
-        if max_workers < 1:
-            raise ValueError("max_workers must be positive")
+                 start_method: Optional[str] = None):
+        max_workers = _checked_count("max_workers", max_workers, 1)
+        queue_capacity = _checked_count("queue_capacity",
+                                        queue_capacity, 1)
+        cache_entries = _checked_count("cache_entries", cache_entries, 0)
         if mode not in ("process", "thread"):
             raise ValueError(
                 f"mode must be 'process' or 'thread', got {mode!r}"
             )
-        if cache_entries < 0:
-            raise ValueError("cache_entries must be >= 0")
-        if batch_limit < 1:
-            raise ValueError("batch_limit must be positive")
         self.max_workers = max_workers
         self.mode = mode
         self.default_deadline = _checked_deadline(default_deadline)
-        self.batch_limit = batch_limit if mode == "process" else 1
         #: ``provenance["service"]["dispatch"]``: process mode ships
         #: every model through the pipe, thread mode ships none.
         self._dispatch_kind = "cold" if mode == "process" else "inline"
@@ -411,14 +410,7 @@ class SolveService:
             trace_id = (parent.trace_id if parent is not None
                         else context_state.new_trace_id())
 
-        # Computed once per submission: the cache key, the coalescing
-        # map and batch folding all key on it (and content_key
-        # memoizes on the problem anyway).
-        problem_key = (problem.content_key()
-                       if (self._cache is not None
-                           or self.batch_limit > 1) else None)
-        key = (cache_key(problem, solver, config, repair=repair,
-                         problem_key=problem_key)
+        key = (cache_key(problem, solver, config, repair=repair)
                if self._cache is not None else None)
         with self._lock:
             if key is not None:
@@ -455,8 +447,7 @@ class SolveService:
             job = Job(
                 job_id=self._next_id, problem=problem, solver=solver,
                 config=config, repair=repair, priority=priority,
-                deadline=deadline, cache_key=key,
-                model_key=problem_key, trace_id=trace_id,
+                deadline=deadline, cache_key=key, trace_id=trace_id,
             )
             if key is not None:
                 self._inflight[key] = job
@@ -659,162 +650,96 @@ class SolveService:
             if payload is not None:
                 self._merge_drain_payload(payload)
 
-    def _fold_batch(self, job: Job, registry) -> List[Job]:
-        """The jobs riding this dispatch: the leader plus any queued
-        deadline-free jobs on the same model and solver."""
-        members = [job]
-        if (job.deadline is not None or job.model_key is None
-                or self.batch_limit < 2):
-            return members
-        for member in self._queue.take_matching(
-                job.model_key, job.solver, self.batch_limit - 1):
-            with member.lock:
-                if member.status.is_terminal():
-                    continue  # cancelled after take; nothing owed
-                member.status = JobStatus.RUNNING
-            members.append(member)
-        folds = len(members) - 1
-        if folds:
-            if registry is not None:
-                registry.counter(
-                    "service_batch_folds_total",
-                    "queued jobs folded into an in-flight dispatch "
-                    "on the same model and solver"
-                ).inc(folds)
-                _queue_depth(registry).set(len(self._queue))
-        return members
-
     def _execute(self, job: Job, index: int) -> None:
-        """Run a job, plus any foldable queued jobs, through the member
-        loop: down slot ``index``'s pipe in process mode, on this
-        dispatcher thread in thread mode."""
+        """Run one job: down slot ``index``'s pipe in process mode, on
+        this dispatcher thread in thread mode; then finish and resolve
+        it."""
         registry = _metrics.get_registry()
-        members = self._fold_batch(job, registry)
-        queue_seconds = {member.job_id:
-                         member.started_at - member.submitted_at
-                         for member in members}
+        queue_seconds = job.started_at - job.submitted_at
         if registry is not None:
-            wait_hist = registry.histogram(
+            registry.histogram(
                 "service_queue_wait_seconds",
-                "wall clock from submit to dispatch")
-            for member in members:
-                wait_hist.observe(queue_seconds[member.job_id])
-        execute_start = time.perf_counter()
-        outcome = None
-        status = JobStatus.FAILED
-        message: Optional[str] = None
-        raised: Optional[BaseException] = None
+                "wall clock from submit to dispatch").observe(queue_seconds)
         _job_event("dispatching", {
             "trace_id": job.trace_id, "job_id": job.job_id,
-            "solver": job.solver, "batched": len(members),
+            "solver": job.solver,
         }, count=False, instant=False)
-        wire_members = [(member.job_id, member.solver, member.config,
-                         member.trace_id) for member in members]
         tracer = telemetry.get_tracer()
         span = (tracer.span(f"service.execute.{job.problem.name}")
                 if tracer is not None else contextlib.nullcontext())
+        execute_start = time.perf_counter()
+        status = JobStatus.FAILED
+        error: Optional[BaseException] = None
         try:
             with _context.activate(job.trace_id, job_id=job.job_id,
                                    stage="dispatch"):
                 with span:
                     if self._pool is not None:
-                        outcome = self._pool.execute(
-                            index, job, wire_members, job.problem.model,
-                            deadline=job.deadline,
-                            publish_process=(len(members) == 1),
-                        )
+                        pid, payload = self._pool.execute(index, job)
                     else:
-                        outcome = run_inline(job, wire_members,
-                                             job.problem.model,
-                                             deadline=job.deadline)
+                        pid, payload = run_inline(job)
         except WorkerTimeout as exc:
             status = JobStatus.TIMEOUT
-            message = str(exc)
+            error = JobTimeoutError(str(exc))
         except WorkerCancelled:
             status = JobStatus.CANCELLED
+            error = JobCancelledError(f"job {job.job_id} cancelled")
         except WorkerCrashed as exc:
-            message = str(exc)
+            error = ServiceError(str(exc) or "worker failed")
         except BaseException as exc:  # pickling / protocol failures
-            raised = exc
-        elapsed = time.perf_counter() - execute_start
+            error = exc
         if registry is not None:
-            # Once per dispatch: a folded batch shares one solver.
             registry.histogram(
                 "service_execute_seconds",
-                "wall clock of one dispatch's member loop (worker round "
-                "trip or inline run), once per dispatch however many "
-                "jobs it folded, per solver",
-                ("solver",)).labels(solver=job.solver).observe(elapsed)
-        if outcome is not None:
-            for member in members:
-                _job_event("dispatch", {
-                    "trace_id": member.trace_id,
-                    "job_id": member.job_id,
-                    "solver": member.solver,
-                    "dispatch": self._dispatch_kind,
-                    "worker_pid": outcome.pid,
-                    "queue_seconds": queue_seconds[member.job_id],
-                    "batched": len(members),
-                }, count=False, record=False)
-        if outcome is None:
-            # The whole round trip failed; every member shares its
-            # fate (folded members are deadline-free, so a TIMEOUT /
-            # CANCELLED here is always a singleton batch).
-            for member in members:
-                if status is JobStatus.TIMEOUT:
-                    error: Optional[BaseException] = JobTimeoutError(
-                        message)
-                elif status is JobStatus.CANCELLED:
-                    error = JobCancelledError(
-                        f"job {member.job_id} cancelled")
-                elif raised is not None:
-                    error = raised
-                else:
-                    error = ServiceError(message or "worker failed")
-                self._finish(member, status, None, error)
+                "wall clock of one job's worker round trip (or inline "
+                "run in thread mode), per solver",
+                ("solver",)).labels(solver=job.solver).observe(
+                    time.perf_counter() - execute_start)
+        if error is not None:
+            self._finish(job, status, None, error)
             return
-        for member, payload in zip(members, outcome.results):
-            self._finish_member(member, payload, outcome,
-                                len(members),
-                                queue_seconds[member.job_id])
+        _job_event("dispatch", {
+            "trace_id": job.trace_id, "job_id": job.job_id,
+            "solver": job.solver, "dispatch": self._dispatch_kind,
+            "worker_pid": pid, "queue_seconds": queue_seconds,
+        }, count=False, record=False)
+        self._finish_job(job, payload, pid, queue_seconds)
 
-    def _finish_member(self, member: Job, payload: Dict[str, Any],
-                       outcome, batch_size: int,
-                       queue_seconds: float) -> None:
+    def _finish_job(self, job: Job, payload: Dict[str, Any], pid: int,
+                    queue_seconds: float) -> None:
         """Run :func:`repro.compile.solve`'s finish step parent-side on
-        one member's compact worker result, then resolve."""
+        the job's compact worker result, then resolve."""
         if not payload["ok"]:
             error = ServiceError(
-                f"worker (pid={outcome.pid}) failed job "
-                f"{member.job_id}:\n{payload['traceback']}"
+                f"worker (pid={pid}) failed job "
+                f"{job.job_id}:\n{payload['traceback']}"
             )
-            self._finish(member, JobStatus.FAILED, None, error)
+            self._finish(job, JobStatus.FAILED, None, error)
             return
         service_block: Dict[str, Any] = {
-            "job_id": member.job_id,
+            "job_id": job.job_id,
             "mode": self.mode,
-            "worker_pid": outcome.pid,
+            "worker_pid": pid,
             "queue_seconds": queue_seconds,
-            "deadline": member.deadline,
-            "coalesced": member.coalesced,
-            "cache": "miss" if member.cache_key is not None else "off",
+            "deadline": job.deadline,
+            "coalesced": job.coalesced,
+            "cache": "miss" if job.cache_key is not None else "off",
             "dispatch": self._dispatch_kind,
-            "batched": batch_size,
         }
-        if member.trace_id is not None:
-            service_block["trace_id"] = member.trace_id
+        if job.trace_id is not None:
+            service_block["trace_id"] = job.trace_id
         try:
             record = {**payload,
                       "samples": expand_samples(payload["samples"])}
             result = finish_solve(
-                member.problem, member.solver, member.config, record,
-                repair=member.repair,
+                job.problem, job.solver, job.config, record,
+                repair=job.repair,
                 provenance_extra={"service": service_block},
             )
         except BaseException as exc:  # decode/score hooks can raise
-            self._finish(member, JobStatus.FAILED, None, exc)
+            self._finish(job, JobStatus.FAILED, None, exc)
             return
-        self._finish(member, JobStatus.DONE, result, None)
+        self._finish(job, JobStatus.DONE, result, None)
 
     def _finish(self, job: Job, status: JobStatus,
                 result: Optional[SolveResult],

@@ -28,11 +28,10 @@ pool drains, so ``service_metrics_merges_total`` counts drained
 workers, not jobs, and ``run_experiment`` folds each run's fresh
 registry into the caller's the same way.
 
-The warm-pool service layer contributes its own instrument family on
-top of the job/queue/cache set: ``service_worker_respawns_total``
-(reap-and-replace events; exported as an explicit 0 on healthy runs)
-and ``service_batch_folds_total`` (cross-job folds of same-model
-submissions).
+The warm-pool service layer contributes its own instrument on top of
+the job/queue/cache set: ``service_worker_respawns_total``
+(reap-and-replace events; exported as an explicit 0 on healthy
+runs).
 
 Like the tracer, metrics are **off by default and cheap when off**:
 instrumented hot paths fetch :func:`get_registry` once per

@@ -161,7 +161,6 @@ def build_timeline(trace_id: str, entry: Mapping[str, Any]
         "queue_seconds": None,
         "dispatch": None,
         "worker_pid": None,
-        "batched": None,
         "stages": [],
         "worker_spans": [],
         "convergence_rows": 0,
@@ -206,7 +205,6 @@ def build_timeline(trace_id: str, entry: Mapping[str, Any]
         elif name == "service.job.dispatch":
             summary["dispatch"] = args.get("dispatch")
             summary["worker_pid"] = args.get("worker_pid")
-            summary["batched"] = args.get("batched")
             if args.get("queue_seconds") is not None:
                 summary["queue_seconds"] = args["queue_seconds"]
         elif name == "service.job.finish":
@@ -282,9 +280,7 @@ def render_timeline(summary: Mapping[str, Any],
         f"  queue wait: {_ms(summary['queue_seconds'])}"
         f"   dispatch: {summary['dispatch'] or '-'}"
         + (f" (worker pid {summary['worker_pid']})"
-           if summary.get("worker_pid") else "")
-        + (f"   batched: {summary['batched']}"
-           if summary.get("batched") else ""))
+           if summary.get("worker_pid") else ""))
     if summary["stages"]:
         lines.append("  pipeline stages:")
         for stage in summary["stages"]:

@@ -1,5 +1,6 @@
-"""Warm-pool lifecycle: crash respawn, deadline reap, process hygiene,
-cross-job batching, and bit-for-bit parity across worker counts."""
+"""Warm-pool lifecycle: crash respawn, deadline and cancel reap,
+process hygiene, one round trip per job, and bit-for-bit parity
+across worker counts."""
 
 import json
 import os
@@ -71,14 +72,15 @@ def test_parity_with_sequential_across_worker_counts(workers):
                for direct, result in zip(sequential, concurrent))
 
 
-def test_same_model_jobs_fold_into_batches_with_parity():
+@pytest.mark.parametrize("mode", ["process", "thread"])
+def test_same_model_jobs_run_one_round_trip_each_with_parity(mode):
     shared = problem(seed=5)
     configs = [config(seed=200 + index) for index in range(10)]
     sequential = [dispatch_solve(shared, "sa", config=c)
                   for c in configs]
     registry = telemetry.enable_metrics()
     try:
-        with SolveService(max_workers=1, batch_limit=4) as service:
+        with SolveService(max_workers=1, mode=mode) as service:
             handles = [service.submit(shared, "sa", c) for c in configs]
             results = [handle.result(timeout=120) for handle in handles]
             stats = service.stats()
@@ -86,45 +88,45 @@ def test_same_model_jobs_fold_into_batches_with_parity():
         telemetry.disable_metrics()
     assert all(results_equal(direct, result)
                for direct, result in zip(sequential, results))
-    # 10 same-model jobs on 1 worker with batch_limit=4 cannot have
-    # taken 10 round trips; most rode along as folded members.
-    batched = [r.provenance["service"]["batched"] for r in results]
-    assert max(batched) > 1
-    assert stats["pool"]["jobs_run"] == 10
-    # One round trip per batch, and a batch of k reports batched=k.
-    round_trips = round(sum(1 / size for size in batched))
-    assert stats["pool"]["dispatches_cold"] == round_trips
-    assert round_trips < 10
-    # The member loop is timed once per round trip, not once per
-    # folded member.
+    # 10 same-model jobs queued behind one dispatcher are still 10
+    # dispatches: each job is timed once, and in process mode each is
+    # its own worker round trip.
     execute = registry.get("service_execute_seconds")
-    assert execute.labels(solver="sa").count == round_trips
+    assert execute.labels(solver="sa").count == 10
+    if mode == "process":
+        assert stats["pool"]["dispatches_cold"] == 10
+        assert stats["pool"]["jobs_run"] == 10
 
 
-def test_batching_disabled_with_batch_limit_one():
-    shared = problem(seed=5)
-    with SolveService(max_workers=1, batch_limit=1) as service:
-        handles = [service.submit(shared, "sa", config(seed=300 + i))
-                   for i in range(4)]
-        results = [handle.result(timeout=120) for handle in handles]
-    assert all(r.provenance["service"]["batched"] == 1
-               for r in results)
-
-
-def test_thread_mode_never_folds():
-    shared = problem(seed=5)
-    with SolveService(max_workers=1, mode="thread",
-                      batch_limit=4) as service:
-        # The decoy holds the only dispatcher while the same-model
-        # jobs queue up behind it.
+def test_cancel_reaps_running_job_with_same_model_jobs_queued():
+    shared = problem(seed=5, relations=6)
+    # The first job is long enough to still be running when cancelled.
+    configs = [config(seed=500 + index,
+                      sweeps=30000 if index == 0 else 3000, reads=20)
+               for index in range(3)]
+    with SolveService(max_workers=1) as service:
+        # The decoy holds the only worker while the same-model jobs
+        # queue up behind it.
         decoy = service.submit(problem(seed=6, relations=6), "sa",
-                               config(seed=1, sweeps=2000, reads=20))
-        handles = [service.submit(shared, "sa", config(seed=300 + i))
-                   for i in range(4)]
-        results = [handle.result(timeout=120) for handle in handles]
+                               config(seed=1, sweeps=1500, reads=20))
+        handles = [service.submit(shared, "sa", c) for c in configs]
+        deadline = time.time() + 60
+        while handles[0].status is JobStatus.PENDING:
+            assert time.time() < deadline, "job never started"
+            time.sleep(0.005)
+        # Only the first same-model job left the queue.
+        assert [h.status for h in handles[1:]] == [JobStatus.PENDING] * 2
+        time.sleep(0.2)  # let the dispatch actually reach the worker
+        assert handles[0].cancel()
+        deadline = time.time() + 20
+        while service.stats()["pool"]["respawns"] < 1:
+            assert time.time() < deadline, "cancel did not reap the worker"
+            time.sleep(0.01)
+        rest = [handle.result(timeout=120) for handle in handles[1:]]
         assert decoy.result(timeout=120).feasible
-    assert [r.provenance["service"]["batched"] for r in results] \
-        == [1] * 4
+    assert handles[0].status is JobStatus.CANCELLED
+    assert all(results_equal(dispatch_solve(shared, "sa", config=c), r)
+               for c, r in zip(configs[1:], rest))
 
 
 def test_worker_crash_mid_job_respawns_and_fails_job():

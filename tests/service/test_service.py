@@ -5,6 +5,7 @@ import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -170,6 +171,33 @@ def test_submit_validation_errors():
         assert service.stats()["pool"]["respawns"] == 0
     with pytest.raises(ValueError, match="deadline"):
         SolveService(max_workers=1, default_deadline=math.nan)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("max_workers", True),
+    ("max_workers", 2.0),
+    ("queue_capacity", 2.5),
+    ("queue_capacity", False),
+    ("cache_entries", math.nan),
+    ("cache_entries", True),
+])
+def test_constructor_rejects_bad_counts(name, value):
+    # A cache bound of NaN never evicts (len > nan is always false),
+    # and a float worker count fails deep inside range().
+    with pytest.raises(ValueError, match=name):
+        SolveService(mode="thread", **{name: value})
+
+
+def test_constructor_stores_numpy_counts_as_int():
+    with SolveService(max_workers=np.int64(2), mode="thread",
+                      queue_capacity=np.int32(4),
+                      cache_entries=np.uint8(0)) as service:
+        stats = service.stats()
+        assert type(stats["max_workers"]) is int
+        assert stats["max_workers"] == 2
+        assert type(stats["queue"]["capacity"]) is int
+        assert stats["cache"] is None
+        assert service.solve(problem(), "sa", config()).feasible
 
 
 def test_thread_mode_allows_unpicklable_options():

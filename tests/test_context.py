@@ -325,8 +325,7 @@ def _service_events(trace_id, job_id):
          "ts": 30.0, "pid": 1, "tid": 1,
          "args": {"trace_id": trace_id, "job_id": job_id,
                   "solver": "sa", "dispatch": "warm",
-                  "worker_pid": 2, "queue_seconds": 0.004,
-                  "batched": 1}},
+                  "worker_pid": 2, "queue_seconds": 0.004}},
         {"name": "service.job.finish", "cat": "service", "ph": "I",
          "ts": 40.0, "pid": 1, "tid": 1,
          "args": {"trace_id": trace_id, "job_id": job_id,
