@@ -1083,11 +1083,12 @@ def run_obs_overhead_workload(num_jobs, num_relations,
     The service-throughput batch (independent seeded join-order jobs
     on the warm pool) runs once at ``telemetry.observe("off")`` and
     once at ``telemetry.observe("flight")`` — the metrics registry,
-    trace contexts and the in-memory flight recorder, the level
+    trace contexts and the lifecycle event ring with the flight
+    recorder that cuts capsules from it, the level
     ``serve-bench --flight`` ships. The enabled side pays registry
     accounting and the workers' snapshot merge, context minting per
-    job, trace-id plumbing over the pipe protocol, ring-buffer
-    recording and drain attribution; the record's ``overhead_fraction``
+    job, trace-id plumbing over the pipe protocol and one ring instant
+    per job fact; the record's ``overhead_fraction``
     caps that cost at the embedded ``gate_max_overhead`` (5% at full
     scale). ``matches_direct`` asserts the observed batch reproduces
     the plain batch bit for bit — observability never touches the

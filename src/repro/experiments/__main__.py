@@ -43,9 +43,9 @@ regressed beyond tolerance (see
 :mod:`repro.telemetry.bench_compare`). ``metrics-report`` renders a
 ``repro-metrics/v1`` snapshot (or sampler JSONL) as a text dashboard
 with latency quantiles and an SLO health section (see
-:mod:`repro.telemetry.metrics_report`). ``obs-report`` joins a Chrome
-trace, a metrics snapshot and flight capsules by ``trace_id`` into
-per-job timelines (see :mod:`repro.telemetry.obs_report`).
+:mod:`repro.telemetry.metrics_report`). ``obs-report`` filters one
+Chrome trace or flight capsule by ``trace_id`` into per-job timelines
+(see :mod:`repro.telemetry.obs_report`).
 """
 
 from __future__ import annotations

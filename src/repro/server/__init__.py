@@ -19,7 +19,7 @@ many concurrent clients. This package is that boundary — stdlib-only
 * **Operations** — ``/healthz``, Prometheus ``/metrics``, per-request
   trace contexts joining HTTP spans to job timelines (``obs-report
   --source server``), graceful SIGTERM drain that finishes inflight
-  work and flushes flight capsules.
+  work and cuts a ``server_drain`` flight capsule.
 
 Quick start::
 

@@ -19,7 +19,8 @@ Routes::
     GET  /metrics              Prometheus text exposition
 
 Graceful drain (SIGTERM/SIGINT): new submissions get 503, inflight
-jobs finish, flight capsules flush, then the listener closes.
+jobs finish, a ``server_drain`` flight capsule is cut from the event
+log (at the ``flight`` level and above), then the listener closes.
 """
 
 from __future__ import annotations
@@ -424,7 +425,15 @@ class ReproServer:
     async def _handle_list(self, request: Request, writer, params,
                            context) -> Tuple[int, bool]:
         jobs = self.jobs.jobs()
-        limit = min(int(request.query.get("limit", 100) or 100), 1000)
+        raw = request.query.get("limit", "100")
+        try:
+            limit = int(raw)
+        except ValueError:
+            limit = 0
+        if limit < 1:
+            raise HttpError(400, f"limit must be an integer >= 1, "
+                                 f"got {raw!r}")
+        limit = min(limit, 1000)
         payload = {
             "count": len(jobs),
             "jobs": [job.describe() for job in jobs[-limit:]],

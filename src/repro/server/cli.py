@@ -5,8 +5,10 @@ metrics registry behind ``/metrics`` plus trace-context ids on every
 request and job (a long-running network service without them defeats
 the point). ``--observe`` picks another level of
 :func:`repro.telemetry.observe`; without it, ``REPRO_OBSERVE`` wins
-when set. At ``flight`` the recorder writes its capsules (a failed
-job's, the SIGTERM drain's) to ``REPRO_FLIGHT_DIR``.
+when set. At ``flight`` every job fact goes to one bounded event
+ring, and the recorder cuts ``repro-flight/v2`` capsules from it (a
+failed job's, the SIGTERM drain's) into ``REPRO_FLIGHT_DIR``; file
+names carry the writing pid, so processes can share the directory.
 """
 
 from __future__ import annotations

@@ -21,7 +21,11 @@ job and not just a demo.
 
 ``--trace FILE`` records the run as Chrome ``trace_event`` JSON with
 the worker processes' timelines merged onto the parent's — open it in
-Perfetto to see jobs fan out across worker pids.
+Perfetto to see jobs fan out across worker pids. ``--flight DIR``
+cuts a ``repro-flight/v2`` capsule into DIR for every failed or
+timed-out job; with ``--trace`` as well, the trace is the ring the
+capsules are cut from, so it holds each capsule's ``flight.capsule``
+instant and ``obs-report`` needs only that one file.
 
 ``--metrics`` prints the report of the service run's registry
 (queue-wait/exec-time histograms, cache and job counters, worker
@@ -159,12 +163,12 @@ def main(argv) -> int:
                              "the run's metrics; a fail status fails "
                              "the benchmark (implies --metrics)")
     parser.add_argument("--flight", metavar="DIR",
-                        help="enable the flight recorder, dumping "
-                             "repro-flight/v1 capsules for failed/"
-                             "timed-out jobs into DIR; with it every "
-                             "job gets a trace_id correlating queue, "
-                             "dispatch, worker and trace events "
-                             "(obs-report joins on it)")
+                        help="run at the flight level: every job gets "
+                             "a trace_id, its lifecycle facts go to "
+                             "one bounded event ring, and failed/"
+                             "timed-out jobs cut repro-flight/v2 "
+                             "capsules from it into DIR (obs-report "
+                             "reads a capsule or the --trace file)")
     parser.add_argument("--force-timeout", action="store_true",
                         help="additionally submit one oversized job "
                              "with a tiny deadline so it is reaped — "

@@ -33,11 +33,9 @@ the original problem hooks as ever.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 import traceback
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -60,9 +58,6 @@ DRAIN_TIMEOUT_SECONDS = 10.0
 #: Seconds granted for a terminated worker to exit before escalating
 #: from SIGTERM to SIGKILL.
 REAP_GRACE_SECONDS = 1.0
-
-#: Most recent per-job attribution entries a worker ships at drain.
-WORKER_ATTRIBUTION_LOG = 1024
 
 
 def _respawns_counter(registry: "_metrics.MetricsRegistry"):
@@ -165,9 +160,9 @@ def _task(job) -> Tuple[Any, ...]:
     return job.job_id, job.solver, job.config, job.trace_id
 
 
-def run_inline(job) -> Tuple[int, Dict[str, Any]]:
+def run_inline(job) -> Dict[str, Any]:
     """Thread mode's round trip: the job step on the calling thread;
-    returns this process's pid and the job's compact result.
+    returns the job's compact result.
 
     Telemetry flows into the process-global state directly, so there
     is no snapshot to merge at drain. The deadline is soft: a Python
@@ -184,26 +179,19 @@ def run_inline(job) -> Tuple[int, Dict[str, Any]]:
             "workers enforce deadlines post-hoc — use mode='process' "
             "for hard reaping"
         )
-    return os.getpid(), result
+    return result
 
 
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-def _capture_payload(tracer, registry,
-                     jobs: Optional[List[Dict[str, Any]]] = None
-                     ) -> Dict[str, Any]:
+def _capture_payload(tracer, registry) -> Dict[str, Any]:
     return {
-        "pid": os.getpid(),
         "trace_events": tracer.events() if tracer is not None else None,
         "trace_epoch_ns": (tracer.epoch_ns
                            if tracer is not None else None),
         "metrics_snapshot": (registry.snapshot()
                              if registry is not None else None),
-        # Per-job attribution: which (job_id, trace_id, solver) each
-        # merged snapshot covers — without it, drain-merged worker
-        # telemetry cannot be tied back to the jobs that produced it.
-        "jobs": list(jobs) if jobs else [],
     }
 
 
@@ -228,7 +216,6 @@ def _warm_worker_main(connection, index: int, level: str) -> None:
                            args={"index": index})
 
     raise_level(level)
-    jobs_log: deque = deque(maxlen=WORKER_ATTRIBUTION_LOG)
     try:
         while True:
             try:
@@ -240,21 +227,12 @@ def _warm_worker_main(connection, index: int, level: str) -> None:
                 connection.send(
                     ("drained",
                      _capture_payload(telemetry.get_tracer(),
-                                      _metrics.get_registry(),
-                                      jobs=list(jobs_log))))
+                                      _metrics.get_registry())))
                 return
             _, task_id, level, model, task = message
             raise_level(level)
             result = _run_job(model, *task)
-            job_id, solver, _config, trace_id = task
-            jobs_log.append({
-                "job_id": job_id,
-                "trace_id": trace_id,
-                "solver": solver,
-                "ok": result["ok"],
-                "duration": result.get("duration"),
-            })
-            connection.send(("ok", task_id, os.getpid(), result))
+            connection.send(("ok", task_id, result))
     finally:
         try:
             connection.close()
@@ -337,14 +315,14 @@ class WarmWorkerPool:
             return [worker.process.pid for worker in self._workers]
 
     # -- execution -------------------------------------------------------
-    def execute(self, index: int, job) -> Tuple[int, Dict[str, Any]]:
+    def execute(self, index: int, job) -> Dict[str, Any]:
         """Run one job on slot ``index``; reap+respawn on harm.
 
         ``job`` is the service's :class:`~repro.service.queue.Job`. Its
         ``process`` slot is published while the worker runs it, so a
         concurrent ``cancel()`` can reap the worker, and its terminal
         status tells a cancel-kill from a genuine crash. Returns the
-        worker's pid and the job's compact result; raises
+        job's compact result; raises
         :class:`WorkerTimeout`, :class:`WorkerCancelled` or
         :class:`WorkerCrashed`.
 
@@ -378,10 +356,9 @@ class WarmWorkerPool:
         finally:
             with job.lock:
                 job.process = None
-        _status, _task_id, pid, result = reply
         with self._lock:
             self.round_trips += 1
-        return pid, result
+        return reply[2]
 
     def _await_reply(self, worker: _WarmWorker, job, task_id: int):
         connection = worker.connection
@@ -466,9 +443,9 @@ class WarmWorkerPool:
     def _pid(process) -> Optional[int]:
         """``process.pid``, or ``None`` once the handle is closed.
 
-        ``stats()`` is documented as readable after shutdown (the drain
-        log only fills in then), so the snapshot must not trip over
-        closed :class:`multiprocessing.Process` objects.
+        ``stats()`` is documented as readable after shutdown, so the
+        snapshot must not trip over closed
+        :class:`multiprocessing.Process` objects.
         """
         try:
             return process.pid

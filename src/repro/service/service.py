@@ -22,11 +22,12 @@ call into a managed execution subsystem:
   (problem terms + solver + config + seed); repeat submissions hit the
   LRU cache and *identical in-flight* submissions coalesce onto the
   same job instead of re-executing.
-* **telemetry** — each warm worker's trace events and metrics
-  registry accumulate across its whole life and fold into the
-  parent's once, at pool drain; every result's provenance carries a
-  ``service`` block (job id, worker pid, queue wait, cache and
-  dispatch disposition).
+* **telemetry** — each job fact is one instant in the event log
+  (:func:`repro.telemetry.flight.event_log`); each warm worker's trace
+  events and metrics registry accumulate across its whole life and
+  fold into the parent's once, at pool drain; every result's
+  provenance carries a ``service`` block (job id, worker pid, queue
+  wait, cache and dispatch disposition).
 
 Results are bit-for-bit identical to sequential ``solve`` calls under
 fixed seeds because they run ``solve``'s own two steps: the job step
@@ -42,6 +43,7 @@ import contextlib
 import math
 import multiprocessing
 import numbers
+import os
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
@@ -94,33 +96,26 @@ def _queue_depth(registry: "_metrics.MetricsRegistry"):
 
 
 def _job_event(event: str, args: Dict[str, Any], *, count: bool = True,
-               instant: bool = True, record: bool = True,
-               record_only: Optional[Dict[str, Any]] = None,
                capsule: Optional[Dict[str, Any]] = None) -> None:
-    """Report one job lifecycle fact to every telemetry layer that is on.
+    """Report one job lifecycle fact, once, to the layers that are on.
 
-    ``count`` bumps ``service_jobs_total{status=event}``. ``instant``
-    emits the tracer instant ``service.job.<event>`` with ``args`` (a
-    terminal status emits ``service.job.finish``). ``record`` appends
-    the flight record ``("job", event)`` with ``args`` plus
-    ``record_only``, whose ``trace_id``/``job_id`` file the record, and
-    ``capsule`` then dumps the ``job_<event>`` capsule with that detail.
+    ``count`` bumps ``service_jobs_total{status=event}``. The fact is
+    the instant ``service.job.<event>`` (a terminal status writes
+    ``service.job.finish``) with ``args`` in the event log, whose
+    ``trace_id``/``job_id`` file it; ``capsule`` then cuts the
+    ``job_<event>`` flight capsule with that detail.
     """
     registry = _metrics.get_registry()
-    tracer = telemetry.get_tracer()
-    recorder = _flight.get_flight_recorder()
     if count and registry is not None:
         _jobs_total(registry).labels(status=event).inc()
-    if instant and tracer is not None:
+    log = _flight.event_log()
+    if log is not None:
         name = "finish" if event in _TERMINAL else event
-        tracer.instant(f"service.job.{name}", category="service",
-                       args=args)
-    if record and recorder is not None:
-        details = {**args, **(record_only or {})}
-        recorder.record("job", event, **details)
-        if capsule is not None:
-            recorder.dump(f"job_{event}", trace_id=details["trace_id"],
-                          job_id=details["job_id"], detail=capsule)
+        log.instant(f"service.job.{name}", category="service", args=args)
+    recorder = _flight.get_flight_recorder()
+    if capsule is not None and recorder is not None:
+        recorder.dump(f"job_{event}", trace_id=args["trace_id"],
+                      job_id=args["job_id"], detail=capsule)
 
 
 _TERMINAL = frozenset(status.value for status in JobStatus
@@ -149,8 +144,8 @@ def _resolve(job: Job, status: JobStatus,
         _job_event(status.value, {
             "trace_id": job.trace_id, "job_id": job.job_id,
             "solver": job.solver, "status": status.value,
-            "queue_seconds": queue_seconds,
-        }, record_only={"error": message}, capsule=capsule)
+            "queue_seconds": queue_seconds, "error": message,
+        }, capsule=capsule)
 
     return job.resolve(status, result=result, error=error,
                        announce=announce)
@@ -338,9 +333,6 @@ class SolveService:
         self._stats = {status: 0 for status in JobStatus}
         self._coalesced = 0
         self._cache_hits_served = 0
-        #: Per-worker attribution shipped at pool drain: which
-        #: (job_id, trace_id, solver) each merged snapshot covered.
-        self._drain_log: List[Dict[str, Any]] = []
         self._pool = (WarmWorkerPool(max_workers, self._context)
                       if mode == "process" else None)
         self._dispatchers = [
@@ -423,16 +415,14 @@ class SolveService:
                 if inflight is not None:
                     inflight.coalesced += 1
                     self._coalesced += 1
-                    # A coalesced submission has no job of its own:
-                    # its flight record files under the leader's.
+                    # A coalesced submission has no job of its own: its
+                    # instant files under the leader's job id, so the
+                    # leader's capsule keeps it.
                     _job_event("coalesced", {
                         "trace_id": trace_id,
-                        "leader_job_id": inflight.job_id,
+                        "job_id": inflight.job_id,
                         "leader_trace_id": inflight.trace_id,
                         "solver": solver,
-                    }, record_only={
-                        "trace_id": trace_id or inflight.trace_id,
-                        "job_id": inflight.job_id,
                     })
                     registry = _metrics.get_registry()
                     if registry is not None:
@@ -660,10 +650,15 @@ class SolveService:
             registry.histogram(
                 "service_queue_wait_seconds",
                 "wall clock from submit to dispatch").observe(queue_seconds)
-        _job_event("dispatching", {
+        # The job goes to slot ``index``'s worker, whose pid cannot
+        # change before the round trip: only this thread respawns it.
+        pid = (self._pool.worker(index).process.pid
+               if self._pool is not None else os.getpid())
+        _job_event("dispatch", {
             "trace_id": job.trace_id, "job_id": job.job_id,
-            "solver": job.solver,
-        }, count=False, instant=False)
+            "solver": job.solver, "dispatch": self._dispatch_kind,
+            "worker_pid": pid, "queue_seconds": queue_seconds,
+        }, count=False)
         tracer = telemetry.get_tracer()
         span = (tracer.span(f"service.execute.{job.problem.name}")
                 if tracer is not None else contextlib.nullcontext())
@@ -675,9 +670,9 @@ class SolveService:
                                    stage="dispatch"):
                 with span:
                     if self._pool is not None:
-                        pid, payload = self._pool.execute(index, job)
+                        payload = self._pool.execute(index, job)
                     else:
-                        pid, payload = run_inline(job)
+                        payload = run_inline(job)
         except WorkerTimeout as exc:
             status = JobStatus.TIMEOUT
             error = JobTimeoutError(str(exc))
@@ -698,11 +693,6 @@ class SolveService:
         if error is not None:
             self._finish(job, status, None, error)
             return
-        _job_event("dispatch", {
-            "trace_id": job.trace_id, "job_id": job.job_id,
-            "solver": job.solver, "dispatch": self._dispatch_kind,
-            "worker_pid": pid, "queue_seconds": queue_seconds,
-        }, count=False, record=False)
         self._finish_job(job, payload, pid, queue_seconds)
 
     def _finish_job(self, job: Job, payload: Dict[str, Any], pid: int,
@@ -763,29 +753,14 @@ class SolveService:
         worker merges exactly once — at pool drain (merging cumulative
         snapshots per job would double-count). A worker killed by a
         deadline or cancel reap never drains — its telemetry dies with
-        it.
-
-        The payload's ``jobs`` attribution log (which job/trace each
-        merged snapshot covers) is kept on the service and mirrored as
-        a ``service.pool.drain_merge`` trace instant, so drain-merged
-        worker telemetry stays attributable after the fold.
+        it. The merged events carry their jobs' ``trace_id``/``job_id``,
+        and each job's ``service.job.dispatch`` instant names the
+        worker pid it ran on.
         """
-        jobs = payload.get("jobs") or []
-        if jobs:
-            with self._lock:
-                self._drain_log.append({"pid": payload.get("pid"),
-                                        "jobs": list(jobs)})
         tracer = telemetry.get_tracer()
         if tracer is not None and payload.get("trace_events"):
             tracer.merge_events(payload["trace_events"],
                                 epoch_ns=payload.get("trace_epoch_ns"))
-        if tracer is not None and jobs:
-            tracer.instant(
-                "service.pool.drain_merge", category="service",
-                args={"pid": payload.get("pid"),
-                      "jobs": [{"job_id": entry.get("job_id"),
-                                "trace_id": entry.get("trace_id")}
-                               for entry in jobs]})
         registry = _metrics.get_registry()
         if (registry is not None
                 and payload.get("metrics_snapshot") is not None):
@@ -815,9 +790,7 @@ class SolveService:
             jobs["coalesced"] = self._coalesced
             jobs["cache_hits_served"] = self._cache_hits_served
             inflight = len(self._inflight)
-            drains = [dict(entry) for entry in self._drain_log]
         return {
-            "drains": drains,
             "mode": self.mode,
             "max_workers": self.max_workers,
             "jobs": jobs,
@@ -831,19 +804,9 @@ class SolveService:
             "shm": {"bytes_shared": 0},
         }
 
-    def shutdown(self, wait: bool = True,
-                 cancel_pending: bool = False) -> None:
-        """Stop accepting jobs; optionally wait for the pool to drain.
-
-        ``cancel_pending=True`` additionally cancels every job still
-        queued (running jobs finish or are reaped by their deadlines).
-        """
+    def shutdown(self, wait: bool = True) -> None:
+        """Stop accepting jobs; optionally wait for the pool to drain."""
         self._shutdown = True
-        if cancel_pending:
-            with self._lock:
-                pending = list(self._inflight.values())
-            for job in pending:
-                self._cancel_job(job)
         self._queue.close()
         if wait:
             for thread in self._dispatchers:

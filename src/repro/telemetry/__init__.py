@@ -22,11 +22,13 @@ levels (:data:`LEVELS`), and each level includes every one below it.
 ``metrics``  the :class:`~repro.telemetry.metrics.MetricsRegistry`
              (and with it ``span_seconds``)
 ``context``  plus trace-context ids (:mod:`repro.telemetry.context`)
-``flight``   plus the failure flight recorder
-             (:mod:`repro.telemetry.flight`); capsules go to
+``flight``   plus a lifecycle-only event ring (4,096 events) and the
+             failure flight recorder (:mod:`repro.telemetry.flight`)
+             that cuts capsules from it; capsules go to
              ``flight_dir`` or ``REPRO_FLIGHT_DIR``
-``trace``    plus the event tracer (:mod:`repro.telemetry.trace`) and
-             the process-wide sampling profiler
+``trace``    plus the event tracer (:mod:`repro.telemetry.trace`),
+             which is then the ring capsules are cut from, and the
+             process-wide sampling profiler
 ===========  ==========================================================
 
 ::
@@ -156,7 +158,9 @@ def observe(level: str, *, flight_dir: Optional[str] = None) -> None:
     layers that change are built or dropped. ``flight_dir`` is where
     the flight recorder writes capsules (default ``REPRO_FLIGHT_DIR``,
     else memory only); given for a recorder that is already on, it
-    redirects that recorder.
+    redirects that recorder. The ``flight`` level's lifecycle ring is
+    never the global tracer: :func:`get_tracer` stays ``None`` below
+    ``trace``.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown telemetry level {level!r}; expected "

@@ -18,7 +18,7 @@ This module fixes that with a minimal trace context:
   context stack.  Enabled processes annotate every
   :class:`~repro.telemetry.trace.Tracer` event with the active
   ``trace_id``/``job_id`` (see ``Tracer._emit``), which is what the
-  ``obs-report`` CLI joins on.
+  ``obs-report`` CLI filters on.
 
 Like the tracer and the metrics registry, the layer is
 **off by default** and cheap when off: the only cost on hot paths is
@@ -58,7 +58,7 @@ class TraceContext:
     stage: Optional[str] = None
 
     def annotation(self) -> Dict[str, Any]:
-        """The fields stamped onto trace events and flight records."""
+        """The fields stamped onto trace events."""
         args: Dict[str, Any] = {"trace_id": self.trace_id}
         if self.job_id is not None:
             args["job_id"] = self.job_id

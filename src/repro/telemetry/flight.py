@@ -1,21 +1,30 @@
-"""Per-job flight recorder: a black box that dumps on failure.
+"""Failure flight capsules, cut from the one event log.
 
-A :class:`FlightRecorder` keeps a bounded ring buffer of small,
-correlated events (job submitted, dispatched, reaped...), each stamped
-with the active :mod:`~repro.telemetry.context` ids.  Nothing is
-written anywhere until something goes wrong: when a job finishes
-FAILED/TIMEOUT (wired in ``SolveService._finish``) or an SLO rule
-fails (wired in :func:`repro.telemetry.health.evaluate_rules`), the
-recorder dumps a ``repro-flight/v1`` JSON capsule — the recent events
-for that trace plus ambient ones — in memory and, when a ``dump_dir``
-is configured, to ``flight-*.json`` on disk.
+Every job lifecycle fact (submitted, dispatch, finish...) is written
+once, as a Chrome instant, to one ring: the global
+:class:`~repro.telemetry.trace.Tracer` at the ``trace`` level, and
+below it, at ``flight``, the :class:`FlightRecorder`'s own
+lifecycle-only tracer, bounded at :data:`MAX_FLIGHT_EVENTS` events,
+which :func:`~repro.telemetry.trace.get_tracer` never returns.
+:func:`event_log` names whichever is on.
 
-Like every other telemetry layer the recorder is off by default and
-cheap when off: hot paths fetch :func:`get_flight_recorder` once and
-skip on ``None``.  The ``flight`` level of
-:func:`repro.telemetry.observe` (``REPRO_OBSERVE=flight``) and the
-level above it turn it on; capsules go to ``REPRO_FLIGHT_DIR`` unless
-``observe`` names a ``flight_dir``.
+Nothing is written anywhere until something goes wrong: when a job
+finishes FAILED/TIMEOUT (wired in ``repro.service.service``), an SLO
+rule fails (:func:`repro.telemetry.health.evaluate_rules`) or the HTTP
+server drains, :meth:`FlightRecorder.dump` leaves a ``flight.capsule``
+instant in the ring and cuts a ``repro-flight/v2`` capsule from it:
+that trace's events plus ambient ones (lifecycle facts naming no trace
+and no job, such as SLO breaches), at most :data:`MAX_FLIGHT_EVENTS`
+of them, as a Chrome
+``traceEvents`` document that opens in Perfetto and in ``obs-report``
+unchanged. Capsules are kept in memory and, when a ``dump_dir`` is
+configured, written to ``flight-{pid}-*.json`` on disk.
+
+Like every other telemetry layer the recorder is off by default:
+the ``flight`` level of :func:`repro.telemetry.observe`
+(``REPRO_OBSERVE=flight``) and the level above it turn it on, and
+capsules go to ``REPRO_FLIGHT_DIR`` unless ``observe`` names a
+``flight_dir``.
 
 :func:`validate_flight_document` is the structural validator CI runs
 against emitted capsules, mirroring
@@ -30,15 +39,14 @@ import math
 import os
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, List, Optional
 
-from . import context as _context
+from . import trace as _trace
 
 #: Schema tag carried by every capsule.
-FLIGHT_SCHEMA = "repro-flight/v1"
+FLIGHT_SCHEMA = "repro-flight/v2"
 
-#: Default ring-buffer capacity (events, not bytes).
+#: Capacity of the ``flight`` level's ring, and most events per capsule.
 MAX_FLIGHT_EVENTS = 4096
 
 #: In-memory capsules kept before the oldest is dropped.
@@ -46,6 +54,9 @@ MAX_CAPSULES = 64
 
 #: Environment variable naming the default capsule directory.
 ENV_DIR_VAR = "REPRO_FLIGHT_DIR"
+
+#: Event categories of lifecycle facts: job instants and capsules.
+LIFECYCLE_CATEGORIES = ("service", "flight")
 
 
 def _json_safe(value: Any) -> Any:
@@ -61,86 +72,72 @@ def _json_safe(value: Any) -> Any:
     return repr(value)
 
 
-class FlightRecorder:
-    """Bounded ring of correlated events plus capsule dumping."""
+def _belongs(event: Dict[str, Any], trace_id: Optional[str],
+             job_id: Optional[int]) -> bool:
+    """Whether a capsule for ``trace_id``/``job_id`` keeps ``event``.
 
-    def __init__(self, max_events: int = MAX_FLIGHT_EVENTS,
-                 dump_dir: Optional[str] = None,
-                 max_capsules: int = MAX_CAPSULES) -> None:
+    Without ids every event belongs. With them, an event belongs when
+    it carries the matching id — or is an ambient lifecycle fact that
+    carries *no* ids (an SLO breach belongs in every capsule; the
+    untraced spans and counters of the ``trace`` level do not).
+    """
+    if trace_id is None and job_id is None:
+        return True
+    args = event.get("args") or {}
+    event_trace, event_job = args.get("trace_id"), args.get("job_id")
+    if event_trace is None and event_job is None:
+        return event.get("cat") in LIFECYCLE_CATEGORIES
+    return ((trace_id is not None and event_trace == trace_id)
+            or (job_id is not None and event_job == job_id))
+
+
+class FlightRecorder:
+    """Cuts capsules from the event log on failure."""
+
+    def __init__(self, dump_dir: Optional[str] = None) -> None:
         self._lock = threading.Lock()
-        self._events: deque = deque(maxlen=max_events)
-        self._sequence = itertools.count(1)
         self._capsule_sequence = itertools.count(1)
+        #: The ring lifecycle facts go to while no global tracer is on.
+        self.lifecycle = _trace.Tracer(max_events=MAX_FLIGHT_EVENTS,
+                                       sample_memory=False)
         #: Where capsules are written (``None``: memory only).
         self.dump_dir = dump_dir
-        self._max_capsules = max_capsules
         self._last_breach: Optional[tuple] = None
         #: Capsules dumped so far, oldest first (bounded).
         self.capsules: List[Dict[str, Any]] = []
-        #: Events evicted from the full ring (diagnostic only).
-        self.dropped = 0
 
-    # -- recording ----------------------------------------------------
-
-    def record(self, kind: str, name: str, *,
-               trace_id: Optional[str] = None,
-               job_id: Optional[int] = None,
-               **details: Any) -> Dict[str, Any]:
-        """Append one event; ids default to the active trace context."""
-        if trace_id is None or job_id is None:
-            context = _context.current_context()
-            if context is not None:
-                if trace_id is None:
-                    trace_id = context.trace_id
-                if job_id is None:
-                    job_id = context.job_id
-        event: Dict[str, Any] = {
-            "seq": next(self._sequence),
-            "unix": time.time(),
-            "kind": kind,
-            "name": name,
-            "trace_id": trace_id,
-            "job_id": job_id,
-        }
-        if details:
-            event["details"] = _json_safe(details)
-        with self._lock:
-            if (self._events.maxlen is not None
-                    and len(self._events) == self._events.maxlen):
-                self.dropped += 1
-            self._events.append(event)
-        return event
-
-    def events(self, trace_id: Optional[str] = None,
-               job_id: Optional[int] = None) -> List[Dict[str, Any]]:
-        """Snapshot of ring events, filtered to one trace/job.
-
-        With a filter, an event is kept when it carries the matching
-        id — or carries *no* ids at all (ambient events such as SLO
-        breaches still belong in every capsule).
-        """
-        with self._lock:
-            snapshot = list(self._events)
-        if trace_id is None and job_id is None:
-            return snapshot
-        selected = []
-        for event in snapshot:
-            if trace_id is not None and event["trace_id"] == trace_id:
-                selected.append(event)
-            elif job_id is not None and event["job_id"] == job_id:
-                selected.append(event)
-            elif event["trace_id"] is None and event["job_id"] is None:
-                selected.append(event)
-        return selected
-
-    # -- capsules -----------------------------------------------------
+    def ring(self) -> "_trace.Tracer":
+        """The event log capsules are cut from: the global tracer when
+        one is on, else :attr:`lifecycle`."""
+        tracer = _trace.get_tracer()
+        return tracer if tracer is not None else self.lifecycle
 
     def dump(self, reason: str, *,
              trace_id: Optional[str] = None,
              job_id: Optional[int] = None,
              detail: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Build a ``repro-flight/v1`` capsule; keep and maybe write it."""
+        """Cut a ``repro-flight/v2`` capsule; keep and maybe write it.
+
+        The ``flight.capsule`` instant (ids, reason, path, detail) goes
+        into the ring first, so the capsule carries it too.
+        """
         sequence = next(self._capsule_sequence)
+        detail = _json_safe(detail or {})
+        dump_dir = self.dump_dir
+        path = None
+        if dump_dir is not None:
+            # The writing pid is in the name: processes can share a
+            # directory without overwriting each other's capsules.
+            path = os.path.join(
+                dump_dir, f"flight-{os.getpid()}-{sequence:03d}-"
+                f"{reason}-{trace_id or 'untraced'}.json")
+        ring = self.ring()
+        ring.instant("flight.capsule", category="flight", args={
+            "trace_id": trace_id, "job_id": job_id, "reason": reason,
+            "path": path, "detail": detail,
+        })
+        events = [event for event in ring.events()
+                  if _belongs(event, trace_id, job_id)]
         document: Dict[str, Any] = {
             "schema": FLIGHT_SCHEMA,
             "reason": reason,
@@ -148,36 +145,24 @@ class FlightRecorder:
             "job_id": job_id,
             "created_unix": time.time(),
             "pid": os.getpid(),
-            "capsule_seq": sequence,
-            "detail": _json_safe(detail or {}),
-            "dropped_events": self.dropped,
-            "events": self.events(trace_id=trace_id, job_id=job_id),
+            "detail": detail,
+            "dropped_events": ring.dropped_events,
+            "traceEvents": events[-MAX_FLIGHT_EVENTS:],
+            "displayTimeUnit": "ms",
         }
-        document["event_count"] = len(document["events"])
-        path = self._write(document, sequence)
+        if path is not None:
+            try:
+                os.makedirs(dump_dir, exist_ok=True)
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(document, handle, default=repr)
+                document["path"] = path
+            except OSError:
+                pass
         with self._lock:
             self.capsules.append(document)
-            if len(self.capsules) > self._max_capsules:
+            if len(self.capsules) > MAX_CAPSULES:
                 del self.capsules[0]
-        if path is not None:
-            document["path"] = path
         return document
-
-    def _write(self, document: Dict[str, Any],
-               sequence: int) -> Optional[str]:
-        dump_dir = self.dump_dir
-        if dump_dir is None:
-            return None
-        trace_part = document["trace_id"] or "untraced"
-        name = f"flight-{sequence:03d}-{document['reason']}-{trace_part}.json"
-        path = os.path.join(dump_dir, name)
-        try:
-            os.makedirs(dump_dir, exist_ok=True)
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(document, handle, indent=2, default=repr)
-        except OSError:
-            return None
-        return path
 
     def on_slo_breach(self, report: Any) -> Optional[Dict[str, Any]]:
         """Dump a capsule for a failing :class:`HealthReport`.
@@ -195,7 +180,6 @@ class FlightRecorder:
         if failing == self._last_breach:
             return None
         self._last_breach = failing
-        self.record("slo", "breach", rules=list(failing))
         return self.dump("slo_breach", detail={
             "status": report.status,
             "rules": [
@@ -213,6 +197,14 @@ _recorder: Optional[FlightRecorder] = None
 def get_flight_recorder() -> Optional[FlightRecorder]:
     """The enabled recorder, or ``None`` — the single-attribute guard."""
     return _recorder
+
+
+def event_log() -> Optional["_trace.Tracer"]:
+    """The ring lifecycle facts go to: the global tracer when one is
+    on, else the ``flight`` level's lifecycle ring, else ``None``."""
+    if _recorder is not None:
+        return _recorder.ring()
+    return _trace.get_tracer()
 
 
 def validate_flight_document(document: Any) -> List[str]:
@@ -244,27 +236,23 @@ def validate_flight_document(document: Any) -> List[str]:
     dropped = document.get("dropped_events")
     if not isinstance(dropped, int) or dropped < 0:
         problems.append("'dropped_events' is not a non-negative integer")
-    events = document.get("events")
+    events = document.get("traceEvents")
     if not isinstance(events, list):
-        problems.append("'events' is not a list")
+        problems.append("'traceEvents' is not a list")
         events = []
+    if len(events) > MAX_FLIGHT_EVENTS:
+        problems.append(f"{len(events)} traceEvents exceed the "
+                        f"{MAX_FLIGHT_EVENTS}-event bound")
     for index, event in enumerate(events):
-        prefix = f"events[{index}]"
+        prefix = f"traceEvents[{index}]"
         if not isinstance(event, dict):
             problems.append(f"{prefix} is not an object")
             continue
-        for key in ("kind", "name"):
+        for key in ("name", "ph"):
             if not isinstance(event.get(key), str) or not event[key]:
                 problems.append(
                     f"{prefix} missing non-empty string {key!r}")
-        if not isinstance(event.get("seq"), int):
-            problems.append(f"{prefix} missing integer 'seq'")
-        unix = event.get("unix")
-        if not isinstance(unix, (int, float)) or isinstance(unix, bool):
-            problems.append(f"{prefix} missing numeric 'unix'")
-    if isinstance(events, list) \
-            and document.get("event_count") != len(events):
-        problems.append(
-            f"'event_count' {document.get('event_count')!r} does not "
-            f"match len(events) == {len(events)}")
+        ts = event.get("ts")
+        if not isinstance(ts, (int, float)) or isinstance(ts, bool):
+            problems.append(f"{prefix} missing numeric 'ts'")
     return problems

@@ -484,8 +484,9 @@ def evaluate_rules(rules: Iterable[SLORule],
     """Evaluate a ruleset into a :class:`HealthReport`.
 
     When the flight recorder is enabled and the report fails, a
-    ``repro-flight/v1`` capsule is dumped for the breach (see
-    :meth:`repro.telemetry.flight.FlightRecorder.on_slo_breach`).
+    ``repro-flight/v2`` capsule is cut for the breach, and its
+    ``flight.capsule`` instant is the breach's one record in the event
+    log (see :meth:`repro.telemetry.flight.FlightRecorder.on_slo_breach`).
     """
     report = HealthReport()
     for rule in rules:

@@ -1,28 +1,30 @@
-"""``obs-report``: one job's story, joined across every layer.
+"""``obs-report``: one job's story, read from one event log.
 
-The observability stack writes three artifacts — a Chrome trace
-(``serve-bench --trace``, ``Tracer.write_chrome_trace``), a
-``repro-metrics/v1`` snapshot and ``repro-flight/v1`` failure
-capsules — and at the ``context`` telemetry level or above
+Every job fact lands once in one ring (:mod:`repro.telemetry.flight`),
+and at the ``context`` telemetry level or above
 (``REPRO_OBSERVE=context``, ``serve-bench --flight DIR``) every event
-in all three carries a ``trace_id``. This CLI performs the join::
+carries a ``trace_id``. The ring reaches disk either whole, as a
+Chrome trace (``serve-bench --trace``, ``Tracer.write_chrome_trace``),
+or cut to one failing trace, as a ``repro-flight/v2`` capsule; both
+are Chrome ``traceEvents`` documents, and this CLI reads either::
 
     python -m repro.experiments obs-report trace.json --list
-    python -m repro.experiments obs-report trace.json <trace_id> \
-        --metrics metrics.json --flight flight_dir/
+    python -m repro.experiments obs-report trace.json <trace_id>
+    python -m repro.experiments obs-report flight-*.json --pick failed
 
-For the selected trace it reconstructs the per-job timeline — submit,
-queue wait, dispatch kind (cold/inline) and worker pid, worker-side
-solve spans, convergence row count, terminal status — and appends any
-flight capsules recorded for that trace. ``--pick first|failed``
+For the selected trace it filters the events by ``trace_id`` and
+reconstructs the per-job timeline — submit, queue wait, dispatch kind
+(cold/inline) and worker pid, worker-side solve spans, convergence row
+count, terminal status — and lists the flight capsules cut for that
+trace (their ``flight.capsule`` instants). ``--pick first|failed``
 selects a trace automatically (``failed`` prefers one that has a
 capsule or a non-``done`` finish), which is what CI uses.
 
 ``--source server`` scopes the report to traces that entered through
 the HTTP front end (:mod:`repro.server`): the server mints one trace
 context per request, so its ``server.request.received`` instant and
-``server.request`` span join to the service-side job events on the
-same ``trace_id``. The timeline then leads with the HTTP leg — route,
+``server.request`` span share the service-side job events'
+``trace_id``. The timeline then leads with the HTTP leg — route,
 method, status, request wall clock, and the handler wait between the
 request arriving and the solve being submitted.
 
@@ -35,30 +37,25 @@ Wired as ``python -m repro.experiments obs-report``.
 from __future__ import annotations
 
 import argparse
-import glob
 import json
-import os
 import sys
 from typing import Any, Dict, List, Mapping, Optional
 
-from .flight import FLIGHT_SCHEMA, validate_flight_document
+from .flight import validate_flight_document
 
-__all__ = ["build_timeline", "filter_http_traces", "join_artifacts",
-           "load_capsules", "load_trace_events", "main",
-           "render_timeline"]
+__all__ = ["build_timeline", "filter_http_traces", "group_by_trace",
+           "load_trace_events", "main", "render_timeline"]
 
 
 # ----------------------------------------------------------------------
 # Loading
 # ----------------------------------------------------------------------
-def load_trace_events(path: str) -> List[Dict[str, Any]]:
-    """Events from a Chrome ``trace_event`` JSON document.
-
-    Accepts the object form (``{"traceEvents": [...]}``, what
-    :meth:`Tracer.write_chrome_trace` emits) or a bare event array.
-    """
+def _load_document(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
+        return json.load(handle)
+
+
+def _trace_events(document: Any, path: str) -> List[Dict[str, Any]]:
     if isinstance(document, Mapping):
         events = document.get("traceEvents")
     else:
@@ -68,50 +65,40 @@ def load_trace_events(path: str) -> List[Dict[str, Any]]:
     return [event for event in events if isinstance(event, Mapping)]
 
 
-def load_capsules(paths: List[str]) -> List[Dict[str, Any]]:
-    """Flight capsules from files and/or directories of them.
+def load_trace_events(path: str) -> List[Dict[str, Any]]:
+    """Events from a Chrome ``trace_event`` JSON document.
 
-    A directory argument picks up every ``flight-*.json`` inside it
-    (the :class:`~repro.telemetry.flight.FlightRecorder` naming
-    scheme). Non-capsule JSON files are skipped with a warning rather
-    than failing the report.
+    Accepts the object form (``{"traceEvents": [...]}``, what
+    :meth:`Tracer.write_chrome_trace` and flight capsules hold) or a
+    bare event array.
     """
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            files.extend(sorted(glob.glob(
-                os.path.join(path, "flight-*.json"))))
-        else:
-            files.append(path)
-    capsules = []
-    for filename in files:
+    return _trace_events(_load_document(path), path)
+
+
+def _capsule_problems(document: Any, events: List[Dict[str, Any]],
+                      path: str) -> List[str]:
+    """Validation problems of the capsule ``path`` holds or, for a
+    trace, of every capsule file its ``flight.capsule`` instants name."""
+    if isinstance(document, Mapping) and "schema" in document:
+        return [f"capsule {path}: {problem}"
+                for problem in validate_flight_document(document)]
+    problems = []
+    for event in events:
+        args = event.get("args") or {}
+        if event.get("name") != "flight.capsule" or not args.get("path"):
+            continue
         try:
-            with open(filename, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+            capsule = _load_document(args["path"])
         except (OSError, json.JSONDecodeError) as error:
-            print(f"obs-report: skipping {filename}: {error}",
-                  file=sys.stderr)
+            problems.append(f"capsule {args['path']}: {error}")
             continue
-        if (not isinstance(document, Mapping)
-                or document.get("schema") != FLIGHT_SCHEMA):
-            print(f"obs-report: skipping {filename}: not a "
-                  f"{FLIGHT_SCHEMA} capsule", file=sys.stderr)
-            continue
-        capsule = dict(document)
-        capsule.setdefault("path", filename)
-        capsules.append(capsule)
-    return capsules
-
-
-def load_metrics(path: Optional[str]) -> Optional[Dict[str, Any]]:
-    if path is None:
-        return None
-    from .metrics_report import load_snapshot
-    return load_snapshot(path)
+        problems.extend(f"capsule {args['path']}: {problem}"
+                        for problem in validate_flight_document(capsule))
+    return problems
 
 
 # ----------------------------------------------------------------------
-# The join
+# The filter
 # ----------------------------------------------------------------------
 def _event_trace_id(event: Mapping[str, Any]) -> Optional[str]:
     args = event.get("args")
@@ -122,37 +109,22 @@ def _event_trace_id(event: Mapping[str, Any]) -> Optional[str]:
     return None
 
 
-def join_artifacts(events: List[Dict[str, Any]],
-                   capsules: List[Dict[str, Any]]
-                   ) -> Dict[str, Dict[str, Any]]:
-    """Group trace events and capsules by ``trace_id``.
-
-    Returns ``{trace_id: {"events": [...], "capsules": [...]}}`` in
-    first-seen (timestamp) order; events without a ``trace_id`` are
-    left out — they belong to no job.
-    """
-    traces: Dict[str, Dict[str, Any]] = {}
+def group_by_trace(events: List[Dict[str, Any]]
+                   ) -> Dict[str, List[Dict[str, Any]]]:
+    """Each ``trace_id``'s events, traces in first-seen (timestamp)
+    order; events without a ``trace_id`` belong to no job and are left
+    out."""
+    traces: Dict[str, List[Dict[str, Any]]] = {}
     for event in sorted(events, key=lambda e: float(e.get("ts", 0.0))):
         trace_id = _event_trace_id(event)
-        if trace_id is None:
-            continue
-        entry = traces.setdefault(trace_id,
-                                  {"events": [], "capsules": []})
-        entry["events"].append(event)
-    for capsule in capsules:
-        trace_id = capsule.get("trace_id")
-        if not isinstance(trace_id, str):
-            continue
-        entry = traces.setdefault(trace_id,
-                                  {"events": [], "capsules": []})
-        entry["capsules"].append(capsule)
+        if trace_id is not None:
+            traces.setdefault(trace_id, []).append(event)
     return traces
 
 
-def build_timeline(trace_id: str, entry: Mapping[str, Any]
+def build_timeline(trace_id: str, events: List[Mapping[str, Any]]
                    ) -> Dict[str, Any]:
     """Digest one trace's events into the per-job summary record."""
-    events: List[Mapping[str, Any]] = entry["events"]
     summary: Dict[str, Any] = {
         "trace_id": trace_id,
         "job_ids": [],
@@ -167,6 +139,7 @@ def build_timeline(trace_id: str, entry: Mapping[str, Any]
         "profile": None,
         "status": None,
         "http": None,
+        "capsules": [],
         "events": len(events),
     }
     for event in events:
@@ -212,6 +185,12 @@ def build_timeline(trace_id: str, entry: Mapping[str, Any]
             if args.get("queue_seconds") is not None and \
                     summary["queue_seconds"] is None:
                 summary["queue_seconds"] = args["queue_seconds"]
+        elif name == "flight.capsule":
+            summary["capsules"].append({
+                "reason": args.get("reason"),
+                "path": args.get("path"),
+                "detail": args.get("detail") or {},
+            })
         elif event.get("ph") == "X" and name.startswith("pipeline."):
             summary["stages"].append({
                 "stage": name[len("pipeline."):],
@@ -237,9 +216,8 @@ def build_timeline(trace_id: str, entry: Mapping[str, Any]
         # The handler leg: request on the wire -> solve submitted.
         http["handler_wait_seconds"] = max(
             summary["submitted_ts"] - http["received_ts"], 0.0) / 1e6
-    capsules = entry["capsules"]
-    if summary["status"] is None and capsules:
-        reasons = {capsule.get("reason") for capsule in capsules}
+    if summary["status"] is None and summary["capsules"]:
+        reasons = {capsule["reason"] for capsule in summary["capsules"]}
         summary["status"] = "/".join(sorted(str(r) for r in reasons))
     return summary
 
@@ -253,10 +231,7 @@ def _ms(seconds: Optional[float]) -> str:
     return f"{seconds * 1e3:.2f}ms"
 
 
-def render_timeline(summary: Mapping[str, Any],
-                    capsules: List[Mapping[str, Any]],
-                    metrics: Optional[Mapping[str, Any]] = None
-                    ) -> str:
+def render_timeline(summary: Mapping[str, Any]) -> str:
     """The human-readable per-job report for one trace."""
     lines = [f"trace {summary['trace_id']}"]
     http = summary.get("http")
@@ -303,50 +278,30 @@ def render_timeline(summary: Mapping[str, Any],
         lines.append(
             f"  profile: {summary['profile'].get('samples', 0)} "
             f"sample(s); top: {'; '.join(hotspots[:3]) or '-'}")
-    for capsule in capsules:
-        detail = capsule.get("detail") or {}
+    for capsule in summary["capsules"]:
+        detail = capsule["detail"]
         lines.append(
-            f"  flight capsule: {capsule.get('reason')} "
-            f"({capsule.get('event_count', 0)} event(s), "
-            f"{capsule.get('path', 'in-memory')})")
+            f"  flight capsule: {capsule['reason']} "
+            f"({capsule['path'] or 'in-memory'})")
         for key in ("solver", "deadline", "queue_seconds", "error",
                     "rule", "reason"):
             if detail.get(key) is not None:
                 lines.append(f"    {key}: {detail[key]}")
-    if metrics is not None:
-        lines.append("  metrics snapshot: "
-                     + _metrics_digest(metrics))
     return "\n".join(lines)
 
 
-def _metrics_digest(snapshot: Mapping[str, Any]) -> str:
-    """One line situating the job among the run-wide histograms."""
-    parts = []
-    histograms = snapshot.get("histograms") or {}
-    for name in ("service_queue_wait_seconds",
-                 "service_execute_seconds",
-                 "pipeline_stage_seconds"):
-        entry = histograms.get(name)
-        if not entry:
-            continue
-        count = sum(series.get("count", 0)
-                    for series in entry.get("series", []))
-        parts.append(f"{name} n={count}")
-    return ", ".join(parts) if parts else "(no service histograms)"
-
-
-def render_listing(traces: Mapping[str, Mapping[str, Any]]) -> str:
+def render_listing(traces: Mapping[str, List[Mapping[str, Any]]]) -> str:
     rows = [["trace_id", "job(s)", "solver", "status", "events",
              "capsules"]]
-    for trace_id, entry in traces.items():
-        summary = build_timeline(trace_id, entry)
+    for trace_id, events in traces.items():
+        summary = build_timeline(trace_id, events)
         rows.append([
             trace_id,
             ",".join(str(j) for j in summary["job_ids"]) or "-",
             str(summary["solver"] or "-"),
             str(summary["status"] or "?"),
             str(summary["events"]),
-            str(len(entry["capsules"])),
+            str(len(summary["capsules"])),
         ])
     widths = [max(len(row[column]) for row in rows)
               for column in range(len(rows[0]))]
@@ -356,24 +311,24 @@ def render_listing(traces: Mapping[str, Mapping[str, Any]]) -> str:
         for row in rows)
 
 
-def filter_http_traces(traces: Mapping[str, Dict[str, Any]]
-                       ) -> Dict[str, Dict[str, Any]]:
+def filter_http_traces(traces: Mapping[str, List[Dict[str, Any]]]
+                       ) -> Dict[str, List[Dict[str, Any]]]:
     """Only traces that entered through the HTTP server."""
     return {
-        trace_id: entry for trace_id, entry in traces.items()
+        trace_id: events for trace_id, events in traces.items()
         if any(str(event.get("name", "")).startswith("server.request")
-               for event in entry["events"])
+               for event in events)
     }
 
 
-def _pick_trace(traces: Mapping[str, Mapping[str, Any]],
+def _pick_trace(traces: Mapping[str, List[Mapping[str, Any]]],
                 mode: str) -> Optional[str]:
     if not traces:
         return None
     if mode == "failed":
-        for trace_id, entry in traces.items():
-            summary = build_timeline(trace_id, entry)
-            if entry["capsules"] or summary["status"] not in (
+        for trace_id, events in traces.items():
+            summary = build_timeline(trace_id, events)
+            if summary["capsules"] or summary["status"] not in (
                     None, "done"):
                 return trace_id
         return None
@@ -386,20 +341,13 @@ def _pick_trace(traces: Mapping[str, Mapping[str, Any]],
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments obs-report",
-        description="Join a Chrome trace, a metrics snapshot and "
-                    "flight capsules by trace_id into per-job "
-                    "timelines.",
+        description="Filter a Chrome trace or a flight capsule by "
+                    "trace_id into per-job timelines.",
     )
-    parser.add_argument("trace", help="Chrome trace_event JSON file")
+    parser.add_argument("trace", help="Chrome trace_event JSON file or "
+                                      "repro-flight/v2 capsule")
     parser.add_argument("trace_id", nargs="?", default=None,
                         help="trace id to report on (see --list)")
-    parser.add_argument("--metrics", metavar="FILE", default=None,
-                        help="repro-metrics/v1 snapshot to situate "
-                             "the job in")
-    parser.add_argument("--flight", metavar="PATH", action="append",
-                        default=[],
-                        help="flight capsule file or directory "
-                             "(repeatable)")
     parser.add_argument("--source", choices=("any", "server"),
                         default="any",
                         help="'server' keeps only traces with HTTP "
@@ -413,37 +361,32 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "one: 'first' by timestamp, 'failed' the "
                              "first with a capsule or non-done finish")
     parser.add_argument("--validate", action="store_true",
-                        help="additionally validate every loaded "
-                             "flight capsule; problems fail the "
-                             "report")
+                        help="additionally validate the input when it "
+                             "is a capsule, or every capsule file the "
+                             "trace names; problems fail the report")
     args = parser.parse_args(argv)
 
     try:
-        events = load_trace_events(args.trace)
-        capsules = load_capsules(args.flight)
-        metrics = load_metrics(args.metrics)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
+        document = _load_document(args.trace)
+        events = _trace_events(document, args.trace)
+    except (OSError, ValueError) as error:
         print(f"obs-report: {error}", file=sys.stderr)
         return 2
 
     if args.validate:
-        bad = 0
-        for capsule in capsules:
-            for problem in validate_flight_document(capsule):
-                print(f"obs-report: capsule "
-                      f"{capsule.get('path', '?')}: {problem}",
-                      file=sys.stderr)
-                bad += 1
-        if bad:
+        problems = _capsule_problems(document, events, args.trace)
+        for problem in problems:
+            print(f"obs-report: {problem}", file=sys.stderr)
+        if problems:
             return 2
 
-    traces = join_artifacts(events, capsules)
+    traces = group_by_trace(events)
     if args.source == "server":
         traces = filter_http_traces(traces)
         if not traces:
             print("obs-report: no traces with HTTP request events "
-                  "(was the server run with --trace and --context?)",
-                  file=sys.stderr)
+                  "(was the server run at the trace level, "
+                  "REPRO_OBSERVE=trace?)", file=sys.stderr)
             return 2
     if args.list:
         if not traces:
@@ -469,9 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    entry = traces[trace_id]
-    summary = build_timeline(trace_id, entry)
-    print(render_timeline(summary, entry["capsules"], metrics))
+    print(render_timeline(build_timeline(trace_id, traces[trace_id])))
     return 0
 
 

@@ -224,6 +224,23 @@ class TestBasics:
         assert _metrics.validate_prometheus_text(text) == []
         assert "server_requests_total" in text
 
+    def test_list_limit_is_a_positive_integer(self, client):
+        for seed in (44, 45, 46):
+            status, _, _ = client.submit(problem_body(seed=seed))
+            assert status == 201
+        status, _, document = client.get("/v1/jobs")
+        assert status == 200
+        total = document["count"]
+        assert total >= 3 and len(document["jobs"]) == total
+        for limit, shown in (("1", 1), ("2", 2), ("5000", total)):
+            status, _, document = client.get(f"/v1/jobs?limit={limit}")
+            assert status == 200, (limit, document)
+            assert len(document["jobs"]) == shown, limit
+        for limit in ("abc", "1.5", "-1", "0", ""):
+            status, _, document = client.get(f"/v1/jobs?limit={limit}")
+            assert status == 400, (limit, document)
+            assert "limit" in document["error"], document
+
 
 class TestJobsApi:
     def test_submit_result_parity(self, client):

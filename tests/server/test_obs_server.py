@@ -92,7 +92,7 @@ def test_build_timeline_computes_handler_wait():
          "args": {"trace_id": "t1", "route": "/v1/jobs",
                   "method": "POST", "status": 201}},
     ]
-    traces = obs_mod.join_artifacts(events, [])
+    traces = obs_mod.group_by_trace(events)
     summary = obs_mod.build_timeline("t1", traces["t1"])
     http = summary["http"]
     assert http["status"] == 201

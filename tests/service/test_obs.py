@@ -1,7 +1,8 @@
 """Cross-layer observability through the solve service.
 
-Covers the tentpole guarantees: trace ids survive the warm-pool pipe
-protocol into workers and back through drain-merge; failure capsules
+Covers the guarantees: trace ids survive the warm-pool pipe protocol
+into workers and back through drain-merge; every job fact is one
+instant in one ring, and capsules are cut from it; failure capsules
 are on disk *before* ``handle.result()`` returns; and enabling the
 whole stack never changes solve results.
 """
@@ -71,27 +72,17 @@ def test_trace_ids_propagate_into_workers_and_drain_merge(mode):
         if event.get("ph") == "B"
         and (event.get("args") or {}).get("stage") == "worker"}
     assert worker_span_traces == set(trace_ids)
-    if mode == "thread":
-        return
 
-    # The drain log (stats()["drains"], populated at shutdown) maps
-    # each worker pid to the jobs/traces it ran.
-    drains = service.stats()["drains"]
-    assert drains, "drain log must be populated after shutdown"
-    drained = {job["trace_id"]
-               for entry in drains for job in entry["jobs"]}
-    assert set(trace_ids) <= drained
-    for entry in drains:
-        assert entry["pid"] > 0
-        for job in entry["jobs"]:
-            assert job["solver"] == "sa"
-            assert job["ok"] is True
-            assert job["duration"] >= 0
-
-    # And the merge itself is announced on the timeline.
-    merges = [event for event in events
-              if event["name"] == "service.pool.drain_merge"]
-    assert merges
+    # Each job's one dispatch instant names the pid its worker-side
+    # spans carry.
+    dispatch_pids = {
+        event["args"]["trace_id"]: event["args"]["worker_pid"]
+        for event in events if event["name"] == "service.job.dispatch"}
+    assert set(dispatch_pids) == set(trace_ids)
+    for event in events:
+        args = event.get("args") or {}
+        if event.get("ph") == "B" and args.get("stage") == "worker":
+            assert event["pid"] == dispatch_pids[args["trace_id"]]
 
 
 def test_solve_results_bit_for_bit_with_full_stack_enabled():
@@ -128,8 +119,12 @@ def test_flight_capsule_on_deadline_reap(tmp_path):
     assert capsule["trace_id"] == handle.trace_id
     assert capsule["detail"]["deadline"] == 0.3
     assert flight_mod.validate_flight_document(capsule) == []
-    names = [event["name"] for event in capsule["events"]]
-    assert "dispatching" in names and "timeout" in names
+    names = [event["name"] for event in capsule["traceEvents"]]
+    assert names == ["service.job.submitted", "service.job.dispatch",
+                     "service.job.finish", "flight.capsule"]
+    assert capsule["traceEvents"][2]["args"]["status"] == "timeout"
+    assert os.path.basename(capsule["path"]).startswith(
+        f"flight-{os.getpid()}-")
     with open(capsule["path"], encoding="utf-8") as handle_:
         on_disk = json.load(handle_)
     assert flight_mod.validate_flight_document(on_disk) == []
@@ -180,7 +175,7 @@ def test_flight_capsule_on_midjob_worker_kill(tmp_path):
 def test_cancelled_running_job_reports_one_terminal_event():
     telemetry.observe("trace")
     tracer = telemetry.get_tracer()
-    recorder = flight_mod.get_flight_recorder()
+    assert flight_mod.event_log() is tracer  # the one ring
     with SolveService(max_workers=1) as service:
         handle = service.submit(problem(relations=7), "sa", SLOW)
         deadline = time.time() + 30
@@ -197,11 +192,6 @@ def test_cancelled_running_job_reports_one_terminal_event():
                 if event["name"] == "service.job.finish"
                 and event["args"]["job_id"] == handle.job_id]
     assert [args["status"] for args in finishes] == ["cancelled"]
-    terminal = [event["name"]
-                for event in recorder.events(job_id=handle.job_id)
-                if event["kind"] == "job"
-                and event["name"] in ("cancelled", "failed", "done")]
-    assert terminal == ["cancelled"]
     cancelled = telemetry.get_registry().get("service_jobs_total")
     assert cancelled.labels(status="cancelled").value == 1
 
@@ -248,10 +238,89 @@ def test_obs_report_reconstructs_service_run(tmp_path, capsys):
     assert "dispatch:" in out
     assert "worker spans:" in out
 
-    # The reaped job's timeline joins with its flight capsule.
+    # The reaped job's timeline names its flight capsule and the
+    # worker it was dispatched to: the trace is the ring the capsule
+    # was cut from, so one file tells the whole story.
     assert obs_mod.main([str(trace_path), "--pick", "failed",
-                         "--flight", str(tmp_path / "flight"),
                          "--validate"]) == 0
     out = capsys.readouterr().out
     assert f"trace {timeout_handle.trace_id}" in out
     assert "flight capsule: job_timeout" in out
+    assert "dispatch: cold (worker pid " in out
+
+
+def mine_or_ambient(event, handle):
+    """A capsule's selection: the job's events, plus lifecycle facts
+    that name no trace and no job."""
+    args = event.get("args") or {}
+    if args.get("trace_id") is None and args.get("job_id") is None:
+        return event["cat"] in ("service", "flight")
+    return (args.get("trace_id") == handle.trace_id
+            or args.get("job_id") == handle.job_id)
+
+
+def test_trace_level_records_each_job_fact_once(tmp_path):
+    telemetry.observe("trace", flight_dir=str(tmp_path))
+    tracer = telemetry.get_tracer()
+    recorder = flight_mod.get_flight_recorder()
+    with SolveService(max_workers=1) as service:
+        (reaped_pid,) = service._pool.pids()
+        handle = service.submit(problem(relations=7), "sa", SLOW,
+                                deadline=0.3)
+        with pytest.raises(JobTimeoutError):
+            handle.result(timeout=60)
+        (capsule,) = [capsule for capsule in recorder.capsules
+                      if capsule["job_id"] == handle.job_id]
+        ring = [event for event in tracer.events()
+                if mine_or_ambient(event, handle)]
+        assert service._pool.pids() != [reaped_pid]  # respawned
+    facts = [event["name"] for event in ring
+             if event["cat"] in ("service", "flight")
+             and event["ph"] == "I"]
+    assert facts == ["service.job.submitted", "service.job.dispatch",
+                     "service.job.finish", "flight.capsule"]
+    # The capsule is the ring's events for its trace plus ambient ones,
+    # as they stood when it was cut.
+    assert capsule["traceEvents"] == ring[:len(capsule["traceEvents"])]
+    (dispatch,) = [event["args"] for event in capsule["traceEvents"]
+                   if event["name"] == "service.job.dispatch"]
+    assert dispatch["worker_pid"] == reaped_pid
+    assert dispatch["dispatch"] == "cold"
+    with open(capsule["path"], encoding="utf-8") as handle_:
+        assert flight_mod.validate_flight_document(json.load(handle_)) \
+            == []
+
+
+def test_flight_level_ring_is_not_the_tracer():
+    telemetry.observe("flight")
+    unset = SolverConfig(num_sweeps=60, num_reads=2, seed=7)
+    assert unset.convergence is None
+    with SolveService(max_workers=1, mode="thread") as service:
+        result = service.solve(problem(), "sa", unset)
+    assert telemetry.get_tracer() is None
+    assert not result.convergence  # auto-on only while tracing
+    ring = flight_mod.event_log()
+    assert ring is flight_mod.get_flight_recorder().lifecycle
+    assert ring.max_events == flight_mod.MAX_FLIGHT_EVENTS == 4096
+    assert [event["name"] for event in ring.events()] == [
+        "service.job.submitted", "service.job.dispatch",
+        "service.job.finish"]
+
+
+def test_coalesced_instant_files_under_its_leader(tmp_path):
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
+    with SolveService(max_workers=1) as service:
+        leader = service.submit(problem(relations=7), "sa", SLOW,
+                                deadline=0.3)
+        follower = service.submit(problem(relations=7), "sa", SLOW)
+        assert follower.job_id == leader.job_id
+        assert follower.trace_id == leader.trace_id  # the leader's handle
+        with pytest.raises(JobTimeoutError):
+            leader.result(timeout=60)
+    (capsule,) = recorder.capsules
+    coalesced = [event["args"] for event in capsule["traceEvents"]
+                 if event["name"] == "service.job.coalesced"]
+    assert len(coalesced) == 1
+    assert coalesced[0]["job_id"] == leader.job_id
+    assert coalesced[0]["trace_id"] != leader.trace_id

@@ -1,4 +1,4 @@
-"""Trace-context, flight-recorder, profiler and obs-report tests.
+"""Trace-context, flight-capsule, profiler and obs-report tests.
 
 Mirrors the cheap-when-off discipline of ``tests/test_metrics.py``:
 every layer must be a no-op until explicitly enabled, and enabling it
@@ -6,6 +6,7 @@ must never perturb solve results.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -170,55 +171,83 @@ def test_flight_guard_and_env_opt_in(monkeypatch, tmp_path):
 
 def test_flight_events_default_ids_from_context():
     telemetry.observe("flight")
-    recorder = flight_mod.get_flight_recorder()
+    log = flight_mod.event_log()
+    assert log is flight_mod.get_flight_recorder().lifecycle
+    assert telemetry.get_tracer() is None
     state = context_mod.get_context_state()
     with state.activate(state.mint(job_id=5)):
-        event = recorder.record("job", "dispatching")
-    assert event["job_id"] == 5
-    assert event["trace_id"] is not None
-    explicit = recorder.record("job", "finish", trace_id="t1", job_id=9)
-    assert explicit["trace_id"] == "t1" and explicit["job_id"] == 9
+        log.instant("service.job.dispatch")
+    log.instant("service.job.finish",
+                args={"trace_id": "t1", "job_id": 9})
+    inside, explicit = log.events()
+    assert inside["args"]["job_id"] == 5
+    assert inside["args"]["trace_id"] is not None
+    assert explicit["args"] == {"trace_id": "t1", "job_id": 9}
 
 
 def test_flight_ring_is_bounded_and_counts_drops():
-    recorder = flight_mod.FlightRecorder(max_events=4)
-    for index in range(10):
-        recorder.record("k", f"event{index}")
-    assert len(recorder.events()) == 4
-    assert recorder.dropped == 6
-    assert [event["name"] for event in recorder.events()] == [
-        "event6", "event7", "event8", "event9"]
+    telemetry.observe("flight")
+    ring = flight_mod.event_log()
+    bound = flight_mod.MAX_FLIGHT_EVENTS
+    assert bound == 4096
+    for index in range(bound + 6):
+        ring.instant(f"event{index}")
+    events = ring.events()
+    assert len(events) == bound
+    assert ring.dropped_events == 6
+    assert [events[0]["name"], events[-1]["name"]] == [
+        "event6", f"event{bound + 5}"]
 
 
 def test_capsule_dump_filters_to_trace_plus_ambient(tmp_path):
     recorder = flight_mod.FlightRecorder(dump_dir=str(tmp_path))
-    recorder.record("job", "mine", trace_id="aaa", job_id=1)
-    recorder.record("job", "other", trace_id="bbb", job_id=2)
-    recorder.record("slo", "ambient")  # no ids: rides in every capsule
+    ring = recorder.ring()
+    ring.instant("mine", category="service",
+                 args={"trace_id": "aaa", "job_id": 1})
+    ring.instant("other", category="service",
+                 args={"trace_id": "bbb", "job_id": 2})
+    ring.instant("untraced")  # no ids, but no lifecycle fact either
+    # An untraced capsule (a breach, a drain) takes the whole ring, and
+    # its marker is an ambient fact that rides in every later capsule.
+    breach = recorder.dump("slo_breach")
+    assert [event["name"] for event in breach["traceEvents"]] == [
+        "mine", "other", "untraced", "flight.capsule"]
     capsule = recorder.dump("job_timeout", trace_id="aaa", job_id=1,
                             detail={"deadline": 0.1})
-    assert [event["name"] for event in capsule["events"]] == [
-        "mine", "ambient"]
-    assert capsule["event_count"] == 2
+    assert [event["name"] for event in capsule["traceEvents"]] == [
+        "mine", "flight.capsule", "flight.capsule"]
+    # The dump's own record: one instant, in the ring and the capsule.
+    assert capsule["traceEvents"][-1]["args"] == {
+        "trace_id": "aaa", "job_id": 1, "reason": "job_timeout",
+        "path": capsule["path"], "detail": {"deadline": 0.1}}
+    assert ring.events()[-1] == capsule["traceEvents"][-1]
     assert flight_mod.validate_flight_document(capsule) == []
-    # And the on-disk copy round-trips through the validator too.
+    # The file name carries the writing pid, so processes sharing a
+    # directory do not overwrite each other's capsules.
+    assert os.path.basename(capsule["path"]) == \
+        f"flight-{os.getpid()}-002-job_timeout-aaa.json"
+    # And the on-disk copy is a Chrome trace that validates too.
     with open(capsule["path"], encoding="utf-8") as handle:
         assert flight_mod.validate_flight_document(
             json.load(handle)) == []
+    assert obs_mod.load_trace_events(capsule["path"]) \
+        == capsule["traceEvents"]
 
 
 def test_validate_flight_document_catches_corruption():
     assert flight_mod.validate_flight_document([]) \
         == ["document is not a JSON object"]
     capsule = flight_mod.FlightRecorder().dump("why")
+    assert flight_mod.validate_flight_document(capsule) == []
     broken = dict(capsule)
-    broken["schema"] = "wrong/v0"
-    broken["event_count"] = 99
-    broken["events"] = [{"kind": "", "name": "x", "seq": "nope"}]
+    broken["schema"] = "repro-flight/v1"
+    broken["traceEvents"] = [{"name": "x", "ph": "", "ts": "nope"}] * (
+        flight_mod.MAX_FLIGHT_EVENTS + 1)
     problems = flight_mod.validate_flight_document(broken)
     assert any("schema tag" in problem for problem in problems)
-    assert any("event_count" in problem for problem in problems)
-    assert any("'seq'" in problem for problem in problems)
+    assert any("4096-event bound" in problem for problem in problems)
+    assert any("'ph'" in problem for problem in problems)
+    assert any("'ts'" in problem for problem in problems)
 
 
 def test_slo_breach_dumps_one_capsule_and_dedupes(tmp_path):
@@ -247,6 +276,11 @@ def test_slo_breach_dumps_one_capsule_and_dedupes(tmp_path):
     # The identical breach evaluated again must not dump a second one.
     health_mod.evaluate_rules([rule], snapshot)
     assert len(recorder.capsules) == 1
+    # The breach is one ambient instant in the ring: the capsule's.
+    (marker,) = [event for event in flight_mod.event_log().events()
+                 if event["name"] == "flight.capsule"]
+    assert marker["args"]["reason"] == "slo_breach"
+    assert marker["args"]["trace_id"] is None
 
 
 # -- sampling profiler -------------------------------------------------
@@ -302,7 +336,7 @@ def test_solve_profile_opt_in_attaches_provenance_and_trace():
     assert mirrored and mirrored[0]["name"] == "profile.sa"
 
 
-# -- obs-report join ---------------------------------------------------
+# -- obs-report filter -------------------------------------------------
 def _trace_document(events):
     return {"traceEvents": events, "displayTimeUnit": "ms",
             "metadata": {}}
@@ -314,6 +348,11 @@ def _service_events(trace_id, job_id):
          "ts": 10.0, "pid": 1, "tid": 1,
          "args": {"trace_id": trace_id, "job_id": job_id,
                   "solver": "sa"}},
+        {"name": "service.job.dispatch", "cat": "service", "ph": "I",
+         "ts": 15.0, "pid": 1, "tid": 1,
+         "args": {"trace_id": trace_id, "job_id": job_id,
+                  "solver": "sa", "dispatch": "cold",
+                  "worker_pid": 2, "queue_seconds": 0.004}},
         {"name": "service.worker.sa", "cat": "span", "ph": "B",
          "ts": 20.0, "pid": 2, "tid": 2,
          "args": {"trace_id": trace_id, "job_id": job_id,
@@ -321,11 +360,6 @@ def _service_events(trace_id, job_id):
         {"name": "convergence.sa", "cat": "convergence", "ph": "I",
          "ts": 25.0, "pid": 2, "tid": 2,
          "args": {"trace_id": trace_id, "job_id": job_id}},
-        {"name": "service.job.dispatch", "cat": "service", "ph": "I",
-         "ts": 30.0, "pid": 1, "tid": 1,
-         "args": {"trace_id": trace_id, "job_id": job_id,
-                  "solver": "sa", "dispatch": "warm",
-                  "worker_pid": 2, "queue_seconds": 0.004}},
         {"name": "service.job.finish", "cat": "service", "ph": "I",
          "ts": 40.0, "pid": 1, "tid": 1,
          "args": {"trace_id": trace_id, "job_id": job_id,
@@ -334,56 +368,71 @@ def _service_events(trace_id, job_id):
     ]
 
 
+def _capsule_event(trace_id, job_id):
+    return {"name": "flight.capsule", "cat": "flight", "ph": "I",
+            "ts": 45.0, "pid": 1, "tid": 1,
+            "args": {"trace_id": trace_id, "job_id": job_id,
+                     "reason": "job_timeout", "path": None,
+                     "detail": {"deadline": 0.1}}}
+
+
 def test_obs_report_join_and_timeline():
     events = (_service_events("t1" * 8, 1)
               + _service_events("t2" * 8, 2)
-              + [{"name": "untagged", "ph": "I", "ts": 1.0,
+              + [_capsule_event("t2" * 8, 2),
+                 {"name": "untagged", "ph": "I", "ts": 1.0,
                   "pid": 1, "tid": 1}])
-    capsule = flight_mod.FlightRecorder().dump(
-        "job_timeout", trace_id="t2" * 8, job_id=2,
-        detail={"deadline": 0.1})
-    traces = obs_mod.join_artifacts(events, [capsule])
+    traces = obs_mod.group_by_trace(events)
     assert sorted(traces) == sorted(["t1" * 8, "t2" * 8])
     summary = obs_mod.build_timeline("t1" * 8, traces["t1" * 8])
     assert summary["job_ids"] == [1]
     assert summary["solver"] == "sa"
-    assert summary["dispatch"] == "warm"
+    assert summary["dispatch"] == "cold"
     assert summary["worker_pid"] == 2
     assert summary["queue_seconds"] == 0.004
     assert summary["status"] == "done"
     assert summary["convergence_rows"] == 1
     assert len(summary["worker_spans"]) == 1
-    rendered = obs_mod.render_timeline(
-        summary, traces["t1" * 8]["capsules"])
+    assert summary["capsules"] == []
+    rendered = obs_mod.render_timeline(summary)
     assert "queue wait: 4.00ms" in rendered
-    assert "dispatch: warm (worker pid 2)" in rendered
+    assert "dispatch: cold (worker pid 2)" in rendered
     failed = obs_mod.build_timeline("t2" * 8, traces["t2" * 8])
-    rendered = obs_mod.render_timeline(
-        failed, traces["t2" * 8]["capsules"])
-    assert "flight capsule: job_timeout" in rendered
+    rendered = obs_mod.render_timeline(failed)
+    assert "flight capsule: job_timeout (in-memory)" in rendered
+    assert "deadline: 0.1" in rendered
 
 
 def test_obs_report_cli_end_to_end(tmp_path, capsys):
-    trace_path = tmp_path / "trace.json"
-    trace_path.write_text(json.dumps(
-        _trace_document(_service_events("cafe" * 4, 3))))
     recorder = flight_mod.FlightRecorder(dump_dir=str(tmp_path))
-    recorder.record("job", "timeout", trace_id="cafe" * 4, job_id=3)
-    recorder.dump("job_timeout", trace_id="cafe" * 4, job_id=3)
+    ring = recorder.ring()
+    ring.merge_events(_service_events("cafe" * 4, 3))
+    capsule = recorder.dump("job_timeout", trace_id="cafe" * 4,
+                            job_id=3, detail={"deadline": 0.1})
+    trace_path = tmp_path / "trace.json"
+    ring.write_chrome_trace(str(trace_path))
 
     assert obs_mod.main([str(trace_path), "--list"]) == 0
     assert "cafe" * 4 in capsys.readouterr().out
 
-    assert obs_mod.main([str(trace_path), "cafe" * 4,
-                         "--flight", str(tmp_path),
-                         "--validate"]) == 0
-    out = capsys.readouterr().out
-    assert "queue wait: 4.00ms" in out
-    assert "flight capsule: job_timeout" in out
+    # One file, either the whole ring or the capsule cut from it.
+    for path in (str(trace_path), capsule["path"]):
+        assert obs_mod.main([path, "cafe" * 4, "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "queue wait: 4.00ms" in out
+        assert "dispatch: cold (worker pid 2)" in out
+        assert f"flight capsule: job_timeout ({capsule['path']})" in out
 
-    assert obs_mod.main([str(trace_path), "--pick", "failed",
-                         "--flight", str(tmp_path)]) == 0
-    assert "trace " + "cafe" * 4 in capsys.readouterr().out
+        assert obs_mod.main([path, "--pick", "failed"]) == 0
+        assert "trace " + "cafe" * 4 in capsys.readouterr().out
 
     # Unknown trace id: exit 2 (the acceptance-criteria contract).
     assert obs_mod.main([str(trace_path), "0" * 16]) == 2
+
+    # --validate fails the report on a corrupt capsule, named by the
+    # trace or given directly.
+    with open(capsule["path"], "w", encoding="utf-8") as handle:
+        json.dump(dict(capsule, schema="repro-flight/v1"), handle)
+    for path in (str(trace_path), capsule["path"]):
+        assert obs_mod.main([path, "--list", "--validate"]) == 2
+        assert "repro-flight/v1" in capsys.readouterr().err
