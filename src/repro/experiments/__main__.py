@@ -41,8 +41,8 @@ at ``trace``; a higher ``REPRO_OBSERVE`` level stays in force.
 ``repro-bench/v1`` documents and exits nonzero when the candidate
 regressed beyond tolerance (see
 :mod:`repro.telemetry.bench_compare`). ``metrics-report`` renders a
-``repro-metrics/v1`` snapshot (or sampler JSONL) as a text dashboard
-with latency quantiles and an SLO health section (see
+``repro-metrics/v1`` snapshot as a text dashboard with latency
+quantiles and the four SLO rules' health section (see
 :mod:`repro.telemetry.metrics_report`). ``obs-report`` filters one
 Chrome trace or flight capsule by ``trace_id`` into per-job timelines
 (see :mod:`repro.telemetry.obs_report`).

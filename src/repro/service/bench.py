@@ -32,10 +32,12 @@ instant and ``obs-report`` needs only that one file.
 utilization, span timings), with the workers' registries merged at
 drain and p50/p95/p99 per histogram; ``--metrics-out`` writes the
 Prometheus text exposition, ``--metrics-json`` the
-``repro-metrics/v1`` snapshot (the input of ``metrics-report``),
-``--metrics-jsonl`` streams periodic sampler snapshots during the run,
-and ``--slo`` evaluates the default health ruleset — a ``fail``
-status fails the benchmark like any other check.
+``repro-metrics/v1`` snapshot (the input of ``metrics-report``), and
+``--slo`` evaluates the four default SLO rules — a ``fail`` status
+fails the benchmark like any other check. The registry is parked
+while the sequential baseline runs, so every output counts each solve
+once: the service's. The tracer stays on, so a ``--trace`` file holds
+the baseline's spans too.
 
 The run observes at the highest telemetry level
 (:func:`repro.telemetry.observe`) its outputs need, and never below
@@ -59,7 +61,6 @@ from .. import telemetry
 from ..telemetry import flight as _flight
 from ..telemetry import health as _health
 from ..telemetry import metrics as _metrics
-from ..telemetry.sampler import MetricsSampler
 from ..compile import SolverConfig, solve
 from ..db.joinorder import JoinOrderQUBO
 from ..db.workloads import TOPOLOGIES, random_join_graph
@@ -150,14 +151,6 @@ def main(argv) -> int:
     parser.add_argument("--metrics-json", metavar="FILE",
                         help="write the repro-metrics/v1 JSON snapshot "
                              "(implies --metrics)")
-    parser.add_argument("--metrics-jsonl", metavar="FILE",
-                        help="stream periodic sampler snapshots to a "
-                             "JSONL file during the run (implies "
-                             "--metrics)")
-    parser.add_argument("--metrics-interval", type=float, default=0.2,
-                        metavar="SECONDS",
-                        help="sampler interval for --metrics-jsonl "
-                             "(default %(default)s)")
     parser.add_argument("--slo", action="store_true",
                         help="evaluate the default SLO ruleset against "
                              "the run's metrics; a fail status fails "
@@ -178,8 +171,7 @@ def main(argv) -> int:
 
     use_metrics = (args.metrics or args.slo
                    or args.metrics_out is not None
-                   or args.metrics_json is not None
-                   or args.metrics_jsonl is not None)
+                   or args.metrics_json is not None)
     needed = ("trace" if args.trace is not None
               else "flight" if args.flight is not None
               else "metrics" if use_metrics else "off")
@@ -199,11 +191,6 @@ def _run(args, use_metrics: bool) -> int:
     recorder = telemetry.get_flight_recorder()
     flight_dir = (os.path.abspath(args.flight)
                   if args.flight is not None else None)
-    sampler = None
-    if args.metrics_jsonl is not None:
-        sampler = MetricsSampler(args.metrics_jsonl,
-                                 interval=args.metrics_interval,
-                                 registry=registry).start()
 
     jobs = build_jobs(args.jobs, args.relations, args.sweeps,
                       args.reads, args.seed)
@@ -212,10 +199,18 @@ def _run(args, use_metrics: bool) -> int:
           f"{args.mode} workers, solver {args.solver!r}, "
           f"cpu_count={os.cpu_count()}")
 
-    sequential_start = time.perf_counter()
-    baseline = [solve(problem, args.solver, config=config)
-                for problem, config in jobs]
-    sequential_seconds = time.perf_counter() - sequential_start
+    # The registry sits out the baseline: the metrics describe the
+    # service run alone, while the tracer keeps the baseline's spans.
+    parked = _metrics.get_registry()
+    _metrics.disable_metrics()
+    try:
+        sequential_start = time.perf_counter()
+        baseline = [solve(problem, args.solver, config=config)
+                    for problem, config in jobs]
+        sequential_seconds = time.perf_counter() - sequential_start
+    finally:
+        if parked is not None:
+            _metrics.enable_metrics(parked)
 
     failures = 0
     with SolveService(max_workers=args.workers,
@@ -352,10 +347,6 @@ def _run(args, use_metrics: bool) -> int:
 
     metrics_snapshot = None
     if registry is not None:
-        if sampler is not None:
-            samples = sampler.stop()
-            print(f"wrote {samples} sampler snapshot(s) to "
-                  f"{os.path.abspath(args.metrics_jsonl)}")
         metrics_snapshot = registry.snapshot()
         print()
         print(telemetry.render_dashboard(metrics_snapshot,

@@ -416,8 +416,8 @@ class SolveService:
                     inflight.coalesced += 1
                     self._coalesced += 1
                     # A coalesced submission has no job of its own: its
-                    # instant files under the leader's job id, so the
-                    # leader's capsule keeps it.
+                    # instant names the leader's trace id and job id,
+                    # so the leader's capsule keeps it.
                     _job_event("coalesced", {
                         "trace_id": trace_id,
                         "job_id": inflight.job_id,

@@ -46,9 +46,9 @@ levels (:data:`LEVELS`), and each level includes every one below it.
 :func:`span` times a stretch of code into the registry's
 ``span_seconds{path}`` histogram and, when the event tracer
 (:mod:`repro.telemetry.trace`) is on, emits a begin/end pair on its
-timeline. SLO health evaluation (:mod:`repro.telemetry.health`) and a
-background JSONL sampler (:mod:`repro.telemetry.sampler`) read the
-same registry.
+timeline. The dashboard (:func:`render_dashboard`) and the four SLO
+rules (:mod:`repro.telemetry.health`) read the same registry snapshot,
+p95 included.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ from .metrics_report import render_dashboard
 from .profiler import ProfileCapture
 from .progress import ProgressTrace
 from .provenance import RunProvenance, collect_provenance, git_sha
-from .sampler import MetricsSampler
 from .trace import (
     Tracer,
     disable_tracing,
@@ -115,7 +114,6 @@ __all__ = [
     "Histogram",
     "LEVELS",
     "MetricsRegistry",
-    "MetricsSampler",
     "ProfileCapture",
     "ProgressTrace",
     "RunProvenance",

@@ -10,15 +10,16 @@ which :func:`~repro.telemetry.trace.get_tracer` never returns.
 
 Nothing is written anywhere until something goes wrong: when a job
 finishes FAILED/TIMEOUT (wired in ``repro.service.service``), an SLO
-rule fails (:func:`repro.telemetry.health.evaluate_rules`) or the HTTP
-server drains, :meth:`FlightRecorder.dump` leaves a ``flight.capsule``
-instant in the ring and cuts a ``repro-flight/v2`` capsule from it:
-that trace's events plus ambient ones (lifecycle facts naming no trace
-and no job, such as SLO breaches), at most :data:`MAX_FLIGHT_EVENTS`
-of them, as a Chrome
-``traceEvents`` document that opens in Perfetto and in ``obs-report``
-unchanged. Capsules are kept in memory and, when a ``dump_dir`` is
-configured, written to ``flight-{pid}-*.json`` on disk.
+breach begins (:func:`repro.telemetry.health.evaluate_rules`) or the
+HTTP server drains, :meth:`FlightRecorder.dump` leaves a
+``flight.capsule`` instant in the ring and cuts a ``repro-flight/v2``
+capsule from it: that trace's events, the coalesced submissions that
+joined it, and ambient ones (lifecycle facts naming no trace and no
+job, such as SLO breaches), at most :data:`MAX_FLIGHT_EVENTS` of them,
+as a Chrome ``traceEvents`` document that opens in Perfetto and in
+``obs-report`` unchanged. Capsules are kept in memory and, when a
+``dump_dir`` is configured, written to ``flight-{pid}-*.json`` on
+disk.
 
 Like every other telemetry layer the recorder is off by default:
 the ``flight`` level of :func:`repro.telemetry.observe`
@@ -76,10 +77,13 @@ def _belongs(event: Dict[str, Any], trace_id: Optional[str],
              job_id: Optional[int]) -> bool:
     """Whether a capsule for ``trace_id``/``job_id`` keeps ``event``.
 
-    Without ids every event belongs. With them, an event belongs when
-    it carries the matching id — or is an ambient lifecycle fact that
-    carries *no* ids (an SLO breach belongs in every capsule; the
-    untraced spans and counters of the ``trace`` level do not).
+    Without ids every event belongs. With them, an ambient lifecycle
+    fact that carries *no* ids belongs (an SLO breach belongs in every
+    capsule; the untraced spans and counters of the ``trace`` level do
+    not). Otherwise a capsule with a trace id keeps that trace's events
+    and the coalesced submissions whose ``leader_trace_id`` it is. Job
+    ids restart at 1 in every service, so ``job_id`` decides only for a
+    capsule cut without a trace id.
     """
     if trace_id is None and job_id is None:
         return True
@@ -87,8 +91,9 @@ def _belongs(event: Dict[str, Any], trace_id: Optional[str],
     event_trace, event_job = args.get("trace_id"), args.get("job_id")
     if event_trace is None and event_job is None:
         return event.get("cat") in LIFECYCLE_CATEGORIES
-    return ((trace_id is not None and event_trace == trace_id)
-            or (job_id is not None and event_job == job_id))
+    if trace_id is not None:
+        return trace_id in (event_trace, args.get("leader_trace_id"))
+    return event_job == job_id
 
 
 class FlightRecorder:
@@ -102,7 +107,7 @@ class FlightRecorder:
                                        sample_memory=False)
         #: Where capsules are written (``None``: memory only).
         self.dump_dir = dump_dir
-        self._last_breach: Optional[tuple] = None
+        self._last_breach: tuple = ()
         #: Capsules dumped so far, oldest first (bounded).
         self.capsules: List[Dict[str, Any]] = []
 
@@ -165,21 +170,20 @@ class FlightRecorder:
         return document
 
     def on_slo_breach(self, report: Any) -> Optional[Dict[str, Any]]:
-        """Dump a capsule for a failing :class:`HealthReport`.
+        """Dump a capsule when a :class:`HealthReport` starts a breach.
 
-        Consecutive identical breach signatures (same failing rules)
-        are deduplicated so a persistently-broken SLO polled in a loop
-        does not flood the capsule store.
+        Every evaluated report comes here. A breach is the set of
+        failing rules: the same set failing again (a broken SLO polled
+        in a loop) cuts no second capsule, and a report with no failing
+        rule ends the breach, so the next failure cuts a new one.
         """
         failing = tuple(sorted(
             result.rule for result in report.results
             if result.status == "fail"
         ))
-        if not failing:
+        previous, self._last_breach = self._last_breach, failing
+        if not failing or failing == previous:
             return None
-        if failing == self._last_breach:
-            return None
-        self._last_breach = failing
         return self.dump("slo_breach", detail={
             "status": report.status,
             "rules": [

@@ -275,19 +275,32 @@ class HistogramSeries:
 
     def _merge(self, entry: Mapping[str, Any]) -> None:
         counts = entry.get("bucket_counts") or []
-        reservoir = entry.get("reservoir") or []
+        incoming = [float(value) for value in entry.get("reservoir") or []]
+        extra = int(entry.get("count", 0))
         with self._lock:
-            self._count += int(entry.get("count", 0))
+            self._count += extra
             self._sum += float(entry.get("sum", 0.0))
             if len(counts) == len(self._bucket_counts):
-                for index, extra in enumerate(counts):
-                    self._bucket_counts[index] += int(extra)
-            for value in reservoir:
-                if len(self._reservoir) < RESERVOIR_SIZE:
-                    self._reservoir.append(float(value))
-                else:
-                    slot = self._rng.randrange(len(self._reservoir))
-                    self._reservoir[slot] = float(value)
+                for index, added in enumerate(counts):
+                    self._bucket_counts[index] += int(added)
+            if self._count <= RESERVOIR_SIZE:
+                self._reservoir.extend(incoming)
+                return
+            # Over capacity: each side fills the reservoir in proportion
+            # to the observations it stands for, so a small series
+            # merged into a large one (or the reverse) keeps its weight.
+            take = min(len(incoming),
+                       round(RESERVOIR_SIZE * extra / self._count))
+            keep = min(len(self._reservoir), RESERVOIR_SIZE - take)
+            self._reservoir = (self._thin(self._reservoir, keep)
+                               + self._thin(incoming, take))
+
+    def _thin(self, values: List[float], size: int) -> List[float]:
+        """``size`` of ``values``, drawn with the seeded rng; all of
+        them, in order, when ``size`` covers them."""
+        if size >= len(values):
+            return values
+        return self._rng.sample(values, size)
 
 
 _SERIES_TYPES = {
@@ -492,10 +505,9 @@ class MetricsRegistry:
                  ) -> Dict[str, Any]:
         """Plain-dict (JSON-safe) view of every instrument.
 
-        Histogram series always include precomputed p50/p95/p99;
-        ``include_reservoir=False`` drops the raw reservoir values
-        (the :class:`~repro.telemetry.sampler.MetricsSampler` uses
-        this to keep periodic JSONL lines small).
+        Histogram series always include precomputed p50/p95/p99, the
+        quantiles the dashboard and the SLO rules read;
+        ``include_reservoir=False`` drops the raw reservoir values.
         """
         with self._lock:
             instruments = list(self._instruments.values())
@@ -540,7 +552,8 @@ class MetricsRegistry:
         snapshot back with the result; the parent merges so one export
         covers the fleet. Counters and histogram bucket counts / sums
         add per label set, gauges last-write-wins, reservoirs merge
-        bounded (beyond capacity the merge keeps a uniform sample).
+        bounded (beyond capacity each side keeps a share of the
+        reservoir proportional to its observation count).
         """
         for name, entry in (snapshot.get("counters") or {}).items():
             counter = self.counter(name, entry.get("help", ""),

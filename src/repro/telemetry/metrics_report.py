@@ -1,13 +1,10 @@
 """``metrics-report``: render a metrics snapshot as a text dashboard.
 
-Accepts any of the shapes the metrics layer writes:
+Accepts either shape the metrics layer writes:
 
 * a raw ``repro-metrics/v1`` snapshot (``MetricsRegistry.to_json``,
   ``serve-bench --metrics-json``);
-* a wrapper document with a ``"metrics"`` key (sampler lines,
-  ``serve-bench --json-out`` documents);
-* a sampler JSONL file — the last line is used unless ``--line N``
-  picks another (1-based).
+* a document with a ``"metrics"`` key (``serve-bench --json-out``).
 
 The same :func:`render_dashboard` prints the report after each
 ``experiments --telemetry`` run (with the run's provenance) and after
@@ -16,10 +13,11 @@ The same :func:`render_dashboard` prints the report after each
 With two paths, the second is the baseline and the dashboard shows
 deltas (candidate value with ``Δ`` against the baseline) — useful for
 "what did this workload add" questions against a pre-run snapshot.
-Unless ``--no-health`` is given, the default SLO ruleset (or
-``--slo FILE``) is evaluated against the candidate snapshot and the
-health report is appended; ``--fail-on fail`` (or ``warn``) turns the
-health status into the exit code for CI.
+Unless ``--no-health`` is given, the four default SLO rules
+(:data:`repro.telemetry.health.DEFAULT_SLO_RULES`) are evaluated
+against the candidate snapshot and the health report is appended;
+``--fail-on fail`` (or ``warn``) turns the health status into the exit
+code for CI.
 
 Wired as ``python -m repro.experiments metrics-report``.
 """
@@ -36,38 +34,10 @@ from .metrics import METRICS_SCHEMA
 from .trace import Tracer
 
 
-def load_snapshot(path: str, line: Optional[int] = None
-                  ) -> Dict[str, Any]:
-    """Load a metrics snapshot from JSON or sampler JSONL."""
+def load_snapshot(path: str) -> Dict[str, Any]:
+    """Load a metrics snapshot, raw or under a ``"metrics"`` key."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError(f"{path}: empty file")
-    try:
-        document = json.loads(stripped)
-    except json.JSONDecodeError:
-        # Not one JSON document: treat as JSONL (one document per line).
-        lines = [row for row in stripped.splitlines() if row.strip()]
-        if line is not None:
-            if not 1 <= line <= len(lines):
-                raise ValueError(
-                    f"{path}: --line {line} out of range "
-                    f"(1..{len(lines)})"
-                )
-            row = lines[line - 1]
-        else:
-            row = lines[-1]
-        document = json.loads(row)
-    else:
-        if line is not None and line != 1:
-            raise ValueError(
-                f"{path}: --line only applies to JSONL files"
-            )
-    return _unwrap(document, path)
-
-
-def _unwrap(document: Any, path: str) -> Dict[str, Any]:
+        document = json.load(handle)
     if not isinstance(document, Mapping):
         raise ValueError(f"{path}: not a JSON object")
     if document.get("schema") == METRICS_SCHEMA:
@@ -77,8 +47,8 @@ def _unwrap(document: Any, path: str) -> Dict[str, Any]:
         return dict(inner)
     raise ValueError(
         f"{path}: no {METRICS_SCHEMA!r} snapshot found "
-        "(expected a registry snapshot, a document with a 'metrics' "
-        "key, or sampler JSONL)"
+        "(expected a registry snapshot or a document with a "
+        "'metrics' key)"
     )
 
 
@@ -248,22 +218,14 @@ def render_dashboard(snapshot: Optional[Mapping[str, Any]],
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments metrics-report",
-        description="Render a repro-metrics/v1 snapshot (JSON or "
-                    "sampler JSONL) as a text dashboard, optionally "
-                    "diffed against a baseline snapshot, plus an SLO "
-                    "health report.",
+        description="Render a repro-metrics/v1 snapshot as a text "
+                    "dashboard, optionally diffed against a baseline "
+                    "snapshot, plus an SLO health report.",
     )
-    parser.add_argument("snapshot",
-                        help="snapshot file (JSON or sampler JSONL)")
+    parser.add_argument("snapshot", help="snapshot JSON file")
     parser.add_argument("baseline", nargs="?", default=None,
                         help="optional baseline snapshot to diff "
                              "against")
-    parser.add_argument("--line", type=int, default=None, metavar="N",
-                        help="for JSONL input: use line N (1-based) "
-                             "instead of the last line")
-    parser.add_argument("--slo", metavar="FILE", default=None,
-                        help="JSON file of SLO rules (default: the "
-                             "built-in serving ruleset)")
     parser.add_argument("--no-health", action="store_true",
                         help="skip SLO evaluation")
     parser.add_argument("--fail-on", choices=("never", "fail", "warn"),
@@ -273,10 +235,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        snapshot = load_snapshot(args.snapshot, line=args.line)
+        snapshot = load_snapshot(args.snapshot)
         baseline = (load_snapshot(args.baseline)
                     if args.baseline else None)
-    except (OSError, ValueError, json.JSONDecodeError) as error:
+    except (OSError, ValueError) as error:
         print(f"metrics-report: {error}", file=sys.stderr)
         return 2
 
@@ -284,13 +246,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.no_health:
         return 0
-    try:
-        rules = (health_mod.load_rules(args.slo) if args.slo
-                 else list(health_mod.DEFAULT_SLO_RULES))
-        report = health_mod.evaluate_rules(rules, snapshot)
-    except (OSError, ValueError) as error:
-        print(f"metrics-report: {error}", file=sys.stderr)
-        return 2
+    report = health_mod.evaluate_rules(health_mod.DEFAULT_SLO_RULES,
+                                       snapshot)
     print(report.render())
 
     if args.fail_on == "never":

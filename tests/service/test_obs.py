@@ -324,3 +324,25 @@ def test_coalesced_instant_files_under_its_leader(tmp_path):
     assert len(coalesced) == 1
     assert coalesced[0]["job_id"] == leader.job_id
     assert coalesced[0]["trace_id"] != leader.trace_id
+
+
+def test_capsule_keeps_its_own_trace_across_services(tmp_path):
+    telemetry.observe("flight", flight_dir=str(tmp_path))
+    recorder = flight_mod.get_flight_recorder()
+    with SolveService(max_workers=1, mode="thread") as earlier:
+        done = earlier.submit(problem(), "sa", config())
+        done.result(timeout=60)
+    with SolveService(max_workers=1) as service:
+        reaped = service.submit(problem(relations=7), "sa", SLOW,
+                                deadline=0.1)
+        # Job ids restart at 1 in every service.
+        assert reaped.job_id == done.job_id
+        with pytest.raises(JobTimeoutError):
+            reaped.result(timeout=60)
+    (capsule,) = recorder.capsules
+    assert capsule["reason"] == "job_timeout"
+    names = [event["name"] for event in capsule["traceEvents"]]
+    assert names == ["service.job.submitted", "service.job.dispatch",
+                     "service.job.finish", "flight.capsule"]
+    assert {event["args"]["trace_id"]
+            for event in capsule["traceEvents"]} == {reaped.trace_id}

@@ -19,6 +19,7 @@ from repro.db.workloads import random_join_graph
 from repro.telemetry import context as context_mod
 from repro.telemetry import flight as flight_mod
 from repro.telemetry import health as health_mod
+from repro.telemetry import metrics as metrics_mod
 from repro.telemetry import obs_report as obs_mod
 from repro.telemetry import profiler as profiler_mod
 from repro.telemetry import trace as trace_mod
@@ -253,34 +254,43 @@ def test_validate_flight_document_catches_corruption():
 def test_slo_breach_dumps_one_capsule_and_dedupes(tmp_path):
     telemetry.observe("flight", flight_dir=str(tmp_path))
     recorder = flight_mod.get_flight_recorder()
-    rule = health_mod.SLORule(
-        name="queue_wait_p95",
-        expr="p95(service_queue_wait_seconds) < 0.001",
-        description="p95 queue wait under 1ms",
-    )
-    snapshot = {
-        "schema": "repro-metrics/v1",
-        "histograms": {"service_queue_wait_seconds": {"series": [{
-            "labels": {}, "count": 10, "sum": 0.1,
-            "reservoir": [0.01] * 10,
-        }]}},
-        "counters": {}, "gauges": {},
-    }
-    first = health_mod.evaluate_rules([rule], snapshot)
+
+    def snapshot(timeouts):
+        registry = metrics_mod.MetricsRegistry()
+        jobs = registry.counter("service_jobs_total", "", ("status",))
+        jobs.labels(status="submitted").inc(10)
+        jobs.labels(status="timeout").inc(timeouts)
+        return registry.snapshot()
+
+    breach = snapshot(timeouts=5)
+    first = health_mod.evaluate_rules(health_mod.DEFAULT_SLO_RULES,
+                                      breach)
     assert first.status == "fail"
     assert len(recorder.capsules) == 1
     capsule = recorder.capsules[0]
     assert capsule["reason"] == "slo_breach"
-    assert capsule["detail"]["rules"][0]["rule"] == "queue_wait_p95"
+    (failed,) = first.failures()
+    assert capsule["detail"] == {"status": "fail", "rules": [{
+        "rule": "timeout_rate", "reason": "violated: 0.5 <= 0.05",
+        "expr": failed.expr}]}
     assert flight_mod.validate_flight_document(capsule) == []
     # The identical breach evaluated again must not dump a second one.
-    health_mod.evaluate_rules([rule], snapshot)
+    health_mod.evaluate_rules(health_mod.DEFAULT_SLO_RULES, breach)
     assert len(recorder.capsules) == 1
     # The breach is one ambient instant in the ring: the capsule's.
     (marker,) = [event for event in flight_mod.event_log().events()
                  if event["name"] == "flight.capsule"]
     assert marker["args"]["reason"] == "slo_breach"
     assert marker["args"]["trace_id"] is None
+    # A report with no failing rule (``warn`` here: no cache counter)
+    # ends the breach, so the same failure afterwards is a new one.
+    recovered = health_mod.evaluate_rules(health_mod.DEFAULT_SLO_RULES,
+                                          snapshot(timeouts=0))
+    assert recovered.status == "warn"
+    assert len(recorder.capsules) == 1
+    health_mod.evaluate_rules(health_mod.DEFAULT_SLO_RULES, breach)
+    assert [capsule["reason"] for capsule in recorder.capsules] == [
+        "slo_breach", "slo_breach"]
 
 
 # -- sampling profiler -------------------------------------------------

@@ -1,5 +1,5 @@
 """Tests for the live-metrics layer: instruments, registry, exports,
-health rules, sampler, report CLI and hot-path instrumentation."""
+health rules, report CLI and hot-path instrumentation."""
 
 import json
 import os
@@ -11,7 +11,6 @@ import pytest
 
 import repro
 from repro import telemetry
-from repro.telemetry import health as health_mod
 from repro.telemetry import metrics as metrics_mod
 from repro.telemetry.health import (
     DEFAULT_SLO_RULES,
@@ -26,8 +25,7 @@ from repro.telemetry.metrics import (
     quantile,
     validate_prometheus_text,
 )
-from repro.telemetry.metrics_report import load_snapshot, main as report_main
-from repro.telemetry.sampler import MetricsSampler
+from repro.telemetry.metrics_report import main as report_main
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +197,29 @@ def test_snapshot_always_embeds_percentiles():
     assert len(with_reservoir["reservoir"]) == 100
 
 
+def test_reservoir_merge_weights_each_side_by_its_count():
+    def observed(value, times):
+        registry = MetricsRegistry()
+        series = registry.histogram("t").labels()
+        for _ in range(times):
+            series.observe(value)
+        return registry
+
+    # 3,000 slow observations are 2.9% of the 103,000; in either merge
+    # order they keep about that share of the merged reservoir.
+    expected = 3_000 / 103_000
+    for first, second in (((1.0, 100_000), (100.0, 3_000)),
+                          ((100.0, 3_000), (1.0, 100_000))):
+        registry = observed(*first)
+        registry.merge_snapshot(observed(*second).snapshot())
+        (series,) = registry.snapshot()["histograms"]["t"]["series"]
+        assert series["count"] == 103_000
+        assert len(series["reservoir"]) == RESERVOIR_SIZE
+        share = series["reservoir"].count(100.0) / RESERVOIR_SIZE
+        assert abs(share - expected) <= 0.015, share
+        assert series["p50"] == series["p95"] == 1.0
+
+
 # -- exports -----------------------------------------------------------
 def test_prometheus_export_invariants_and_validation():
     registry = MetricsRegistry()
@@ -323,19 +344,31 @@ def test_statevector_and_dispatch_record_metrics(monkeypatch):
 
 
 # -- health / SLO rules ------------------------------------------------
-def _snapshot_with(timeouts=0, submitted=10, queue_waits=(0.01, 0.02)):
+def _snapshot_with(timeouts=0, failures=0, submitted=10, hits=4,
+                   misses=6, queue_waits=(0.01, 0.02),
+                   include_reservoir=True):
+    """A service snapshot; ``hits=None`` leaves out the cache counter,
+    ``queue_waits=None`` the queue-wait histogram."""
     registry = MetricsRegistry()
     jobs = registry.counter("service_jobs_total", "", ("status",))
     jobs.labels(status="submitted").inc(submitted)
     if timeouts:
         jobs.labels(status="timeout").inc(timeouts)
-    events = registry.counter("service_cache_events_total", "", ("event",))
-    events.labels(event="hit").inc(4)
-    events.labels(event="miss").inc(6)
-    wait = registry.histogram("service_queue_wait_seconds")
-    for value in queue_waits:
-        wait.observe(value)
-    return registry.snapshot()
+    if failures:
+        jobs.labels(status="failed").inc(failures)
+    if hits is not None:
+        events = registry.counter("service_cache_events_total", "",
+                                  ("event",))
+        events.labels(event="hit").inc(hits)
+        events.labels(event="miss").inc(misses)
+    if queue_waits is not None:
+        wait = registry.histogram("service_queue_wait_seconds").labels()
+        for value in queue_waits:
+            wait.observe(value)
+    return registry.snapshot(include_reservoir=include_reservoir)
+
+
+_RULES = {rule.name: rule for rule in DEFAULT_SLO_RULES}
 
 
 def test_default_rules_pass_on_healthy_snapshot():
@@ -353,67 +386,138 @@ def test_timeout_rate_rule_fails_and_report_serializes():
     payload = report.to_dict()
     assert payload["status"] == "fail"
     assert any(entry["status"] == "fail" for entry in payload["rules"])
+    assert all(set(entry) == {"rule", "status", "reason", "expr"}
+               for entry in payload["rules"])
 
 
 def test_missing_metric_degrades_to_warn_not_crash():
-    rule = SLORule(name="ghost", expr="p95(nonexistent_seconds) < 1")
-    result = evaluate_rule(rule, _snapshot_with())
+    result = evaluate_rule(_RULES["queue_wait_p95"],
+                           _snapshot_with(queue_waits=None))
     assert result.status == "warn"
     assert "not collected" in result.reason
     # Unmatched labels on an existing counter read as zero instead.
-    rule = SLORule(name="zero",
-                   expr="value(service_jobs_total, status='failed') <= 0")
-    assert evaluate_rule(rule, _snapshot_with()).status == "ok"
+    assert evaluate_rule(_RULES["failure_rate"],
+                         _snapshot_with()).status == "ok"
 
 
-def test_warn_band_and_expression_safety():
-    rule = SLORule(name="wait",
-                   expr="p95(service_queue_wait_seconds) < 10",
-                   warn="p95(service_queue_wait_seconds) < 0.001")
-    result = evaluate_rule(rule, _snapshot_with())
+def test_warn_band_on_default_rules():
+    result = evaluate_rule(_RULES["queue_wait_p95"],
+                           _snapshot_with(queue_waits=(2.0,)))
     assert result.status == "warn"  # passes fail bar, misses warn bar
-    with pytest.raises(health_mod.SLOExpressionError):
-        evaluate_rule(SLORule(name="evil",
-                              expr="__import__('os').getpid() > 0"),
-                      _snapshot_with())
+    assert result.expr == "p95(service_queue_wait_seconds) < 1"
+    result = evaluate_rule(_RULES["cache_hit_ratio"],
+                           _snapshot_with(hits=2, misses=8))
+    assert result.status == "warn"
+    # A rule only compares: an unknown comparison is refused up front.
+    with pytest.raises(ValueError):
+        SLORule("wait", "p95", lambda snapshot: 0.0, "==", 1.0)
 
 
-def test_bucket_quantile_fallback_without_reservoir():
-    registry = MetricsRegistry()
-    wait = registry.histogram("service_queue_wait_seconds")
-    for value in (0.2,) * 99 + (40.0,):
-        wait.observe(value)
-    snapshot = registry.snapshot(include_reservoir=False)
-    rule = SLORule(name="wait",
-                   expr="p95(service_queue_wait_seconds) < 5.0")
-    assert evaluate_rule(rule, snapshot).status == "ok"
+def test_reservoirless_snapshot_reads_its_own_p95():
+    snapshot = _snapshot_with(queue_waits=(0.2,) * 99 + (40.0,),
+                              include_reservoir=False)
+    (series,) = snapshot["histograms"]["service_queue_wait_seconds"][
+        "series"]
+    assert "reservoir" not in series
+    assert series["p95"] == pytest.approx(0.2)
+    result = evaluate_rule(_RULES["queue_wait_p95"], snapshot)
+    assert (result.status, result.reason) == ("ok", "0.2 < 5")
 
 
-# -- sampler -----------------------------------------------------------
-def test_sampler_appends_jsonl_snapshots(tmp_path):
-    registry = metrics_mod.enable_metrics()
-    registry.counter("ticks").inc()
-    path = tmp_path / "samples.jsonl"
-    sampler = MetricsSampler(str(path), interval=0.01)
-    sampler.start()
-    import time as _time
+#: The queue-wait, cache and job instruments of CI's metrics-smoke
+#: ``metrics.json`` (serve-bench --jobs 6 --workers 2 --sweeps 200).
+_CI_METRICS_JSON = {
+    "schema": "repro-metrics/v1",
+    "counters": {
+        "service_jobs_total": {"labelnames": ["status"], "series": [
+            {"labels": {"status": "cache_hit"}, "value": 6.0},
+            {"labels": {"status": "done"}, "value": 6.0},
+            {"labels": {"status": "submitted"}, "value": 6.0}]},
+        "service_cache_events_total": {"labelnames": ["event"], "series": [
+            {"labels": {"event": "hit"}, "value": 6.0},
+            {"labels": {"event": "miss"}, "value": 6.0}]},
+    },
+    "gauges": {},
+    "histograms": {"service_queue_wait_seconds": {
+        "buckets": list(DEFAULT_BUCKETS), "labelnames": [], "series": [{
+            "labels": {}, "count": 6, "sum": 0.18351891899874317,
+            "bucket_counts": [0, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0,
+                              0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            "p50": 0.032994128999689565, "p95": 0.05667724399995677,
+            "p99": 0.05684202880006524,
+            "reservoir": [0.0021043699998699594, 0.002483764999851701,
+                          0.032445056999677035, 0.033543200999702094,
+                          0.05605930099955003, 0.05688322500009235],
+        }]}},
+}
 
-    _time.sleep(0.06)
-    written = sampler.stop()
-    assert written >= 2  # periodic samples plus the final one
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == written
-    for line in lines:
-        sample = json.loads(line)
-        assert sample["metrics"]["schema"] == "repro-metrics/v1"
-        assert sample["metrics"]["counters"]["ticks"]["series"][0][
-            "value"] == 1
+_PARITY_SNAPSHOTS = {
+    "healthy": {},
+    "timeouts": {"timeouts": 5},
+    "failures": {"failures": 1},
+    "queue_wait_warn": {"queue_waits": tuple(0.1 * k for k in range(1, 31))},
+    "queue_wait_fail": {"queue_waits": tuple(float(k) for k in range(1, 11))},
+    "cold_cache": {"hits": 0, "misses": 10},
+    "warn_cache": {"hits": 2, "misses": 8},
+    "no_cache_counter": {"hits": None},
+    "cache_0_of_0": {"hits": 0, "misses": 0},
+    "no_histogram": {"queue_waits": None},
+    "empty_histogram": {"queue_waits": ()},
+    "no_submitted_jobs": {"submitted": 0},
+    "reservoirless": {"queue_waits": (0.2,) * 99 + (40.0,),
+                      "include_reservoir": False},
+}
+
+_OK = ("ok", "0.0195 < 5"), ("ok", "0.4 >= 0.1"), ("ok", "0 <= 0.05"), \
+    ("ok", "0 <= 0.01")
+_NOT_EVALUATED = ("warn", "not evaluated:")
+
+#: (status, reason) per rule, in DEFAULT_SLO_RULES order, as the
+#: expression-language rules before them gave. A ``not evaluated:``
+#: reason keeps only its prefix: the wording names the missing number.
+_PARITY_TABLE = {
+    "healthy": _OK,
+    "timeouts": (_OK[0], _OK[1], ("fail", "violated: 0.5 <= 0.05"),
+                 _OK[3]),
+    "failures": (_OK[0], _OK[1], _OK[2],
+                 ("fail", "violated: 0.1 <= 0.01")),
+    "queue_wait_warn": (
+        ("warn", "ok but past warning threshold: 2.855 < 1"), *_OK[1:]),
+    "queue_wait_fail": (("fail", "violated: 9.55 < 5"), *_OK[1:]),
+    "cold_cache": (_OK[0], ("fail", "violated: 0 >= 0.1"), *_OK[2:]),
+    "warn_cache": (
+        _OK[0], ("warn", "ok but past warning threshold: 0.2 >= 0.25"),
+        *_OK[2:]),
+    "no_cache_counter": (_OK[0], _NOT_EVALUATED, *_OK[2:]),
+    "cache_0_of_0": (_OK[0], _NOT_EVALUATED, *_OK[2:]),
+    "no_histogram": (_NOT_EVALUATED, *_OK[1:]),
+    "empty_histogram": (_NOT_EVALUATED, *_OK[1:]),
+    "no_submitted_jobs": (_OK[0], _OK[1], _NOT_EVALUATED,
+                          _NOT_EVALUATED),
+    # The one deliberate change: the expression rules interpolated
+    # bucket counts here and read 0.2439; the rule reads the
+    # snapshot's own p95, which the dashboard prints too.
+    "reservoirless": (("ok", "0.2 < 5"), *_OK[1:]),
+    "ci_metrics_json": (("ok", "0.05668 < 5"), ("ok", "0.5 >= 0.1"),
+                        *_OK[2:]),
+}
 
 
-def test_sampler_requires_a_registry():
-    sampler = MetricsSampler("/tmp/unused.jsonl")
-    with pytest.raises(RuntimeError):
-        sampler.start()
+@pytest.mark.parametrize("case", sorted(_PARITY_TABLE))
+def test_default_rules_match_the_recorded_table(case):
+    snapshot = (_CI_METRICS_JSON if case == "ci_metrics_json"
+                else _snapshot_with(**_PARITY_SNAPSHOTS[case]))
+    report = evaluate_rules(DEFAULT_SLO_RULES, snapshot)
+    assert [r.rule for r in report.results] == [
+        "queue_wait_p95", "cache_hit_ratio", "timeout_rate",
+        "failure_rate"]
+    for result, (status, reason) in zip(report.results,
+                                        _PARITY_TABLE[case]):
+        assert result.status == status, result
+        if reason == "not evaluated:":
+            assert result.reason.startswith(reason), result
+        else:
+            assert result.reason == reason, result
 
 
 # -- metrics-report CLI ------------------------------------------------
@@ -446,8 +550,15 @@ def test_metrics_report_health_exit_codes(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(snapshot))
     assert report_main([str(path)]) == 0  # default: report only
-    capsys.readouterr()
-    assert report_main([str(path), "--fail-on", "fail"]) == 1
+    text = capsys.readouterr().out
+    for rule in DEFAULT_SLO_RULES:
+        assert rule.name in text
+    # A serve-bench --json-out document carries the snapshot under
+    # its "metrics" key.
+    wrapped = tmp_path / "bench.json"
+    wrapped.write_text(json.dumps({"schema": "repro-serve-bench/v1",
+                                   "metrics": snapshot}))
+    assert report_main([str(wrapped), "--fail-on", "fail"]) == 1
     capsys.readouterr()
     assert report_main([str(tmp_path / "missing.json")]) == 2
 
@@ -498,6 +609,26 @@ def test_service_metrics_cover_jobs_and_merge_worker_registries(mode):
         assert respawns["series"][0]["value"] == 0
 
 
+def test_serve_bench_metrics_cover_the_service_run_only(tmp_path, capsys):
+    from repro.service import bench
+
+    path = tmp_path / "metrics.json"
+    assert bench.main(["--jobs", "2", "--workers", "1", "--mode", "thread",
+                       "--sweeps", "20", "--metrics-json", str(path)]) == 0
+    capsys.readouterr()
+    snapshot = json.loads(path.read_text())
+    # The sequential baseline solves the same jobs with the registry
+    # parked, so each solve counts once.
+    (sweeps,) = snapshot["counters"]["solver_sweeps_total"]["series"]
+    assert sweeps["value"] == 2 * 20 * 4  # jobs * sweeps * reads
+    (solves,) = snapshot["histograms"]["solver_solve_seconds"]["series"]
+    assert solves["count"] == 2
+    paths = {series["labels"]["path"] for series in
+             snapshot["histograms"]["span_seconds"]["series"]}
+    assert not any(path.startswith("compile.solve") for path in paths)
+    assert metrics_mod.get_registry() is None  # the level is restored
+
+
 def test_cache_events_counter_tracks_hits_and_misses():
     from repro.compile import SolverConfig
     from repro.db import JoinOrderQUBO, random_join_graph
@@ -515,15 +646,3 @@ def test_cache_events_counter_tracks_hits_and_misses():
               ["service_cache_events_total"]["series"]}
     assert events["miss"] == 1
     assert events["hit"] == 1
-
-
-def test_load_snapshot_handles_jsonl_lines(tmp_path):
-    registry = metrics_mod.enable_metrics()
-    registry.counter("ticks").inc()
-    path = tmp_path / "samples.jsonl"
-    with MetricsSampler(str(path), interval=5.0):
-        registry.counter("ticks").inc()
-    last = load_snapshot(str(path))
-    assert last["counters"]["ticks"]["series"][0]["value"] == 2
-    first = load_snapshot(str(path), line=1)
-    assert first["schema"] == "repro-metrics/v1"
